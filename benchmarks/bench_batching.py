@@ -13,7 +13,7 @@ The measured pipeline is the kernel's receive shape end to end:
 (the validated-run fast receive), ``try_enqueue``/``try_enqueue_batch``
 onto the path input queue, and a simulated path thread that wakes via
 ``Dequeue``/``DequeueBatch``, reserves output space, traverses the
-compiled chain, and charges decode cost — one scheduler dispatch per
+path, and charges decode cost — one scheduler dispatch per
 message versus one per batch.
 
 Results land in ``benchmarks/results/BENCH_batching.json`` (sections

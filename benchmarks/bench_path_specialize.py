@@ -1,15 +1,15 @@
-"""Warm-UDP throughput: exec-generated fused functions vs the compiled
-chain walk (DESIGN.md §15).
+"""Warm-UDP throughput: exec-generated fused functions vs the reference
+walk (DESIGN.md §11).
 
 The workload is the specialized tier's home turf — validated runs over
 the Figure 7 receive chain, exactly what a flow-cache hit hands the path
 in the kernel.  Both arms run the identical workload shape (pre-built
 stamped frames, batched delivery, output queue drained per run) so the
 measured gap is the dispatch structure alone: one generated straight-line
-body versus per-stage vectorized calls.
+body versus one recursive ``forward()`` walk per message.
 
-The gate is the PR's acceptance bar: the specialized tier must be at
-least 2x the compiled tier on this workload, with the books — delivered
+The gate is the acceptance bar: the specialized tier must be at least
+2x the reference walk on this workload, with the books — delivered
 bytes, drop ledger, rx_validated counters — reconciling exactly.
 """
 
@@ -79,23 +79,23 @@ def _time_arm(specialize):
     return per_msg_us, books, path.specialized_msgs - warmup_specialized, path
 
 
-def test_warm_udp_specialized_vs_compiled(record_fastpath):
-    compiled_us, compiled_books, _, _ = _time_arm(specialize=False)
+def test_warm_udp_specialized_vs_reference(record_fastpath):
+    reference_us, reference_books, _, _ = _time_arm(specialize=False)
     specialized_us, specialized_books, specialized_msgs, path = \
         _time_arm(specialize=True)
 
     # Reconciliation first: a fast wrong answer is not a result.  Both
     # arms saw the identical byte stream, so every book must agree.
-    assert specialized_books == compiled_books
+    assert specialized_books == reference_books
     assert specialized_books["delivered"] == LOOPS * BATCH
     assert specialized_books["drops"] == 0
     # ...and the specialized arm really ran generated code, start to end.
     assert specialized_msgs == LOOPS * BATCH
     spec_fn = path._specialized[BWD]
-    speedup = compiled_us / specialized_us
+    speedup = reference_us / specialized_us
 
     record_fastpath("specialize", {
-        "compiled_us": round(compiled_us, 4),
+        "reference_us": round(reference_us, 4),
         "specialized_us": round(specialized_us, 4),
         "speedup": round(speedup, 2),
         "batch": BATCH,
@@ -104,15 +104,15 @@ def test_warm_udp_specialized_vs_compiled(record_fastpath):
         "delivered": specialized_books["delivered"],
     })
     # The acceptance gate: fused straight-line code must at least double
-    # warm-UDP batched throughput over the per-stage vectorized walk.
+    # warm-UDP batched throughput over the per-message reference walk.
     assert speedup >= 2.0, (
-        f"specialized tier only {speedup:.2f}x over compiled "
-        f"({specialized_us:.3f}us vs {compiled_us:.3f}us per message)")
+        f"specialized tier only {speedup:.2f}x over the reference walk "
+        f"({specialized_us:.3f}us vs {reference_us:.3f}us per message)")
 
 
 def test_specialized_scalar_deliver_not_slower(record_fastpath):
     """Batch=1 rides the same generated function; it must never lose to
-    the compiled scalar walk (no gate beyond parity-with-slack — scalar
+    the reference walk (no gate beyond parity-with-slack — scalar
     dispatch overhead dominates at this size)."""
 
     def time_scalar(specialize):
@@ -129,12 +129,12 @@ def test_specialized_scalar_deliver_not_slower(record_fastpath):
             outq.dequeue_batch()
         return (time.perf_counter() - start) / LOOPS * 1e6
 
-    compiled_us = time_scalar(False)
+    reference_us = time_scalar(False)
     specialized_us = time_scalar(True)
     record_fastpath("specialize_scalar", {
-        "compiled_us": round(compiled_us, 4),
+        "reference_us": round(reference_us, 4),
         "specialized_us": round(specialized_us, 4),
-        "speedup": round(compiled_us / specialized_us, 2),
+        "speedup": round(reference_us / specialized_us, 2),
         "loops": LOOPS,
     })
-    assert specialized_us <= 1.5 * compiled_us
+    assert specialized_us <= 1.5 * reference_us

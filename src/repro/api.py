@@ -191,11 +191,10 @@ class PathBuilder:
         return self.invariant(PA_BATCH, int(limit))
 
     def specialize(self, enabled: bool = True) -> "PathBuilder":
-        """Opt this path in (or, with ``False``, explicitly out) of the
-        specialized execution tier: the compile phase may ``exec``-
-        generate one fused function per chain direction (``PA_SPECIALIZE``,
-        DESIGN.md §15).  Unset, the ``REPRO_SPECIALIZE`` environment
-        default decides."""
+        """Pin this path's execution tier (``PA_SPECIALIZE``, DESIGN.md
+        §11): ``True`` lets path creation ``exec``-generate one fused
+        function per chain direction, ``False`` keeps the path on the
+        reference walk.  Unset, the default (on) decides."""
         return self.invariant(PA_SPECIALIZE, bool(enabled))
 
     def admission(self, hook: Optional[AdmissionHook]) -> "PathBuilder":
@@ -615,38 +614,18 @@ __all__ = [
 ]
 
 
-#: Facade names renamed during the backend/executor redesign: the old
-#: spelling resolves through :func:`__getattr__` with a deprecation
-#: warning naming the supported one.
-_RENAMED = {
-    "AsyncExecutor": "AioExecutor",
-    "AsyncWorld": "AioWorld",
-    "SocketDevice": "SocketNetDevice",
-    "WallclockBridge": "WallClockBridge",
-}
-
-
 def __getattr__(name: str) -> Any:
     """Deprecation shim: resolve legacy names from the deep layers.
 
     Anything public that the facade does not re-export — older scripts
     reached through ``repro.api`` for names like ``MflowRouter`` during
     the facade's introduction — still resolves, with a
-    :class:`DeprecationWarning` naming the supported import.  Facade
-    names renamed by the wall-clock redesign (``_RENAMED``) shim the
-    same way.
+    :class:`DeprecationWarning` naming the supported import.
     """
     if name.startswith("_"):
         # Never shim private/dunder probes (the import machinery asks for
         # ``__path__``; copy/pickle ask for ``__reduce__`` and friends).
         raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-
-    if name in _RENAMED:
-        supported = _RENAMED[name]
-        warnings.warn(
-            f"repro.api.{name} was renamed: use repro.api.{supported}",
-            DeprecationWarning, stacklevel=2)
-        return globals()[supported]
 
     from . import core, display, fs, http, kernel, mpeg, multipath, net, sim
 

@@ -79,10 +79,8 @@ from .stage import (
     BWD,
     FWD,
     Stage,
-    brackets_downstream,
     forward,
     opposite,
-    propagate_bracket,
     turn_around,
 )
 from .transform import TransformRegistry, TransformRule, all_of, has_attr, traverses
@@ -101,7 +99,6 @@ __all__ = [
     "RouterGraph", "RouterRegistry", "build_graph", "register_router",
     "SpecFile", "RouterSpec", "Connection", "parse_spec", "format_spec",
     "Stage", "FWD", "BWD", "opposite", "forward", "turn_around",
-    "brackets_downstream", "propagate_bracket",
     "Path", "PathStats", "CREATING", "ESTABLISHED", "DELETED",
     "path_create", "path_delete", "MAX_PATH_LENGTH",
     "PathQueue", "LifoPathQueue", "DeadlineOrderedQueue",

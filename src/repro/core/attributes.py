@@ -75,11 +75,11 @@ PA_TRACE = "PA_TRACE"
 #: the batched execution machinery of DESIGN.md §13.
 PA_BATCH = "PA_BATCH"
 
-#: Specialized execution tier opt-in/out for this path (DESIGN.md §15).
-#: ``True``/``False`` overrides the ``path_create(specialize=...)``
-#: argument, which overrides the ``REPRO_SPECIALIZE`` environment
-#: default.  Specialized paths ``exec``-generate one fused function per
-#: compiled chain; observed (``PA_TRACE``) paths never specialize.
+#: Execution tier for this path (DESIGN.md §11).  ``True``/``False``
+#: overrides the ``path_create(specialize=...)`` argument, which
+#: overrides the default (on).  Specialized paths ``exec``-generate one
+#: fused function per direction; ``False`` pins the reference walk;
+#: observed (``PA_TRACE``) paths never specialize.
 PA_SPECIALIZE = "PA_SPECIALIZE"
 
 

@@ -16,7 +16,8 @@ from typing import Any, Callable, Dict, List, Optional
 from .attributes import Attrs
 from .errors import PathStateError
 from .queues import BWD_IN, BWD_OUT, FWD_IN, FWD_OUT, PathQueue, QUEUE_ROLE_NAMES
-from .stage import BWD, FWD, Stage, run_compiled, run_compiled_batch
+from .specialize import specialize_chain
+from .stage import BWD, FWD, Stage
 
 _pid_counter = itertools.count(1)
 
@@ -109,41 +110,32 @@ class Path:
         #: request that a specific function gets executed when a thread t
         #: is awakened to execute in a path p" (Section 3.2).
         self.wakeup: Optional[Callable[["Path", Any], None]] = None
-        #: Compiled fast-path state (Section 4.1's "function pointers in
-        #: the interfaces can be updated to point to this optimized code"
-        #: taken one step further: the whole chain is flattened into one
-        #: tuple executed by a tight loop).  ``chain_generation`` is
-        #: bumped by ``Stage.set_deliver``/``wrap_deliver``; a mismatch
-        #: with ``_compiled_gen`` triggers transparent recompilation.
+        #: Execution tiers (DESIGN.md §11).  A path has two routes: the
+        #: recursive ``forward()`` walk over the interface chain — the
+        #: reference — and, when ``specialize`` is set (path_create's
+        #: one resolution rule) and the chain's stages are recognized
+        #: and un-interposed, one ``exec``-generated function per
+        #: direction (Section 4.1's "function pointers in the interfaces
+        #: can be updated to point to this optimized code", applied to
+        #: the whole chain).  ``chain_generation`` is bumped by
+        #: ``Stage.set_deliver``/``wrap_deliver``; a mismatch with
+        #: ``_specialized_gen`` regenerates before the next message, so
+        #: interposition never meets a stale function.
         self.chain_generation = 0
-        self._compiled: List[Optional[tuple]] = [None, None]
-        self._compiled_gen = -1
-        #: Third execution tier (interpreted -> compiled -> specialized):
-        #: when ``specialize`` is set (path_create's ``PA_SPECIALIZE`` /
-        #: ``specialize=`` / ``REPRO_SPECIALIZE`` resolution), each
-        #: compiled chain is additionally handed to
-        #: :func:`repro.core.specialize.specialize_chain`, which may
-        #: ``exec``-generate one fused function for the whole recognized
-        #: stage prefix.  The slots are rebuilt by :meth:`compile_chains`,
-        #: so the same ``chain_generation`` mismatch that recompiles the
-        #: chain also discards a stale specialized function — interposition
-        #: deoptimizes before the next message.  ``interpret_only`` forces
-        #: tier 0 (pointer-chase recursion) regardless; the differential
-        #: harness uses it to pin tiers against each other.
         self.specialize = False
-        self.interpret_only = False
         self._specialized: List[Optional[Callable]] = [None, None]
-        #: Messages whose traversal ran entirely inside a generated
-        #: function (kept off ``PathStats`` so the books stay structurally
-        #: identical across tiers).
+        self._specialized_gen = -1
+        #: Messages that took a generated function's fused body, bumped
+        #: by the generated code itself (kept off ``PathStats`` so the
+        #: books stay structurally identical across tiers).
         self.specialized_msgs = 0
         #: Per-direction traversal probes: ``probe(msg, elapsed_us)``
         #: called after each traversal with the cost the traversal
         #: accumulated on the message's account.  Unlike a
         #: ``wrap_deliver`` interposition this observes at the *path*
-        #: boundary, so it composes with every execution tier — the
+        #: boundary, so it composes with both execution tiers — the
         #: Section 4.2 proc-time probe uses it without forcing the chain
-        #: back to interpretation.
+        #: off the generated function.
         self._probes: List[List[Callable[[Any, float], None]]] = [[], []]
         #: Flow caches holding entries that point at this path; populated
         #: by :meth:`register_flow_cache`, purged synchronously by
@@ -246,53 +238,17 @@ class Path:
         stage = self.stages[0] if direction == FWD else self.stages[-1]
         return stage.end[direction]
 
-    # -- compiled fast path ----------------------------------------------------
-
-    def compile_chains(self) -> None:
-        """Flatten both directions' interface chains into precomputed
-        ``((iface, deliver_fn), ...)`` tuples (phase 4's follow-up: after
-        the transformation fixpoint settles the function pointers, the
-        pointer chase itself is compiled away).  Either direction may be
-        uncompilable (``None``) — delivery then falls back to recursion.
-        """
-        self._compiled = [self._compile_direction(FWD),
-                          self._compile_direction(BWD)]
+    def specialize_chains(self) -> None:
+        """(Re)generate both directions' fused functions from the deliver
+        pointers as they stand now.  Either slot may come back ``None``
+        (switch off, observed path, unrecognized or interposed stages):
+        delivery in that direction is then the reference walk."""
         if self.specialize and self.observer is None:
-            from .specialize import specialize_chain
-            self._specialized = [
-                specialize_chain(self, FWD, self._compiled[FWD]),
-                specialize_chain(self, BWD, self._compiled[BWD])]
+            self._specialized = [specialize_chain(self, FWD),
+                                 specialize_chain(self, BWD)]
         else:
             self._specialized = [None, None]
-        self._compiled_gen = self.chain_generation
-
-    def _compile_direction(self, direction: int) -> Optional[tuple]:
-        if not self.stages:
-            return None
-        chain = []
-        seen = set()
-        iface = self.entry_iface(direction)
-        while iface is not None:
-            if id(iface) in seen:
-                return None  # cyclic wiring: keep the pointer chase
-            seen.add(id(iface))
-            fn = getattr(iface, "deliver", None)
-            if fn is None:
-                return None  # a gap in the chain: uncompilable
-            if getattr(fn, "_brackets_downstream", False):
-                # This function holds the rest of the traversal inside
-                # its dynamic extent (fault containment, whole-chain
-                # probes) — flattening stops here; it recurses onward.
-                if not chain:
-                    return None  # entry brackets everything: plain recursion
-                chain.append((iface, fn, False, None))
-                return tuple(chain)
-            stage = iface.stage
-            fn_batch = stage.deliver_batch_fn(direction) \
-                if stage is not None else None
-            chain.append((iface, fn, True, fn_batch))
-            iface = iface.next
-        return tuple(chain)
+        self._specialized_gen = self.chain_generation
 
     def deliver(self, msg: Any, direction: int = FWD, **kwargs: Any) -> Any:
         """Inject *msg* at the path's entry for *direction* and process it.
@@ -320,25 +276,17 @@ class Path:
 
     def _traverse_one(self, msg: Any, direction: int, kwargs: dict) -> Any:
         observer = self.observer
-        if observer is None and not self.interpret_only:
-            # The tiered fast path: a generated per-path function when
-            # one applies, else one tuple walk instead of a
-            # pointer-chasing recursion.  Observed paths keep the
-            # recursive route so stage spans nest exactly as before.
-            if self._compiled_gen != self.chain_generation:
-                self.compile_chains()
+        if observer is None:
+            if self._specialized_gen != self.chain_generation:
+                self.specialize_chains()
             spec = self._specialized[direction]
             if spec is not None:
                 out = spec((msg,), kwargs)
                 if out is not None:
-                    self.specialized_msgs += 1
                     return out[0]
-            chain = self._compiled[direction]
-            if chain is not None:
-                return run_compiled(chain, msg, direction, kwargs)
-        if observer is None:
             iface = self.entry_iface(direction)
             return iface.deliver(iface, msg, direction, **kwargs)
+        # Observed paths keep the reference walk so stage spans nest.
         iface = self.entry_iface(direction)
         token = observer.begin_traversal(msg, direction)
         try:
@@ -354,16 +302,12 @@ class Path:
         The per-path books stay exact per message — the message counters
         advance by the batch length, every stage still charges and drops
         per message — but the dispatch bookkeeping around the traversal
-        (state check, compile check, trampoline setup) is paid **once per
-        batch**.  Returns the per-message traversal results in order.
-
-        Exactness fallback rules (DESIGN.md §13):
-
-        * an *observed* path (``PA_TRACE``) traverses per message so the
-          recorded spans nest exactly as they would unbatched;
-        * an uncompilable direction falls back to per-message recursion;
-        * a bracketing stage inside the compiled chain recurses from that
-          stage on, per message (handled by ``run_compiled_batch``).
+        (state check, generation check) is paid **once per batch**, and
+        a generated function takes the whole run in one call.  Without
+        one (or when it declines the run) every message takes the
+        reference walk in order; an *observed* path (``PA_TRACE``) does
+        so with its spans nesting exactly as they would unbatched.
+        Returns the per-message traversal results in order.
         """
         if self.state == DELETED:
             raise PathStateError(f"path {self.pid} has been deleted")
@@ -378,34 +322,29 @@ class Path:
         probes = self._probes[direction]
         if probes:
             befores = [msg.meta.get(_COST_KEY, 0.0) for msg in batch]
-            results = self._traverse_batch(batch, count, direction, kwargs)
+            results = self._traverse_batch(batch, direction, kwargs)
             for msg, before in zip(batch, befores):
                 elapsed = msg.meta.get(_COST_KEY, 0.0) - before
                 for probe in probes:
                     probe(msg, elapsed)
             return results
-        return self._traverse_batch(batch, count, direction, kwargs)
+        return self._traverse_batch(batch, direction, kwargs)
 
-    def _traverse_batch(self, batch: List[Any], count: int, direction: int,
+    def _traverse_batch(self, batch: List[Any], direction: int,
                         kwargs: dict) -> List[Any]:
         observer = self.observer
-        if observer is None and not self.interpret_only:
-            if self._compiled_gen != self.chain_generation:
-                self.compile_chains()
+        if observer is None:
+            if self._specialized_gen != self.chain_generation:
+                self.specialize_chains()
             spec = self._specialized[direction]
             if spec is not None:
                 out = spec(batch, kwargs)
                 if out is not None:
-                    self.specialized_msgs += count
                     return out
-            chain = self._compiled[direction]
-            if chain is not None:
-                return run_compiled_batch(chain, batch, direction, kwargs)
-        if observer is None:
             iface = self.entry_iface(direction)
             return [iface.deliver(iface, msg, direction, **kwargs)
                     for msg in batch]
-        # Observed paths keep the recursive per-message route so stage
+        # Observed paths keep the per-message reference walk so stage
         # spans stay exact per message — batching never blurs the trace.
         iface = self.entry_iface(direction)
         results = []
@@ -426,7 +365,7 @@ class Path:
         *elapsed_us* is the cost the traversal accumulated on the
         message's own account (its ``cost_us`` meta delta).  Probes fire
         after the traversal completes, outside the stage chain, so they
-        never change what the chain compiles — or specializes — to.
+        never change what the chain specializes to.
         """
         self._probes[direction].append(probe)
 

@@ -21,7 +21,7 @@ from .errors import PathCreationError
 from .path import Path
 from .queues import BWD_IN, BWD_OUT, FWD_IN, FWD_OUT
 from .router import NextHop, Router
-from .specialize import default_enabled as _specialize_default
+from . import specialize as _specialize
 from .transform import TransformRegistry
 
 #: Safety cap on path length; the paper's longest demonstration path has 6
@@ -55,11 +55,11 @@ def path_create(router: Router, attrs: Optional[Mapping[str, Any]] = None,
         Optional admission-control hook consulted as the path grows, so a
         denied path aborts before establish runs.
     specialize:
-        Whether the compile phase may additionally ``exec``-generate a
-        fused per-path function (the third execution tier, DESIGN.md
-        §15).  Resolution order: a ``PA_SPECIALIZE`` attribute wins, then
-        this argument, then the ``REPRO_SPECIALIZE`` environment default
-        (off).
+        Whether the path may run an ``exec``-generated fused function in
+        place of the recursive walk (DESIGN.md §11).  One rule resolves
+        it: a ``PA_SPECIALIZE`` attribute wins, then this argument when
+        not ``None``, then :data:`repro.core.specialize.DEFAULT_SPECIALIZE`
+        (on).  ``False`` pins the path to the reference walk.
 
     Raises
     ------
@@ -134,18 +134,18 @@ def path_create(router: Router, attrs: Optional[Mapping[str, Any]] = None,
         if instrument is not None:
             instrument(path)
 
-    # Compile: with the transformation fixpoint reached (and any probes
-    # wrapped), the deliver pointers are final — flatten each direction's
-    # interface chain into the tuple Path.deliver executes as a tight
-    # loop.  Later set_deliver/wrap_deliver calls bump the path's
-    # generation counter and recompilation happens transparently.
+    # Specialize: with the transformation fixpoint reached (and any
+    # probes wrapped), the deliver pointers are final — generate each
+    # direction's fused function.  Later set_deliver/wrap_deliver calls
+    # bump the path's generation counter and regeneration happens
+    # transparently before the next message.
     chosen = attrs.get(PA_SPECIALIZE)
     if chosen is None:
         chosen = specialize
     if chosen is None:
-        chosen = _specialize_default()
+        chosen = _specialize.DEFAULT_SPECIALIZE
     path.specialize = bool(chosen)
-    path.compile_chains()
+    path.specialize_chains()
     return path
 
 

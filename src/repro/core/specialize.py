@@ -4,16 +4,14 @@ Scout's central claim is that making paths explicit lets the system
 *specialize* them: "if a path contains a sequence of interfaces for which
 there is optimized code available, then the function pointers in the
 interfaces can be updated to point to this optimized code" (Section 4.1).
-The compiled chain (:meth:`~repro.core.path.Path.compile_chains`) removed
-the pointer chase; this module removes the *per-stage function calls*
-themselves.  For a chain whose stages are all recognized — the standard
-ETH/IP/UDP/MFLOW receive bodies and the TEST sink, installed un-interposed
-— a per-path Python function is generated at compile time and executed by
-``Path.deliver``/``deliver_batch`` as the third execution tier:
-
-    interpreted (pointer-chase recursion)
-      -> compiled (flattened chain, one call per stage per message)
-        -> specialized (one generated function per path, straight-line)
+This module removes the per-stage function calls themselves.  For a
+chain whose stages are all recognized — the standard ETH/IP/UDP/MFLOW
+receive bodies and the TEST sink, installed un-interposed — a per-path
+Python function is generated and executed by ``Path.deliver``/
+``deliver_batch`` in place of the recursive ``forward()`` walk.  That
+walk stays as the reference the differential suites compare against and
+as the only fallback: declined runs, per-message bails, un-fused tails,
+observed paths, interposed and unrecognized stages all take it.
 
 The generator exploits exactly the invariants that are fixed at
 path-create time or proven per message by the flow cache:
@@ -34,21 +32,19 @@ path-create time or proven per message by the flow cache:
 
 What the generator must NOT assume is anything that can change *between*
 messages: padded frames (IP total length shorter than the payload) take a
-per-message bail-out through :func:`run_compiled` on the full chain, and
+per-message bail-out through the reference walk from the entry, and
 MFLOW's sequencing branches (stale drop, gap, window advertisement,
 batched-advertisement coalescing) are emitted inline, calling back into
 stage methods for the rare cases.
 
 **Deopt protocol.**  A generated function is valid for exactly one
-``chain_generation``.  ``set_deliver``/``set_deliver_batch``/
-``wrap_deliver`` bump the generation, and ``Path.deliver``/
-``deliver_batch`` compare generations *before* consulting the specialized
-slot — so interposition (probes, fault injectors, transformations)
-deoptimizes to the exact slow path before the next message is seen.
-Recompilation then re-runs recognition: a wrapped stage fails the
+``chain_generation``.  ``set_deliver``/``wrap_deliver`` bump the
+generation, and ``Path.deliver``/``deliver_batch`` compare generations
+*before* consulting the specialized slot — so interposition (probes,
+fault injectors, transformations) deoptimizes before the next message is
+seen.  Regeneration then re-runs recognition: a wrapped stage fails the
 pristine check and the prefix shortens (or specialization is dropped).
-Observed paths (``PA_TRACE``) never specialize, mirroring the compiled
-tier.
+Observed paths (``PA_TRACE``) never specialize.
 
 Stage recognition is a registry: the net modules register a *specializer*
 per stage class (:func:`register_specializer`), keeping each stage's
@@ -58,32 +54,21 @@ here only knows how to fuse fragments.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from .message import Msg
-from .stage import DIRECTION_NAMES, run_compiled
+from .stage import DIRECTION_NAMES
 
 #: Fusing fewer stages than this is not worth a generated function: the
 #: per-batch guard and dispatch would eat the win.  ETH+IP+UDP is the
 #: shortest prefix that pays.
 MIN_PREFIX = 3
 
-#: Environment variable forcing the default for paths created without an
-#: explicit ``specialize=`` / ``PA_SPECIALIZE`` choice (the CI matrix leg
-#: runs the whole tier-1 suite with it set to ``1``).
-ENV_VAR = "REPRO_SPECIALIZE"
-
-_TRUTHY = ("1", "true", "on", "yes")
+#: The tier a path runs when neither a ``PA_SPECIALIZE`` attribute nor
+#: ``path_create(specialize=)`` chose one.  Tests that want a whole
+#: process on the reference walk monkeypatch this.
+DEFAULT_SPECIALIZE = True
 
 _REGISTRY: Dict[Type, Callable[..., Optional["StageFragment"]]] = {}
-
-
-def default_enabled() -> bool:
-    """The process-wide default for paths that did not choose: the
-    ``REPRO_SPECIALIZE`` environment variable, read at path-create time
-    so tests can flip it per monkeypatch."""
-    return os.environ.get(ENV_VAR, "").strip().lower() in _TRUTHY
 
 
 def register_specializer(stage_cls: Type,
@@ -91,10 +76,11 @@ def register_specializer(stage_cls: Type,
                          ) -> None:
     """Register *specializer* as the recognizer/emitter for *stage_cls*.
 
-    ``specializer(stage, iface, fn, fn_batch, direction, terminal)`` is
-    called during chain recognition and returns a :class:`StageFragment`
-    when the stage can be fused — or ``None`` to stop the prefix there
-    (interposed function, wrong direction, disqualifying configuration).
+    ``specializer(stage, iface, direction, terminal)`` is called during
+    chain recognition (*terminal*: the stage is the chain's last) and
+    returns a :class:`StageFragment` when the stage can be fused — or
+    ``None`` to stop the prefix there (interposed function, wrong
+    direction, disqualifying configuration).
     """
     _REGISTRY[stage_cls] = specializer
 
@@ -117,8 +103,8 @@ class StageFragment:
         visible).  ``None`` emits no charge.
     bail:
         ``bail(ctx)`` -> lines emitted *before any mutation* that may
-        route a message through ``ctx.bail_action()`` — the exact
-        compiled chain — when a per-message condition the fused body
+        route a message through ``ctx.bail_action()`` — the reference
+        walk — when a per-message condition the fused body
         does not handle holds (e.g. link-layer padding trim).
     body:
         ``body(ctx)`` -> lines emitted at the stage's position with all
@@ -182,54 +168,49 @@ class GenContext:
 
     def bail_action(self) -> List[str]:
         """The per-message deoptimization: run this message through the
-        exact compiled chain instead of the fused body."""
+        reference walk from the entry instead of the fused body."""
         return ["_bail += 1",
-                "results[_i] = _run_one(_chain, m, %d, kwargs)"
+                "results[_i] = _entry.deliver(_entry, m, %d)"
                 % self.direction,
                 "continue"]
 
 
-def specialize_chain(path: Any, direction: int,
-                     chain: Optional[tuple]) -> Optional[Callable]:
-    """Generate a fused function for *chain*, or ``None`` when no
-    worthwhile prefix is recognized.
+def specialize_chain(path: Any, direction: int) -> Optional[Callable]:
+    """Generate a fused function for *path*'s chain in *direction*, or
+    ``None`` when no worthwhile prefix is recognized.
 
     The returned callable has the contract ``spec(msgs, kwargs) ->
     Optional[list]``: ``None`` declines the run (a message is missing a
     validation stamp, or kwargs were passed) and the caller falls back
-    to the compiled tier; otherwise the per-message results list is
-    returned exactly as :func:`run_compiled_batch` would produce it.
+    to the reference walk; otherwise the per-message results list is
+    returned exactly as delivering each message in order would.
     """
-    if chain is None or len(chain) < MIN_PREFIX:
-        return None
+    entry = nxt = path.entry_iface(direction)
     frags: List[StageFragment] = []
-    for index, (iface, fn, intercept, fn_batch) in enumerate(chain):
-        if not intercept:
-            break  # bracketing stage: the tail runner recurses through it
-        stage = iface.stage
-        specializer = _REGISTRY.get(type(stage)) if stage is not None else None
+    while nxt is not None:
+        specializer = _REGISTRY.get(type(nxt.stage))
         if specializer is None:
             break
-        frag = specializer(stage, iface, fn, fn_batch, direction,
-                           terminal=(index == len(chain) - 1))
+        frag = specializer(nxt.stage, nxt, direction,
+                           terminal=nxt.next is None)
         if frag is None:
             break
         frags.append(frag)
-        if frag.terminal:
-            break
+        nxt = nxt.next
     if len(frags) < MIN_PREFIX:
         return None
-    if not frags[-1].terminal and len(frags) == len(chain):
+    if nxt is None and not frags[-1].terminal:
         return None  # last stage would forward off the end: wiring bug
-    tail = None if frags[-1].terminal else chain[len(frags):]
-    return _assemble(path, direction, chain, frags, tail)
+    return _assemble(path, direction, entry, frags, nxt)
 
 
-def _assemble(path: Any, direction: int, chain: tuple,
-              frags: List[StageFragment],
-              tail: Optional[tuple]) -> Callable:
-    ns: Dict[str, Any] = {"_Msg": Msg, "_run_one": run_compiled,
-                          "_chain": chain}
+def _assemble(path: Any, direction: int, entry: Any,
+              frags: List[StageFragment], nxt: Any) -> Callable:
+    """Fuse *frags* into one function.  *entry* is the chain's first
+    interface (where a bailed message re-enters the reference walk) and
+    *nxt* the first un-fused one (``None`` when the last fragment is a
+    terminal sink)."""
+    ns: Dict[str, Any] = {"_entry": entry, "_nxt": nxt, "_path": path}
     ctx = GenContext(ns, direction)
 
     stamps = [s for f in frags for s in f.stamps]
@@ -286,12 +267,10 @@ def _assemble(path: Any, direction: int, chain: tuple,
         if frag.body is not None:
             flush()
             body.extend(frag.body(ctx))
-    if not frags[-1].terminal:
+    if nxt is not None:
         flush()
         body.append("meta['cost_us'] = c")
-        body.append("results[_i] = _run_one(_tail, m, %d, kwargs)"
-                    % direction)
-        ns["_tail"] = tail
+        body.append("results[_i] = _nxt.deliver(_nxt, m, %d)" % direction)
 
     for frag in frags:
         if frag.epilogue is not None:
@@ -313,9 +292,9 @@ def _assemble(path: Any, direction: int, chain: tuple,
     if ctx._needs_raw:
         lines.append("        _raw = m.to_bytes()")
     lines += ["        " + line for line in body]
-    if epilogue:
-        lines.append("    _live = _n - _bail")
-        lines += ["    " + line for line in epilogue]
+    lines.append("    _live = _n - _bail")
+    lines.append("    _path.specialized_msgs += _live")
+    lines += ["    " + line for line in epilogue]
     lines.append("    return results")
 
     source = "\n".join(lines)

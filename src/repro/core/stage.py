@@ -67,13 +67,6 @@ class Stage:
         self.enter_service = enter_service
         self.exit_service = exit_service
         self.end = [iface_factory(stage=self), iface_factory(stage=self)]
-        #: Optional vectorized deliver functions, one per direction
-        #: (DESIGN.md §13).  A batch function processes a whole run of
-        #: messages in one call; any replacement or wrapping of the
-        #: scalar deliver function clears the slot, so interposed code
-        #: (probes, fault injectors, transformations) always sees every
-        #: message individually.
-        self._deliver_batch: list = [None, None]
         #: Arbitrary per-stage state (reassembly buffers, sequence numbers).
         self.state: dict = {}
 
@@ -99,68 +92,32 @@ class Stage:
         there is optimized code available, then the function pointers in
         the interfaces can be updated to point to this optimized code."
 
-        Overwriting a pointer invalidates any compiled flattening of the
+        Overwriting a pointer invalidates any function generated for the
         chain, so the owning path's generation counter is bumped and the
-        next traversal recompiles transparently.
+        next traversal re-specializes transparently (the deopt protocol,
+        DESIGN.md §11).
         """
         self.end[direction].deliver = fn
-        # A new scalar function invalidates any vectorized shortcut: the
-        # batch function was written against the *previous* per-message
-        # semantics.
-        self._deliver_batch[direction] = None
         if self.path is not None:
             self.path.chain_generation += 1
-
-    def set_deliver_batch(self, direction: int, fn: Callable[..., Any]) -> None:
-        """Install a vectorized deliver function for *direction*.
-
-        ``fn(iface, msgs, direction, **kwargs)`` must be observably
-        equivalent to calling the scalar deliver function once per
-        message in order.  It returns the list of messages to hand to
-        the next stage (messages it absorbed or dropped are accounted
-        internally, exactly as the scalar function would), or ``None``
-        to decline the run — e.g. when not every message carries the
-        validated-flow annotation — in which case the compiled loop
-        falls back to per-message execution from this stage on (the
-        vectorization fallback rule, DESIGN.md §13).
-
-        Install it *after* :meth:`set_deliver` for the same direction:
-        installing a scalar function clears the batch slot.
-        """
-        self._deliver_batch[direction] = fn
-        if self.path is not None:
-            self.path.chain_generation += 1
-
-    def deliver_batch_fn(self, direction: int) -> Optional[Callable[..., Any]]:
-        return self._deliver_batch[direction]
 
     def deliver_fn(self, direction: int) -> Optional[Callable[..., Any]]:
         return getattr(self.end[direction], "deliver", None)
 
-    def has_pristine_deliver(self, direction: int, func: Callable[..., Any],
-                             batch_func: Optional[Callable[..., Any]] = None
-                             ) -> bool:
+    def has_pristine_deliver(self, direction: int,
+                             func: Callable[..., Any]) -> bool:
         """True when the installed deliver function for *direction* is the
-        un-interposed bound method whose underlying function is *func*,
-        and the batch slot is either empty or (when *batch_func* is
-        given) the pristine vectorized method.
+        un-interposed bound method whose underlying function is *func*.
 
-        This is the recognition test the specialized execution tier runs
-        before fusing a stage's body into generated code: any wrapper or
-        replacement — probes, fault injectors, transformations — fails
-        it, so the fused function can only ever contain semantics that
-        are actually installed.  Interposition *after* generation is
-        caught separately by the ``chain_generation`` bump the setters
-        above perform (the deopt protocol, DESIGN.md §15).
+        This is the recognition test the specializer runs before fusing
+        a stage's body into generated code: any wrapper or replacement —
+        probes, fault injectors, transformations — fails it, so the
+        fused function can only ever contain semantics that are actually
+        installed.  Interposition *after* generation is caught
+        separately by the ``chain_generation`` bump the setters perform.
         """
         installed = self.deliver_fn(direction)
-        if getattr(installed, "__func__", None) is not func:
-            return False
-        batch = self._deliver_batch[direction]
-        if batch is None:
-            return True
-        return (batch_func is not None
-                and getattr(batch, "__func__", None) is batch_func)
+        return getattr(installed, "__func__", None) is func
 
     def wrap_deliver(self, direction: int,
                      wrapper: Callable[[Callable[..., Any]],
@@ -177,9 +134,6 @@ class Stage:
         if inner is None:
             return False
         self.end[direction].deliver = wrapper(inner)
-        # The wrapper must see every message: drop the vectorized
-        # shortcut for this direction.
-        self._deliver_batch[direction] = None
         if self.path is not None:
             self.path.chain_generation += 1
         return True
@@ -211,73 +165,6 @@ class Stage:
         return f"<Stage {self.router.name} {enter}->{leave}>"
 
 
-def brackets_downstream(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Mark a deliver function as *bracketing* its downstream call.
-
-    A deliver function is flatten-safe when it tail-returns
-    ``forward(...)`` — nothing of it remains on the stack while later
-    stages run.  A function that does work *after* the downstream call
-    returns, or holds a try/except around it (fault containment,
-    whole-traversal probes), relies on the recursive nesting and must not
-    be flattened past: :meth:`Path.compile_chains` stops compiling at a
-    marked function and lets it recurse through the rest of the chain.
-
-    Wrappers that re-wrap a marked function must propagate the mark
-    (see :func:`propagate_bracket`).
-    """
-    fn._brackets_downstream = True  # type: ignore[attr-defined]
-    return fn
-
-
-def propagate_bracket(inner: Callable[..., Any],
-                      outer: Callable[..., Any]) -> Callable[..., Any]:
-    """Copy the bracketing mark from *inner* onto *outer* — for wrappers
-    (fault injectors, probes) that interpose on an arbitrary deliver
-    function and must not let a marked one be flattened."""
-    if getattr(inner, "_brackets_downstream", False):
-        outer._brackets_downstream = True  # type: ignore[attr-defined]
-    return outer
-
-
-class _Trampoline:
-    """Thread-of-control state for compiled chain execution.
-
-    The compiled fast path (:func:`run_compiled`) executes a path's
-    deliver functions in a tight loop instead of letting each stage
-    recurse through :func:`forward`.  Stage code is unchanged — it still
-    calls ``forward(iface, msg, d)`` — so the loop and ``forward``
-    cooperate through this module-level state: while the loop is running
-    stage *k*, a forward from stage *k*'s interface is *deferred* (the
-    message is parked and a sentinel returned) and the loop picks it up
-    as the input to stage *k+1*.  Any other forward (turn-arounds,
-    cross-path delivery, nested traversals) misses the identity check and
-    takes the normal recursive route.
-
-    The simulation is single-threaded, so one module-level instance
-    suffices; nested compiled traversals save and restore it.
-    """
-
-    __slots__ = ("expected", "direction", "pending")
-
-    def __init__(self) -> None:
-        self.expected: Optional[Iface] = None  # iface whose forward defers
-        self.direction = -1
-        self.pending: Optional[tuple] = None   # parked (msg, kwargs)
-
-
-_TRAMPOLINE = _Trampoline()
-
-
-class _Deferred:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<forward deferred to compiled loop>"
-
-
-#: Sentinel returned by :func:`forward` when the compiled loop will carry
-#: the message to the next stage instead of recursing.
-DEFERRED = _Deferred()
-
-
 def forward(iface: Iface, msg: Any, direction: int,
             **kwargs: Any) -> Any:
     """Forward *msg* from *iface* to the next interface in its direction.
@@ -286,171 +173,13 @@ def forward(iface: Iface, msg: Any, direction: int,
     end; the caller (normally an extreme stage's deliver function) is
     responsible for enqueueing it, so reaching this case from an interior
     stage is a wiring bug and raised as such.
-
-    Under compiled execution (:func:`run_compiled`) a forward from the
-    currently executing stage is deferred to the tight loop rather than
-    recursing — stage code cannot tell the difference.
     """
-    t = _TRAMPOLINE
-    if iface is t.expected and direction == t.direction:
-        if t.pending is None:
-            t.pending = (msg, kwargs)
-            return DEFERRED
-        # Fan-out: the stage forwards more than one message per call
-        # (e.g. IP emitting several fragments).  Flush the earlier one
-        # down the rest of the chain recursively so wire order is
-        # preserved, then defer the newest.
-        earlier_msg, earlier_kwargs = t.pending
-        t.pending = None
-        t.expected = None
-        try:
-            nxt = iface.next
-            if nxt is not None:
-                nxt.deliver(nxt, earlier_msg, direction, **earlier_kwargs)
-        finally:
-            t.expected = iface
-        t.pending = (msg, kwargs)
-        return DEFERRED
     nxt = iface.next
     if nxt is None:
         raise RuntimeError(
             f"{iface!r} has no next interface; interior stages must be "
             f"chained before delivery")
     return nxt.deliver(nxt, msg, direction, **kwargs)
-
-
-def run_compiled(chain: tuple, msg: Any, direction: int,
-                 kwargs: dict) -> Any:
-    """Execute a precompiled ``((iface, fn, intercept, fn_batch), ...)``
-    chain as a tight loop.
-
-    Each stage's deliver function runs exactly as it would recursively;
-    its own ``forward`` call is intercepted (see :class:`_Trampoline`)
-    and the parked message becomes the next iteration's input.  A stage
-    that does *not* forward — absorb, drop, turn-around — terminates the
-    loop and its return value is the traversal's result, matching the
-    recursive semantics of delivery functions that tail-return
-    ``forward(...)``.
-
-    An entry with ``intercept`` false is always last: its function
-    brackets the rest of the chain (see :func:`brackets_downstream`) and
-    is executed without interception, so its downstream forward recurses
-    through the remaining stages inside its dynamic extent.
-    """
-    t = _TRAMPOLINE
-    saved = (t.expected, t.direction, t.pending)
-    t.direction = direction
-    # The outer finally restores all trampoline state even when a stage
-    # function raises mid-loop, so the loop body itself stays bare — on
-    # the hot path every statement is paid once per stage.
-    try:
-        for iface, fn, intercept, _fn_batch in chain:
-            if not intercept:
-                # Bracketing stage: run it recursively so downstream
-                # stages execute inside its frame (containment, probes).
-                t.expected = None
-                return fn(iface, msg, direction, **kwargs)
-            t.expected = iface
-            t.pending = None
-            result = fn(iface, msg, direction, **kwargs)
-            parked = t.pending
-            if parked is None:
-                t.expected = None
-                return result  # absorbed / dropped / turned around / end
-            msg, kwargs = parked
-        # Only reachable when the final stage forwarded: mirror the
-        # recursive path's wiring-bug diagnosis.
-        raise RuntimeError(
-            f"{chain[-1][0]!r} has no next interface; interior stages must "
-            f"be chained before delivery")
-    finally:
-        t.expected, t.direction, t.pending = saved
-
-
-def run_compiled_batch(chain: tuple, msgs: Any, direction: int,
-                       kwargs: dict) -> list:
-    """Execute a precompiled chain for a whole run of messages.
-
-    The trampoline state is saved and restored **once per batch** instead
-    of once per message — the batched analogue of :func:`run_compiled`.
-
-    Execution is **stage-major while it can be**: as long as the next
-    chain entry carries a vectorized deliver function (see
-    :meth:`Stage.set_deliver_batch`) and that function accepts the run,
-    the whole run crosses the stage in one call.  At the first stage
-    with no batch function — or whose batch function declines by
-    returning ``None`` (e.g. a message in the run lacks the
-    validated-flow annotation) — execution switches to message-major:
-    each surviving message runs to completion through the remaining
-    stages, one at a time, in order.  Both regimes preserve arrival
-    order and per-message semantics — absorption, turn-arounds, fan-out
-    flushes, drop accounting — exactly as delivering each message
-    individually would.
-
-    A stage that cannot be flattened (``intercept`` false: fault
-    containment, whole-chain probes) falls back to per-message recursion
-    exactly as in :func:`run_compiled` — the vectorization fallback rule.
-
-    Returns the list of per-message traversal results, in order.
-    Messages consumed inside a vectorized stage (absorbed, dropped, or
-    deposited by the stage itself) contribute ``None`` entries.
-    """
-    t = _TRAMPOLINE
-    saved = (t.expected, t.direction, t.pending)
-    t.direction = direction
-    results = []
-    try:
-        # Stage-major prologue: drive whole runs through consecutive
-        # vectorized stages.  Batch functions never call forward(), so
-        # the trampoline must not expect a deferral while they run.
-        t.expected = None
-        start = 0
-        run = msgs
-        while start < len(chain):
-            iface, fn, intercept, fn_batch = chain[start]
-            if fn_batch is None or not intercept:
-                break
-            out = fn_batch(iface, run, direction, **kwargs)
-            if out is None:
-                break  # declined: per-message from this stage on
-            start += 1
-            if len(out) != len(run):
-                results.extend([None] * (len(run) - len(out)))
-            run = out
-            if not run:
-                return results  # the whole run was consumed
-        else:
-            # Every stage vectorized yet messages survived the last one:
-            # the final stage forwarded with no next interface.
-            raise RuntimeError(
-                f"{chain[-1][0]!r} has no next interface; interior "
-                f"stages must be chained before delivery")
-        remaining = chain[start:] if start else chain
-        for msg in run:
-            kw = kwargs
-            for iface, fn, intercept, _fn_batch in remaining:
-                if not intercept:
-                    # Bracketing stage: recurse so downstream stages run
-                    # inside its frame (containment, probes).
-                    t.expected = None
-                    results.append(fn(iface, msg, direction, **kw))
-                    break
-                t.expected = iface
-                t.pending = None
-                result = fn(iface, msg, direction, **kw)
-                parked = t.pending
-                if parked is None:
-                    t.expected = None
-                    results.append(result)  # absorbed / dropped / turned
-                    break
-                msg, kw = parked
-            else:
-                raise RuntimeError(
-                    f"{chain[-1][0]!r} has no next interface; interior "
-                    f"stages must be chained before delivery")
-    finally:
-        t.expected, t.direction, t.pending = saved
-    return results
 
 
 def turn_around(iface: Iface, msg: Any, direction: int,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core.stage import propagate_bracket
 from ..net.common import charge
 from .plan import StageFault
 
@@ -87,7 +86,7 @@ class StageFaultInjector:
             charge(msg, fault.extra_us)
             return original(iface, msg, direction, **kwargs)
 
-        return propagate_bracket(original, faulty)
+        return faulty
 
 
 class QueueStormer:

@@ -60,7 +60,7 @@ from ..multipath import MEMBER_REMOVED, PathGroup
 from ..net.udp import UdpRouter
 from ..observe import Observatory
 from ..shell.router import ShellRouter
-from ..sim.threads import Compute, Dequeue, DequeueBatch, WaitSpace, YIELD
+from ..sim.threads import Compute, DequeueBatch, WaitSpace, YIELD
 from ..sim.world import POLICY_EDF, POLICY_RR, SimWorld
 from .transforms import default_transforms
 
@@ -153,11 +153,9 @@ class ScoutKernel:
                  display: bool = True,
                  device=None):
         self.world = world
-        #: Kernel-wide default for the specialized execution tier
-        #: (DESIGN.md §15), handed to every path_create below; a
-        #: per-path ``PA_SPECIALIZE`` attribute still overrides it and
-        #: ``None`` defers to the ``REPRO_SPECIALIZE`` environment
-        #: default.
+        #: Handed to every ``path_create(specialize=)`` below
+        #: (DESIGN.md §11): a per-path ``PA_SPECIALIZE`` attribute
+        #: still overrides it and ``None`` takes the default (on).
         self.specialize = specialize
         self.segment = segment
         self.transforms = transforms if transforms is not None \
@@ -423,57 +421,36 @@ class ScoutKernel:
     # Path threads
     # ------------------------------------------------------------------
 
-    def _video_thread_body(self, path: Path):
-        inq = path.input_queue(BWD)
-        outq = path.output_queue(BWD)
-        while path.state != DELETED:
-            msg = yield Dequeue(inq)
-            # "if the output queue is full already, there is little point
-            # in scheduling a thread to process a packet in the input
-            # queue" — reserve display space before burning decode CPU.
-            yield WaitSpace(outq)
-            self._traverse(path, msg)
-            cost = take_cost(msg)
-            if cost > 0:
-                yield Compute(cost)
-            path.stats.release_memory(msg.footprint())
-            yield YIELD
+    def _path_thread_body(self, path: Path, batch_limit: int = 1,
+                          reserve_output: bool = False):
+        """The one path thread: drain up to *batch_limit* messages per
+        scheduler dispatch (DESIGN.md §13; one message is a batch of
+        one), traverse them, pay the accumulated cost in a single
+        ``Compute``, then release the messages' memory charges.
 
-    def _video_thread_body_batched(self, path: Path, batch_limit: int):
-        """Video path thread draining up to *batch_limit* messages per
-        scheduler dispatch (DESIGN.md §13).
-
-        One ``DequeueBatch`` replaces up to *batch_limit* dequeue/compute/
-        yield rounds; the accumulated per-message costs are paid in a
-        single ``Compute`` and memory charges are released per message, so
-        the path's accounting matches the per-message body exactly.  One
-        output slot is reserved up front; should the display queue fill
-        mid-batch, the overflowing deposits take the ledgered
-        ``outq_overflow`` drop instead of blocking the batch.
+        *reserve_output* (video paths): "if the output queue is full
+        already, there is little point in scheduling a thread to process
+        a packet in the input queue" — wait for display space before
+        burning decode CPU.  One slot is reserved per dispatch; should
+        the queue fill mid-batch, the overflowing deposits take the
+        ledgered ``outq_overflow`` drop instead of blocking the batch.
+        Service and sink paths do not reserve: their ends deposit (or
+        transmit) themselves and account any overflow.
         """
         inq = path.input_queue(BWD)
         outq = path.output_queue(BWD)
         while path.state != DELETED:
             msgs = yield DequeueBatch(inq, batch_limit)
-            yield WaitSpace(outq)
+            if reserve_output:
+                yield WaitSpace(outq)
             self._traverse_batch(path, msgs)
             cost = 0.0
             for msg in msgs:
                 cost += take_cost(msg)
+            if cost > 0:
+                yield Compute(cost)
+            for msg in msgs:
                 path.stats.release_memory(msg.footprint())
-            if cost > 0:
-                yield Compute(cost)
-            yield YIELD
-
-    def _service_thread_body(self, path: Path):
-        inq = path.input_queue(BWD)
-        while path.state != DELETED:
-            msg = yield Dequeue(inq)
-            self._traverse(path, msg)
-            cost = take_cost(msg)
-            if cost > 0:
-                yield Compute(cost)
-            path.stats.release_memory(msg.footprint())
             yield YIELD
 
     @staticmethod
@@ -489,12 +466,14 @@ class ScoutKernel:
         """Run a dequeued batch through the path.
 
         The whole batch rides :meth:`~repro.core.path.Path.deliver_batch`
-        (one compiled-trampoline save/restore) unless some message needs a
-        mid-path injection (a reassembled datagram entering at IP) — those
-        cannot vectorize, so the batch falls back to per-message traversal
-        to preserve arrival order exactly.
+        (one call into the path's generated function) unless some message
+        needs a mid-path injection (a reassembled datagram entering at
+        IP) — then the batch falls back to per-message traversal to
+        preserve arrival order exactly.  A batch of one has no followers
+        to mark and takes the same per-message route.
         """
-        if any("entry_router" in msg.meta for msg in msgs):
+        if len(msgs) == 1 or \
+                any("entry_router" in msg.meta for msg in msgs):
             for msg in msgs:
                 cls._traverse(path, msg)
         else:
@@ -510,7 +489,7 @@ class ScoutKernel:
         path = path_create(router, attrs, transforms=self.transforms,
                            admission=self.admission,
                            specialize=self.specialize)
-        self.world.spawn(self._service_thread_body(path),
+        self.world.spawn(self._path_thread_body(path),
                          name=f"{name}-path{path.pid}", policy=policy,
                          priority=priority, path=path)
         return path
@@ -602,12 +581,10 @@ class ScoutKernel:
         policy = attrs.get(PA_SCHED_POLICY, POLICY_EDF)
         priority = int(attrs.get(PA_SCHED_PRIORITY, 0))
         batch = int(attrs.get(PA_BATCH, 1) or 1)
-        body = (self._video_thread_body_batched(path, batch) if batch > 1
-                else self._video_thread_body(path))
-        thread = self.world.spawn(body,
-                                  name=f"video-path{path.pid}",
-                                  policy=policy, priority=priority,
-                                  path=path)
+        thread = self.world.spawn(
+            self._path_thread_body(path, batch, reserve_output=True),
+            name=f"video-path{path.pid}", policy=policy, priority=priority,
+            path=path)
         sink = self.framebuffer.sinks[f"path{path.pid}"]
         if path.observer is not None:
             path.observer.watch_sink(sink)
@@ -768,31 +745,11 @@ class ScoutKernel:
         path = path_create(self.test, attrs, transforms=self.transforms,
                            admission=self.admission,
                            specialize=self.specialize)
-        body = (self._sink_thread_body_batched(path, batch) if batch > 1
-                else self._service_thread_body(path))
-        self.world.spawn(body, name=f"sink-path{path.pid}",
+        self.world.spawn(self._path_thread_body(path, batch),
+                         name=f"sink-path{path.pid}",
                          policy=policy, priority=priority, path=path)
         self.sink_paths[local_port] = path
         return path
-
-    def _sink_thread_body_batched(self, path: Path, batch_limit: int):
-        """Service thread draining up to *batch_limit* messages per
-        dispatch — the :meth:`_service_thread_body` analogue of the
-        batched video body.  No output-queue reservation: the TEST sink
-        deposits into the output queue itself and accounts any overflow
-        as ``sink_overflows``, so the thread never blocks on a consumer
-        that drains out of band."""
-        inq = path.input_queue(BWD)
-        while path.state != DELETED:
-            msgs = yield DequeueBatch(inq, batch_limit)
-            self._traverse_batch(path, msgs)
-            cost = 0.0
-            for msg in msgs:
-                cost += take_cost(msg)
-                path.stats.release_memory(msg.footprint())
-            if cost > 0:
-                yield Compute(cost)
-            yield YIELD
 
     def stop_udp_sink(self, local_port: int) -> None:
         """Tear down the sink path bound to *local_port* (flow-cache

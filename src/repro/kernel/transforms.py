@@ -17,14 +17,14 @@ Two rules straight out of the paper:
   since ETH is the BWD entry stage, the cost delta observed around the
   whole traversal is exactly what wrapping ETH's initial function would
   see, but the probe stays outside the stage chain so the chain remains
-  compilable (and specializable, DESIGN.md §15).
+  specializable (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 from .. import params
 from ..core.attributes import PA_AVG_PROC_TIME
-from ..core.stage import BWD, brackets_downstream
+from ..core.stage import BWD
 from ..core.transform import TransformRegistry, TransformRule, all_of, traverses
 from ..mpeg.router import PA_VIDEO_PROFILE
 from ..net.common import charge
@@ -77,7 +77,7 @@ def make_measure_proc_time_rule() -> TransformRule:
         # boundary observes the same accumulated-cost delta the paper's
         # "initial function in the ETH-stage" modification would — while
         # leaving every deliver pointer untouched, which keeps the chain
-        # compilable and specializable.
+        # specializable.
         def measured(msg, elapsed_us):
             path.stats.record_proc_time(elapsed_us)
             path.attrs[PA_AVG_PROC_TIME] = path.stats.avg_proc_time_us
@@ -110,9 +110,7 @@ def make_fault_isolation_rule() -> TransformRule:
                     continue
 
                 # Containment catches exceptions thrown by *downstream*
-                # routers via the recursive nesting, so the chain below
-                # must execute inside this try block — never flattened.
-                @brackets_downstream
+                # routers too: the chain below runs inside this try block.
                 def contained(iface, msg, d, _orig=original,
                               _stage=stage, **kwargs):
                     try:

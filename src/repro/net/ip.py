@@ -123,7 +123,6 @@ class IpStage(Stage):
         self.datagrams_reassembled = 0
         self.set_deliver(FWD, self._send)
         self.set_deliver(BWD, self._receive)
-        self.set_deliver_batch(BWD, self._receive_batch)
 
     def establish(self, attrs: Attrs) -> None:
         """Resolve the next hop's MAC via the ARP resolver service and
@@ -239,33 +238,6 @@ class IpStage(Stage):
                                           **kwargs)
         return forward_or_deposit(iface, msg, direction, **kwargs)
 
-    def _receive_batch(self, iface, msgs, direction: int, **kwargs):
-        """Vectorized receive for a validated run (DESIGN.md §13).
-
-        Accepts the run only when every message carries the flow-cache
-        ``ip_validated`` annotation and the stage is interior (an
-        IP-terminated path deposits per message via the scalar branch).
-        Per message this is exactly the scalar fast branch: charge,
-        total-length padding trim, header strip.
-        """
-        if iface.next is None \
-                or not all(m.meta.get("ip_validated") for m in msgs):
-            return None
-        router: IpRouter = self.router  # type: ignore[assignment]
-        router.rx_validated += len(msgs)
-        cost = params.IP_PROC_US
-        size = IpHeader.SIZE
-        out = []
-        for m in msgs:
-            del m.meta["ip_validated"]
-            charge(m, cost)
-            payload_len = int.from_bytes(m.peek(2, at=2), "big") - size
-            m.pop(size)
-            if len(m) > payload_len:
-                m = Msg(m.to_bytes()[:payload_len], meta=m.meta)
-            out.append(m)
-        return out
-
     def _receive_fragment(self, iface, header: IpHeader, msg: Msg,
                           direction: int, **kwargs):
         router: IpRouter = self.router  # type: ignore[assignment]
@@ -356,20 +328,19 @@ class IpStage(Stage):
 _IP_TOTAL_LENGTH = struct.Struct("!H")
 
 
-def _specialize_ip(stage: "IpStage", iface, fn, fn_batch, direction: int,
+def _specialize_ip(stage: "IpStage", iface, direction: int,
                    terminal: bool) -> Optional[StageFragment]:
     """Fuse the validated receive branch of :meth:`IpStage._receive`.
 
     The padding-trim case (link-layer padding beyond the IP total length)
     rebinds the message to a freshly copied ``Msg`` with a *copied* meta
     dict — semantics the straight-line fused body deliberately does not
-    carry — so padded frames bail to the exact compiled chain per
-    message, before any mutation.
+    carry — so padded frames bail to the reference walk per message,
+    before any mutation.
     """
-    if direction != BWD or terminal or iface.next is None:
+    if direction != BWD or terminal:
         return None
-    if not stage.has_pristine_deliver(BWD, IpStage._receive,
-                                      IpStage._receive_batch):
+    if not stage.has_pristine_deliver(BWD, IpStage._receive):
         return None
     router = stage.router
 

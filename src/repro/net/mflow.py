@@ -136,7 +136,7 @@ class MflowStage(Stage):
         charge(data_msg, wadv.meta.get("cost_us", 0.0))
 
 
-def _specialize_mflow(stage: MflowStage, iface, fn, fn_batch, direction: int,
+def _specialize_mflow(stage: MflowStage, iface, direction: int,
                       terminal: bool) -> Optional[StageFragment]:
     """Fuse :meth:`MflowStage._receive` — including every sequencing
     branch, inline.
@@ -148,7 +148,7 @@ def _specialize_mflow(stage: MflowStage, iface, fn, fn_batch, direction: int,
     non-coalesced case (which charges the advertisement's traversal onto
     the data message's account — hence the cost flush/reload around it).
     """
-    if direction != BWD or terminal or iface.next is None:
+    if direction != BWD or terminal:
         return None
     if not stage.has_pristine_deliver(BWD, MflowStage._receive):
         return None

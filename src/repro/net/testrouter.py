@@ -27,7 +27,6 @@ class TestStage(Stage):
         super().__init__(router, enter_service, exit_service)
         self.set_deliver(FWD, self._send)
         self.set_deliver(BWD, self._sink)
-        self.set_deliver_batch(BWD, self._sink_batch)
 
     def _send(self, iface, msg: Msg, direction: int, **kwargs):
         charge(msg, 1.0)
@@ -42,24 +41,8 @@ class TestStage(Stage):
             router.sink_overflows += 1
         return None
 
-    def _sink_batch(self, iface, msgs, direction: int, **kwargs):
-        """Vectorized sink (DESIGN.md §13): absorb the whole run with
-        the same per-message recording, charge, and overflow accounting
-        as :meth:`_sink`."""
-        router: TestRouter = self.router  # type: ignore[assignment]
-        received = router.received
-        outq = self.path.output_queue(direction)
-        for msg in msgs:
-            charge(msg, 1.0)
-            received.append(msg)
-            router.bytes_received += len(msg)
-            if not outq.try_enqueue(msg):
-                router.sink_overflows += 1
-        return []
 
-
-def _specialize_test_sink(stage: TestStage, iface, fn, fn_batch,
-                          direction: int,
+def _specialize_test_sink(stage: TestStage, iface, direction: int,
                           terminal: bool) -> Optional[StageFragment]:
     """Fuse :meth:`TestStage._sink`: charge, record, per-message enqueue.
 
@@ -70,8 +53,7 @@ def _specialize_test_sink(stage: TestStage, iface, fn, fn_batch,
     """
     if direction != BWD or not terminal:
         return None
-    if not stage.has_pristine_deliver(BWD, TestStage._sink,
-                                      TestStage._sink_batch):
+    if not stage.has_pristine_deliver(BWD, TestStage._sink):
         return None
     if stage.path is None:
         return None

@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional
 
 from .. import params
 from ..core.queues import PathQueue, QUEUE_ROLE_NAMES
-from ..core.stage import DIRECTION_NAMES, brackets_downstream
+from ..core.stage import DIRECTION_NAMES
 from .metrics import MetricsRegistry
 from .trace import (
     DEMUX,
@@ -143,11 +143,6 @@ class PathObserver:
                                            path=alias, stage=label)
 
         def wrapper(inner):
-            # Spans close after the downstream call returns, so traced
-            # stages must nest recursively — never flatten past one.
-            # (Observed paths take the recursive route anyway; the mark
-            # keeps that true even if the observer is later detached.)
-            @brackets_downstream
             def traced(iface, msg, d, **kwargs):
                 meta = getattr(msg, "meta", None)
                 before = meta.get(COST_KEY, 0.0) if meta is not None else 0.0

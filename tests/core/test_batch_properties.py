@@ -223,82 +223,3 @@ class TestBatchTraversalParity:
         before = path.stats.messages_fwd
         path.deliver_batch([Msg(b"x"), Msg(b"y"), Msg(b"z")], FWD)
         assert path.stats.messages_fwd == before + 3
-
-
-# ---------------------------------------------------------------------------
-# Vectorized validated runs (stage-major batch execution)
-# ---------------------------------------------------------------------------
-
-def _validated(frame):
-    """A received frame annotated as a flow-cache hit would be."""
-    return Msg(frame, meta={"eth_validated": True, "ip_validated": True,
-                            "udp_validated": True})
-
-
-class TestVectorizedValidatedRuns:
-    """The stage-major prologue of ``run_compiled_batch``: whole
-    validated runs cross ETH/IP/UDP in one call per stage, with byte,
-    order, and counter parity against scalar delivery."""
-
-    def setup_method(self):
-        from repro.experiments.micro import Fig7Stack
-        self.Fig7Stack = Fig7Stack
-
-    def fresh(self):
-        stack = self.Fig7Stack()
-        return stack, stack.create_udp_path(6100)
-
-    def test_vectorized_run_matches_scalar_delivery(self):
-        payloads = [b"pkt%02d" % i for i in range(6)]
-        solo_stack, solo_path = self.fresh()
-        for p in payloads:
-            solo_path.deliver(
-                _validated(solo_stack.udp_frame(6100, payload=p)), BWD)
-        bat_stack, bat_path = self.fresh()
-        results = bat_path.deliver_batch(
-            [_validated(bat_stack.udp_frame(6100, payload=p))
-             for p in payloads], BWD)
-        assert [m.to_bytes() for m in bat_stack.test.received] \
-            == [m.to_bytes() for m in solo_stack.test.received] == payloads
-        # Messages consumed inside vectorized stages yield None results.
-        assert results == [None] * len(payloads)
-        # Every layer took the validated fast receive, batch and solo.
-        for stack in (solo_stack, bat_stack):
-            assert stack.eth.rx_validated == len(payloads)
-            assert stack.ip.rx_validated == len(payloads)
-
-    def test_mixed_run_falls_back_to_scalar_in_order(self):
-        stack, path = self.fresh()
-        msgs = [_validated(stack.udp_frame(6100, payload=b"aaaa")),
-                Msg(stack.udp_frame(6100, payload=b"bbbb")),  # cold
-                _validated(stack.udp_frame(6100, payload=b"cccc"))]
-        path.deliver_batch(msgs, BWD)
-        assert [m.to_bytes() for m in stack.test.received] \
-            == [b"aaaa", b"bbbb", b"cccc"]
-        # The cold message forced the whole run down the scalar branch;
-        # validated messages still took their scalar fast receive.
-        assert stack.eth.rx_validated == 2
-
-    def test_scalar_interposition_disables_vectorization(self):
-        stack, path = self.fresh()
-        eth_stage = path.stage_of("ETH")
-        inner = eth_stage.deliver_fn(BWD)
-        seen = []
-
-        def spy(iface, msg, direction, **kwargs):
-            seen.append(msg)
-            return inner(iface, msg, direction, **kwargs)
-
-        eth_stage.set_deliver(BWD, spy)
-        assert eth_stage.deliver_batch_fn(BWD) is None
-        path.deliver_batch(
-            [_validated(stack.udp_frame(6100, payload=b"wxyz"))
-             for _ in range(3)], BWD)
-        assert len(seen) == 3  # the wrapper saw every message
-
-    def test_wrap_deliver_disables_vectorization(self):
-        stack, path = self.fresh()
-        udp_stage = path.stage_of("UDP")
-        assert udp_stage.deliver_batch_fn(BWD) is not None
-        udp_stage.wrap_deliver(BWD, lambda fn: fn)
-        assert udp_stage.deliver_batch_fn(BWD) is None

@@ -17,6 +17,7 @@ import pathlib
 
 import pytest
 
+from repro.core import specialize
 from repro.experiments import run_adversary
 from repro.experiments.adversary_exp import run_adversary_matrix
 
@@ -52,7 +53,7 @@ class TestDigestDeterminism:
 class TestSpecializationInvariance:
     """The execution tier is not allowed to be an input: the adversary
     matrix must produce byte-identical digests whether the paths run the
-    compiled chains or exec-generated fused functions (DESIGN.md §15).
+    reference walk or exec-generated fused functions (DESIGN.md §11).
     A digest drift here would mean the specialized tier changed a drop,
     a queue depth, or a delivery order somewhere under worst-case load —
     exactly the regression the differential harness exists to catch."""
@@ -61,7 +62,7 @@ class TestSpecializationInvariance:
                      horizon_us=20_000.0)
 
     def _matrix_digests(self, monkeypatch, enabled):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "1" if enabled else "0")
+        monkeypatch.setattr(specialize, "DEFAULT_SPECIALIZE", enabled)
         results = run_adversary_matrix(
             strategies=("queue_storm", "deadline_cliff"),
             schedulers=("edf", "stride"), seed=7, **self.MATRIX_KW)
@@ -75,9 +76,9 @@ class TestSpecializationInvariance:
 
     def test_single_run_digest_unaffected_by_specialization(
             self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "0")
+        monkeypatch.setattr(specialize, "DEFAULT_SPECIALIZE", False)
         off = run_adversary(seed=7, **RUN_KW)
-        monkeypatch.setenv("REPRO_SPECIALIZE", "1")
+        monkeypatch.setattr(specialize, "DEFAULT_SPECIALIZE", True)
         on = run_adversary(seed=7, **RUN_KW)
         assert on.digest == off.digest
         assert (on.injected, on.delivered, on.max_queue_depth) \

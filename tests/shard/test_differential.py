@@ -90,9 +90,8 @@ class TestOverloadParity:
 
 class TestSpecializedTierParity:
     """The specialized execution tier engages per-shard and must not
-    perturb parity (the CI matrix re-runs this whole module with
-    ``REPRO_SPECIALIZE=1``; this test forces the tier explicitly so it
-    is exercised either way)."""
+    perturb parity: the reference walk and the fused functions are
+    pinned explicitly against each other."""
 
     def test_specialized_vs_interpreted_fabric(self):
         offers = [interleaved_workload(6, 8, start=i * 48)

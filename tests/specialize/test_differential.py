@@ -1,18 +1,18 @@
-"""Differential execution: the three tiers are indistinguishable.
+"""Differential execution: the two tiers are indistinguishable.
 
-Every scenario below runs identically under tier 0 (interpreted
-pointer-chase recursion), tier 1 (compiled chain walk) and tier 2
-(exec-generated fused function, DESIGN.md §15), and the observables a
-user of the system could ever see — delivered bytes, PathStats books,
+Every scenario below runs identically under the reference tier (the
+recursive ``forward()`` walk) and the specialized tier (exec-generated
+fused function, DESIGN.md §11), and the observables a user of the
+system could ever see — delivered bytes, PathStats books,
 drop-ledger categories, flow-cache statistics, metrics snapshots — must
 be *equal*, not merely close.  Costs are compared exactly: the generated
 code replicates the scalar accumulation order float-add by float-add, so
 even rounding may not drift.
 
 Tier selection is data, not code: the same scenario function runs for
-each tier and only the ``specialize``/``interpret_only`` knobs differ.
-Where the specialized tier is expected to engage (warm validated UDP
-runs), the scenario additionally asserts ``specialized_msgs > 0`` so a
+each tier and only the ``specialize=`` switch differs.  Where the
+specialized tier is expected to engage (warm validated UDP runs), the
+scenario additionally asserts ``specialized_msgs > 0`` so a
 silently-declining generator cannot make these tests pass vacuously.
 """
 
@@ -25,25 +25,9 @@ from repro.experiments.micro import Fig7Stack, REMOTE_IP
 from repro.mpeg import NEPTUNE, synthesize_clip
 from repro.net.common import PA_LOCAL_PORT
 
-TIERS = ("interpreted", "compiled", "specialized")
+TIERS = ("reference", "specialized")
 
 FRAMES = 60
-
-
-def apply_tier(tier, *paths):
-    """Pin already-created *paths* to an execution tier."""
-    for path in paths:
-        if tier == "interpreted":
-            path.interpret_only = True
-        elif tier == "specialized":
-            path.specialize = True
-            path.compile_chains()
-
-
-def kernel_kwargs(tier):
-    """ScoutKernel construction knob for *tier* (paths created later
-    still need :func:`apply_tier` for the interpreted tier)."""
-    return {"specialize": tier == "specialized"}
 
 
 def path_books(path):
@@ -69,9 +53,8 @@ def kernel_snapshot(kernel):
 def assert_tiers_agree(observe):
     """Run ``observe(tier)`` for every tier and compare the results."""
     results = {tier: observe(tier) for tier in TIERS}
-    assert results["compiled"] == results["interpreted"]
-    assert results["specialized"] == results["interpreted"]
-    return results["interpreted"]
+    assert results["specialized"] == results["reference"]
+    return results["reference"]
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +69,9 @@ class TestUdpVideoDifferential:
         clip = synthesize_clip(NEPTUNE, seed=3, nframes=FRAMES)
         source = testbed.add_video_source(clip, dst_port=6100)
         kernel = testbed.build_scout(rate_limited_display=False,
-                                     **kernel_kwargs(tier))
+                                     specialize=tier == "specialized")
         session = kernel.start_video(NEPTUNE, (str(source.ip), 7200),
                                      local_port=6100, batch=batch)
-        apply_tier(tier, session.path)
         testbed.start_all()
         if skip_at_us is not None:
             testbed.run_seconds(skip_at_us / 1e6)
@@ -140,10 +122,9 @@ class TestMultipathGroupDifferential:
         clip = synthesize_clip(NEPTUNE, seed=5, nframes=FRAMES)
         source = testbed.add_video_source(clip, dst_port=6200)
         kernel = testbed.build_scout(rate_limited_display=False,
-                                     **kernel_kwargs(tier))
+                                     specialize=tier == "specialized")
         vgroup = kernel.start_video_group(NEPTUNE, (str(source.ip), 7200),
                                           members=2, local_port=6200)
-        apply_tier(tier, *vgroup.paths)
         testbed.start_all()
         testbed.run_until_sources_done()
         if tier == "specialized":
@@ -168,8 +149,8 @@ class TestMultipathGroupDifferential:
 
 class TestHttpDifferential:
     """The web path has no registered specializers past TCP — the
-    generator must *decline* and tier 2 must degrade to tier 1
-    untouched, byte for byte on the wire."""
+    generator must *decline* and the specialized tier degrade to the
+    reference walk untouched, byte for byte on the wire."""
 
     @staticmethod
     def _mask_ip_ident(frame):
@@ -188,7 +169,6 @@ class TestHttpDifferential:
                            Attrs({PA_NET_PARTICIPANTS: ("10.0.0.9", 51000),
                                   PA_LOCAL_PORT: 80}),
                            specialize=tier == "specialized")
-        apply_tier(tier, conn)
         request = b"GET /index.html HTTP/1.0\r\n\r\n"
         conn.deliver(segment(graph, 0, request), BWD)
         return {
@@ -203,14 +183,14 @@ class TestHttpDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Scenario 4: warm validated runs, batch=1 vs batch=32, all tiers
+# Scenario 4: warm validated runs, batch=1 vs batch=32, both tiers
 # ---------------------------------------------------------------------------
 
 
 class TestBatchShapeDifferential:
     """The fused function sees whole runs; batch shape must not leak
-    into any observable.  This is the scenario where tier 2 engages on
-    every message, so the delivered bytes comparison is the strongest
+    into any observable.  This is the scenario where the fused function
+    takes every message, so the delivered bytes comparison is the strongest
     equivalence statement in the file."""
 
     def run_stack(self, tier, chunk):
@@ -219,7 +199,6 @@ class TestBatchShapeDifferential:
                            Attrs({PA_NET_PARTICIPANTS: (REMOTE_IP, 7000),
                                   PA_LOCAL_PORT: 6100}),
                            specialize=tier == "specialized")
-        apply_tier(tier, path)
         frames = [Msg(stack.udp_frame(6100, payload=b"payload%03d" % i))
                   for i in range(64)]
         for msg in frames:

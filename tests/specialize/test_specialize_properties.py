@@ -1,4 +1,4 @@
-"""Property-based equivalence for the specialized tier (DESIGN.md §15).
+"""Property-based equivalence for the specialized tier (DESIGN.md §11).
 
 Two properties, both adversarial:
 
@@ -7,14 +7,14 @@ Two properties, both adversarial:
   replacements, fault injection, restoring the original), a stale
   specialized function never sees a message: the specialized twin
   produces byte-identical deliveries, books, and interposition ledgers
-  to an interpret-only twin fed the same sequence, and after every
-  delivery its compiled generation matches the chain generation.
+  to a reference-walk twin fed the same sequence, and after every
+  delivery its specialized generation matches the chain generation.
 
 * **header-fuzz parity** — the generated function's bulk
   ``struct``/``memoryview`` header parsing agrees with the scalar
   per-message parsers for arbitrary (including inconsistent) IP total
   lengths, link padding, and truncated frames.  Malformed runs must
-  *decline* into the slower tiers, never mis-parse.
+  *decline* to the reference walk, never mis-parse.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -37,7 +37,6 @@ class Twin:
             Attrs({PA_NET_PARTICIPANTS: (REMOTE_IP, 7000),
                    PA_LOCAL_PORT: PORT}),
             specialize=specialize)
-        self.path.interpret_only = not specialize
         #: Per-interposition message ledgers; a stale specialized
         #: function bypassing a live wrapper would desynchronize these.
         self.wrapper_log = []
@@ -90,9 +89,6 @@ class Twin:
                            ("TEST", "_sink")):
             stage = self.path.stage_of(name)
             stage.set_deliver(BWD, getattr(stage, attr))
-            batch = getattr(stage, attr + "_batch", None)
-            if batch is not None:
-                stage.set_deliver_batch(BWD, batch)
 
     # -- traffic ------------------------------------------------------------
 
@@ -154,7 +150,7 @@ def test_recompile_exactness_under_interleaved_mutation(ops):
                 twin.send(payloads, chunk)
             # Deopt-before-next-message: the dispatcher may never leave
             # a stale generated function installed past a delivery.
-            assert spec.path._compiled_gen == spec.path.chain_generation
+            assert spec.path._specialized_gen == spec.path.chain_generation
         else:
             for twin in (spec, plain):
                 getattr(twin, arg)()

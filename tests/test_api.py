@@ -285,16 +285,6 @@ class TestScoutLifecycle:
 
 
 class TestRenamedFacadeNames:
-    @pytest.mark.parametrize("legacy,supported", [
-        ("AsyncExecutor", "AioExecutor"),
-        ("AsyncWorld", "AioWorld"),
-        ("SocketDevice", "SocketNetDevice"),
-        ("WallclockBridge", "WallClockBridge"),
-    ])
-    def test_renamed_name_resolves_with_warning(self, legacy, supported):
-        with pytest.warns(DeprecationWarning, match=supported):
-            assert getattr(api, legacy) is getattr(api, supported)
-
     def test_wallclock_names_are_exported(self):
         for name in ("AioWorld", "AioExecutor", "SocketNetDevice",
                      "WallClockBridge", "BACKENDS", "EXECUTORS"):
