@@ -35,12 +35,12 @@ class TestAdversaryStability:
     def matrix(self):
         return run_adversary_matrix(seed=SEED, rho_per_us=RHO_PER_US, w=W)
 
-    def test_full_matrix_holds(self, matrix, record_result, record_adversary):
+    def test_full_matrix_holds(self, matrix, record_result, record_bench):
         assert len(matrix) == 2 * len(STRATEGIES)
         record_result("adversary_matrix", format_adversary(matrix))
         for result in matrix:
             section = f"{result.strategy}.{result.scheduler}"
-            record_adversary(section, {
+            record_bench("adversary", section, {
                 "seed": result.seed,
                 "members": result.members,
                 "rho_per_us": RHO_PER_US,

@@ -150,7 +150,7 @@ class _Pipeline:
         }
 
 
-def test_batch32_throughput_vs_per_message(record_batching):
+def test_batch32_throughput_vs_per_message(record_bench):
     """Batch size 32 versus per-message dispatch on the warm UDP path:
     >= 2x delivered throughput, identical books."""
     solo_books = batched_books = None
@@ -172,7 +172,7 @@ def test_batch32_throughput_vs_per_message(record_batching):
     assert batched_books["eth_rx_validated"] == FRAMES
 
     speedup = solo_s / batched_s
-    record_batching("throughput", {
+    record_bench("batching", "throughput", {
         "batch": BATCH,
         "frames": FRAMES,
         "rounds": ROUNDS,
@@ -224,7 +224,7 @@ def _offer_overloaded(batched, capacity=32, burst=96):
     return burst, accepted, books
 
 
-def test_overflow_drop_ledger_matches_per_item(record_batching):
+def test_overflow_drop_ledger_matches_per_item(record_bench):
     """``try_enqueue_batch`` under overload drops exactly the messages
     per-item enqueue would, with identical categorized accounting."""
     offered_s, accepted_s, solo_books = _offer_overloaded(batched=False)
@@ -236,7 +236,7 @@ def test_overflow_drop_ledger_matches_per_item(record_batching):
     assert batched_books["path_drops"] > 0  # the queue really overflowed
     assert batched_books["queue_dropped"] == batched_books["path_drops"]
 
-    record_batching("overflow", {
+    record_bench("batching", "overflow", {
         "offered": offered_b,
         "accepted": accepted_b,
         "dropped": batched_books["path_drops"],

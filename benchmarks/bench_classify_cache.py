@@ -34,7 +34,7 @@ def _classify_us(stack, msg, cache, loops=LOOPS):
     return (time.perf_counter() - start) / loops * 1e6
 
 
-def test_flow_cache_hit_vs_cold_chain(benchmark, record_fastpath):
+def test_flow_cache_hit_vs_cold_chain(benchmark, record_bench):
     stack = Fig7Stack()
     path = stack.create_udp_path(local_port=6100)
     msg = Msg(stack.udp_frame(6100))
@@ -52,7 +52,7 @@ def test_flow_cache_hit_vs_cold_chain(benchmark, record_fastpath):
     benchmark(warm_hit)
     warm_us = benchmark.stats.stats.mean * 1e6
     speedup = cold_us / warm_us
-    record_fastpath("classify", {
+    record_bench("fastpath", "classify", {
         "cold_chain_us": round(cold_us, 4),
         "warm_cache_us": round(warm_us, 4),
         "speedup": round(speedup, 2),

@@ -28,14 +28,14 @@ LOSS_RATE = 0.25
 LOSS_BLOB_SIZE = 100_000
 
 
-def test_differential_delivery(record_multihop):
+def test_differential_delivery(record_bench):
     runs = run_multihop(blob_size=BLOB_SIZE)
     by_label = {r.label: r for r in runs}
     baseline = by_label["single-hop baseline"]
     inflight = by_label["3-hop, in-flight frag"]
     pmtud = by_label["3-hop, PMTUD"]
 
-    record_multihop("differential", {
+    record_bench("multihop", "differential", {
         "blob_bytes": BLOB_SIZE,
         "runs": [r._asdict() for r in runs],
     })
@@ -52,10 +52,10 @@ def test_differential_delivery(record_multihop):
     assert pmtud.inflight_fragments == 0
 
 
-def test_pmtud_goodput_on_lossy_min_mtu_path(record_multihop):
+def test_pmtud_goodput_on_lossy_min_mtu_path(record_bench):
     result = run_loss_amplification(loss_rate=LOSS_RATE,
                                     blob_size=LOSS_BLOB_SIZE)
-    record_multihop("loss_goodput", {
+    record_bench("multihop", "loss_goodput", {
         "loss_rate": result.loss_rate,
         "blob_bytes": LOSS_BLOB_SIZE,
         "frag_datagrams": result.frag_datagrams,

@@ -43,7 +43,7 @@ def _conn_attrs() -> Attrs:
                   PA_LOCAL_PORT: PORT})
 
 
-def test_pooled_acquire_vs_cold_create(benchmark, record_multipath):
+def test_pooled_acquire_vs_cold_create(benchmark, record_bench):
     """A warm acquire+release cycle against the cold create+delete cycle
     it replaces."""
     stack = Fig7Stack()
@@ -64,7 +64,7 @@ def test_pooled_acquire_vs_cold_create(benchmark, record_multipath):
     benchmark(churn)
     warm_us = benchmark.stats.stats.mean * 1e6
     speedup = cold_us / warm_us
-    record_multipath("pool", {
+    record_bench("multipath", "pool", {
         "cold_create_us": round(cold_us, 4),
         "pooled_acquire_us": round(warm_us, 4),
         "speedup": round(speedup, 2),
@@ -104,7 +104,7 @@ def _dropped(members) -> int:
     return sum(p.stats.drops for p in members)
 
 
-def test_group_throughput_vs_single_path(record_multipath):
+def test_group_throughput_vs_single_path(record_bench):
     """Same offered load, same per-path queue capacity: the group must
     deliver >= 2x what the single path can, and both ledgers must
     reconcile exactly."""
@@ -129,7 +129,7 @@ def test_group_throughput_vs_single_path(record_multipath):
         assert path.stats.drops == sum(path.stats.drop_reasons.values())
 
     ratio = delivered_g / max(delivered_s, 1)
-    record_multipath("group", {
+    record_bench("multipath", "group", {
         "members": len(members),
         "policy": "least_loaded",
         "rounds": ROUNDS,

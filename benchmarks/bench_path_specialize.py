@@ -79,7 +79,7 @@ def _time_arm(specialize):
     return per_msg_us, books, path.specialized_msgs - warmup_specialized, path
 
 
-def test_warm_udp_specialized_vs_reference(record_fastpath):
+def test_warm_udp_specialized_vs_reference(record_bench):
     reference_us, reference_books, _, _ = _time_arm(specialize=False)
     specialized_us, specialized_books, specialized_msgs, path = \
         _time_arm(specialize=True)
@@ -94,7 +94,7 @@ def test_warm_udp_specialized_vs_reference(record_fastpath):
     spec_fn = path._specialized[BWD]
     speedup = reference_us / specialized_us
 
-    record_fastpath("specialize", {
+    record_bench("fastpath", "specialize", {
         "reference_us": round(reference_us, 4),
         "specialized_us": round(specialized_us, 4),
         "speedup": round(speedup, 2),
@@ -110,7 +110,7 @@ def test_warm_udp_specialized_vs_reference(record_fastpath):
         f"({specialized_us:.3f}us vs {reference_us:.3f}us per message)")
 
 
-def test_specialized_scalar_deliver_not_slower(record_fastpath):
+def test_specialized_scalar_deliver_not_slower(record_bench):
     """Batch=1 rides the same generated function; it must never lose to
     the reference walk (no gate beyond parity-with-slack — scalar
     dispatch overhead dominates at this size)."""
@@ -131,7 +131,7 @@ def test_specialized_scalar_deliver_not_slower(record_fastpath):
 
     reference_us = time_scalar(False)
     specialized_us = time_scalar(True)
-    record_fastpath("specialize_scalar", {
+    record_bench("fastpath", "specialize_scalar", {
         "reference_us": round(reference_us, 4),
         "specialized_us": round(specialized_us, 4),
         "speedup": round(reference_us / specialized_us, 2),

@@ -109,20 +109,20 @@ def run_aio_executor() -> tuple:
 
 
 class TestWallclockBench:
-    def test_parity_and_throughput(self, record_wallclock):
+    def test_parity_and_throughput(self, record_bench):
         total = FLOWS * BURSTS * FRAMES_PER_FLOW_PER_BURST
         sim_books, sim_elapsed = run_sim_executor()
         aio_books, aio_elapsed, snap = run_aio_executor()
 
         assert aio_books == sim_books, \
             "asyncio executor diverged from the deterministic scheduler"
-        record_wallclock("parity", {
+        record_bench("wallclock", "parity", {
             "frames": total,
             "delivered": aio_books["delivered"],
             "drops": len(aio_books["drops"]),
             "byte_identical": True,
         })
-        record_wallclock("throughput", {
+        record_bench("wallclock", "throughput", {
             "frames": total,
             "sim_wall_s": round(sim_elapsed, 4),
             "sim_frames_per_s": round(total / sim_elapsed, 1),
@@ -132,10 +132,10 @@ class TestWallclockBench:
             "speedup_vs_modeled_cpu": round(snap["speedup"], 3),
         })
 
-    def test_socket_loopback(self, record_wallclock):
+    def test_socket_loopback(self, record_bench):
         if not loopback_available():
-            record_wallclock("loopback", {"skipped": True,
-                                          "reason": "no loopback sockets"})
+            record_bench("wallclock", "loopback",
+                         {"skipped": True, "reason": "no loopback sockets"})
             return
 
         sent = 200
@@ -184,4 +184,4 @@ class TestWallclockBench:
                     "frames_per_s": round(delivered / elapsed, 1),
                 }
 
-        record_wallclock("loopback", asyncio.run(main()))
+        record_bench("wallclock", "loopback", asyncio.run(main()))

@@ -15,30 +15,17 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-FASTPATH_RESULTS = RESULTS_DIR / "BENCH_fastpath.json"
 
-MULTIPATH_RESULTS = RESULTS_DIR / "BENCH_multipath.json"
-
-BATCHING_RESULTS = RESULTS_DIR / "BENCH_batching.json"
-
-ADVERSARY_RESULTS = RESULTS_DIR / "BENCH_adversary.json"
-
-MULTIHOP_RESULTS = RESULTS_DIR / "BENCH_multihop.json"
-
-SHARD_RESULTS = RESULTS_DIR / "BENCH_shard.json"
-
-WALLCLOCK_RESULTS = RESULTS_DIR / "BENCH_wallclock.json"
-
-
-def _merge_section(target: pathlib.Path, section: str, payload: dict,
-                   tag: str) -> None:
+def _merge_section(stem: str, section: str, payload: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
+    target = RESULTS_DIR / f"BENCH_{stem}.json"
     data = {}
     if target.exists():
         data = json.loads(target.read_text())
     data[section] = payload
     target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"\n{tag}[{section}]: {json.dumps(payload, sort_keys=True)}")
+    print(f"\nBENCH_{stem}[{section}]: "
+          f"{json.dumps(payload, sort_keys=True)}")
 
 
 @pytest.fixture
@@ -54,93 +41,10 @@ def record_result():
 
 
 @pytest.fixture
-def record_fastpath():
-    """Merge one named section into the machine-readable fast-path
-    results file (``benchmarks/results/BENCH_fastpath.json``).
+def record_bench():
+    """Merge one named section into a machine-readable results file
+    (``benchmarks/results/BENCH_<stem>.json``).
 
-    Sections merge rather than overwrite so the classify-cache and
-    traversal benchmarks — separate test files — accumulate into a
-    single artifact for CI to upload."""
-
-    def record(section: str, payload: dict) -> None:
-        _merge_section(FASTPATH_RESULTS, section, payload, "BENCH_fastpath")
-
-    return record
-
-
-@pytest.fixture
-def record_multipath():
-    """Merge one named section into the machine-readable multipath
-    results file (``benchmarks/results/BENCH_multipath.json``) — the
-    pool-acquisition and group-throughput benchmarks accumulate into a
-    single artifact for CI to upload."""
-
-    def record(section: str, payload: dict) -> None:
-        _merge_section(MULTIPATH_RESULTS, section, payload, "BENCH_multipath")
-
-    return record
-
-
-@pytest.fixture
-def record_batching():
-    """Merge one named section into the machine-readable batching
-    results file (``benchmarks/results/BENCH_batching.json``) — the
-    throughput and overflow-ledger benchmarks accumulate into a single
-    artifact for CI to upload."""
-
-    def record(section: str, payload: dict) -> None:
-        _merge_section(BATCHING_RESULTS, section, payload, "BENCH_batching")
-
-    return record
-
-
-@pytest.fixture
-def record_adversary():
-    """Merge one named section into the machine-readable adversary
-    results file (``benchmarks/results/BENCH_adversary.json``) — one
-    section per strategy x scheduler stability verdict, accumulated
-    into a single artifact for CI to upload."""
-
-    def record(section: str, payload: dict) -> None:
-        _merge_section(ADVERSARY_RESULTS, section, payload, "BENCH_adversary")
-
-    return record
-
-
-@pytest.fixture
-def record_multihop():
-    """Merge one named section into the machine-readable multi-hop
-    results file (``benchmarks/results/BENCH_multihop.json``) — the
-    differential-delivery and lossy-link goodput benchmarks accumulate
-    into a single artifact for CI to upload."""
-
-    def record(section: str, payload: dict) -> None:
-        _merge_section(MULTIHOP_RESULTS, section, payload, "BENCH_multihop")
-
-    return record
-
-
-@pytest.fixture
-def record_shard():
-    """Merge one named section into the machine-readable shard-fabric
-    results file (``benchmarks/results/BENCH_shard.json``) — the
-    scaling sweep and the reconciliation gate accumulate into a single
-    artifact for CI to upload."""
-
-    def record(section: str, payload: dict) -> None:
-        _merge_section(SHARD_RESULTS, section, payload, "BENCH_shard")
-
-    return record
-
-
-@pytest.fixture
-def record_wallclock():
-    """Merge one named section into the machine-readable wall-clock
-    results file (``benchmarks/results/BENCH_wallclock.json``) — the
-    asyncio-executor throughput and socket-loopback benchmarks
-    accumulate into a single artifact for CI to upload."""
-
-    def record(section: str, payload: dict) -> None:
-        _merge_section(WALLCLOCK_RESULTS, section, payload, "BENCH_wallclock")
-
-    return record
+    Sections merge rather than overwrite so separate tests and test
+    files accumulate into one artifact per stem for CI to upload."""
+    return _merge_section

@@ -343,8 +343,8 @@ class Scout:
         if mode == _MODE_FABRIC:
             # Sharded machine: N kernels behind one flow-hash RX
             # boundary (DESIGN.md §17).  Keyword arguments flow to
-            # :class:`~repro.shard.ShardedKernel` (mode=, ports=,
-            # batch=, ...); drive it with :meth:`offer` and close with
+            # :class:`~repro.shard.ShardedKernel` (ports=, batch=,
+            # inq_len=, ...); drive it with :meth:`offer` and close with
             # :meth:`merged_books`.
             self.fabric = ShardedKernel(shards=shards, seed=seed,
                                         **kernel_kwargs)

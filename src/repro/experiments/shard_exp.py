@@ -1,22 +1,20 @@
 """Shard-fabric experiment: dispatch balance and merged-book exactness.
 
-The deterministic (threads-mode) companion to
-``benchmarks/bench_shard.py``: drive the same warm multi-flow UDP
-workload through fabrics of 1, 2, and 4 shards and report, per scale,
-how the flow hash spread the flows, what the merged ledger counted, and
-whether the books reconciled exactly against every shard kernel's own
-accounting (DESIGN.md §17).  Wall-clock speedup is the benchmark's job;
-this table is about the *semantics* being scale-invariant — delivered
-totals and per-flow streams must not move as the shard count does.
+Drive one warm multi-flow UDP workload through fabrics of 1, 2, and 4
+shards and report, per scale, how the flow hash spread the flows, what
+the merged ledger counted, and whether the books reconciled exactly
+against every shard kernel's own accounting (DESIGN.md §17).  The table
+is about the *semantics* being scale-invariant — delivered totals and
+per-flow streams must not move as the shard count does.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence
 
-from ..faults.adversary import DELIVERED
 from ..net.addresses import EthAddr, IpAddr
 from ..net.packets import build_udp_frame
+from ..observe.ledger import DELIVERED
 from ..shard import ShardedKernel
 
 FLOWS = 12
@@ -63,7 +61,7 @@ def run_shard(shard_counts: Sequence[int] = (1, 2, 4)) -> List[ShardRun]:
     runs = []
     ports = tuple(SINK_PORT + flow for flow in range(FLOWS))
     for shards in shard_counts:
-        fabric = ShardedKernel(shards=shards, mode="threads", ports=ports,
+        fabric = ShardedKernel(shards=shards, ports=ports,
                                batch=8, inq_len=2 * FRAMES_PER_FLOW)
         for offer_index in range(OFFERS):
             fabric.offer(_workload(offer_index))
@@ -84,7 +82,7 @@ def run_shard(shard_counts: Sequence[int] = (1, 2, 4)) -> List[ShardRun]:
 
 def format_shard(runs: List[ShardRun]) -> str:
     lines = [
-        "Sharded kernel fabric: scale-invariant books (threads mode)",
+        "Sharded kernel fabric: scale-invariant books",
         f"{FLOWS} flows x {OFFERS} offers x {FRAMES_PER_FLOW} frames",
         "",
         f"{'shards':>6}  {'flows/shard':>14}  {'injected':>8}  "

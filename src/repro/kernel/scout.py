@@ -722,8 +722,7 @@ class ScoutKernel:
         specialized tier all engage exactly as for video paths), traverse
         ETH/IP/UDP, and land in the TEST router's ``received`` list plus
         the path's output queue.  The shard fabric gives every flow one
-        of these per shard; ``benchmarks/bench_shard.py`` drives them as
-        the warm batched UDP workload.
+        of these per shard.
         """
         if self.test is None:
             raise RuntimeError(

@@ -4,41 +4,29 @@ Scout's path architecture makes per-flow state explicit — which is
 exactly what makes kernels shardable: if every frame of a flow reaches
 the same kernel, that kernel's flow cache, admission state, and
 specialized paths need no cross-kernel coordination at all.  This
-package scales the single-kernel reproduction across cores on that
-observation (DESIGN.md §17):
+package puts N single-kernel reproductions behind one dispatcher to
+test that observation (DESIGN.md §17):
 
 * :mod:`~repro.shard.dispatch` — flow-hash dispatcher peeking the same
   header bytes :func:`repro.core.flowcache.flow_key` keys on;
-* :mod:`~repro.shard.codec` — compact wire codec for frame runs and
-  fates on the multiprocessing rings;
 * :mod:`~repro.shard.worker` — one whole ``ScoutKernel`` per shard,
   answering per-serial fates, with a shard-local shedder/watchdog
   control plane;
 * :mod:`~repro.shard.books` — merged metrics + cross-shard drop-ledger
   reconciliation, exact to the serial;
 * :mod:`~repro.shard.fabric` — :class:`ShardedKernel`, composing it
-  all in deterministic ``threads`` mode (tier-1) and parallel
-  ``process`` mode (the scaling benchmark), with dead-worker failover
-  and a flow ``rebalance()`` hook.
+  all as one deterministic in-process machine, with dead-worker
+  failover and a flow ``rebalance()`` hook.
 """
 
 from .books import FabricBooks, ShardBooks, reconcile
-from .codec import (
-    CodecError,
-    decode_batch,
-    decode_fates,
-    encode_batch,
-    encode_fates,
-)
 from .dispatch import FlowDispatcher, shard_of
 from .fabric import ShardedKernel
-from .worker import SHARD_FAILOVER, ShardSpec, ShardWorker, worker_main
+from .worker import SHARD_FAILOVER, ShardSpec, ShardWorker
 
 __all__ = [
     "ShardedKernel",
     "FlowDispatcher", "shard_of",
-    "ShardSpec", "ShardWorker", "worker_main", "SHARD_FAILOVER",
+    "ShardSpec", "ShardWorker", "SHARD_FAILOVER",
     "ShardBooks", "FabricBooks", "reconcile",
-    "CodecError", "encode_batch", "decode_batch",
-    "encode_fates", "decode_fates",
 ]

@@ -5,18 +5,19 @@ Each shard runs a whole :class:`~repro.kernel.ScoutKernel` with its own
 delivered and dropped.  The fabric's *books* are the merge of those
 per-shard views — and the point of this module is that the merge is
 checked, not trusted: :func:`reconcile` proves that the fabric-level
-:class:`~repro.faults.DropLedger` (fed only by dispatch-side injections
-and ack-side accountings) agrees serial-for-serial with what the shard
-kernels themselves counted.  A frame lost between the dispatcher and a
-worker shows up as a ledger leak; a frame counted by two shards shows
-up as a double count or a sum mismatch.  Zero tolerance either way.
+:class:`~repro.observe.ledger.DropLedger` (fed only by dispatch-side
+injections and fate-side accountings) agrees serial-for-serial with what
+the shard kernels themselves counted.  A frame lost between the
+dispatcher and a worker shows up as a ledger leak; a frame counted by
+two shards shows up as a double count or a sum mismatch.  Zero tolerance
+either way.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..faults.adversary import DELIVERED, DropLedger
+from ..observe.ledger import DELIVERED, DropLedger
 from ..observe.metrics import MetricsRegistry
 
 __all__ = ["ShardBooks", "FabricBooks", "reconcile"]

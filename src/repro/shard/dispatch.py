@@ -132,6 +132,8 @@ class FlowDispatcher:
 
     def repin(self, key: bytes, shard: int) -> None:
         """Explicitly bind a flow to a shard (the rebalance hook's move)."""
+        if not 0 <= shard < self.shards:
+            raise ValueError(f"no such shard {shard}")
         if shard in self.dead:
             raise ValueError(f"cannot pin flow to dead shard {shard}")
         self.pins[key] = shard

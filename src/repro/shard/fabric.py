@@ -4,73 +4,44 @@
 logical machine: a :class:`~repro.shard.dispatch.FlowDispatcher` peeks
 each arriving frame's flow key and hands whole runs to per-shard
 workers; every flow-keyed frame is *injected* into that shard's
-fabric-owned :class:`~repro.faults.DropLedger` at dispatch and *closed*
-only by the worker's acked fate — delivered-with-payload or an exact
-drop category — so the fabric's books are end-to-end exact even across
-process boundaries.
+fabric-owned :class:`~repro.observe.ledger.DropLedger` at dispatch and
+*closed* only by the worker's fate — delivered-with-payload or an exact
+drop category — so the fabric's books are end-to-end exact.
 
-Two modes share every line of dispatch/ledger/merge logic:
+Workers are in-process :class:`~repro.shard.worker.ShardWorker`
+objects, each a whole kernel on its own virtual clock, fed one after
+another in shard order.  The fabric is fully deterministic: it models
+flow-hash dispatch and merged books, not parallel speedup.
 
-* ``mode="threads"`` (default): workers are in-process
-  :class:`~repro.shard.worker.ShardWorker` objects, each on its own
-  virtual clock.  Fully deterministic — the tier-1 differential suite
-  runs here.
-* ``mode="process"``: each worker is a forked OS process served over
-  ``multiprocessing`` rings with the compact codec.  Same fates, real
-  parallelism — the scaling benchmark runs here.
-
-Failover: a worker that dies mid-run (crash, or :meth:`kill_shard` in
-the chaos suite) is detected at ack time; its outstanding serials are
-ledgered ``shard_failover`` (never silently lost, never re-delivered —
-exactly-once is preserved by *accounting* for the loss, not by hiding
-it), and every flow it carried is re-pinned onto live shards.
+Failover: a worker removed by :meth:`kill_shard` is detected at its
+next dispatch; its outstanding serials are ledgered ``shard_failover``
+(never silently lost, never re-delivered — exactly-once is preserved by
+*accounting* for the loss, not by hiding it), and every flow it carried
+is re-pinned onto live shards.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..faults.adversary import DropLedger
-from .books import FabricBooks
-from .codec import encode_batch
-from .dispatch import FlowDispatcher
-from .worker import SHARD_FAILOVER, Fate, ShardSpec, ShardWorker, worker_main
+from ..core.flowcache import flow_key_frame
+from ..observe.ledger import DropLedger
+from .books import FabricBooks, ShardBooks
+from .dispatch import FlowDispatcher, shard_of
+from .worker import SHARD_FAILOVER, Fate, ShardSpec, ShardWorker
 
 __all__ = ["ShardedKernel"]
-
-#: Seconds to wait for a process-mode ack before probing worker health.
-_ACK_POLL_S = 0.5
-#: Hard ceiling on ack waiting once the worker is known alive.
-_ACK_TIMEOUT_S = 120.0
-
-
-class _ProcessShard:
-    """Ring endpoints plus the process handle for one forked worker."""
-
-    __slots__ = ("process", "rx_ring", "tx_ring")
-
-    def __init__(self, ctx, spec: ShardSpec):
-        self.rx_ring = ctx.Queue()
-        self.tx_ring = ctx.Queue()
-        self.process = ctx.Process(
-            target=worker_main, args=(spec, self.rx_ring, self.tx_ring),
-            daemon=True, name=f"shard-{spec.shard_id}")
-        self.process.start()
 
 
 class ShardedKernel:
     """N Scout kernels, one flow-hash RX boundary, merged books."""
 
-    def __init__(self, shards: int = 2, mode: str = "threads",
+    def __init__(self, shards: int = 2,
                  ports: Sequence[int] = (6100,),
                  batch: int = 8, inq_len: int = 64, outq_len: int = 64,
                  seed: int = 0, specialize: Optional[bool] = None,
                  control_plane: bool = False):
-        if mode not in ("threads", "process"):
-            raise ValueError(f"unknown shard mode {mode!r}")
         self.shards = shards
-        self.mode = mode
         self.dispatcher = FlowDispatcher(shards)
         #: Fabric-owned per-shard ledgers, local serials; merged books
         #: namespace them ``(shard_id, serial)``.
@@ -81,30 +52,17 @@ class ShardedKernel:
         #: appended to the right per-flow stream at settle time.
         self._serial_flow: Dict[Tuple[int, int], bytes] = {}
         #: Delivered payload bytes per flow key, in delivery order — the
-        #: differential-parity observable (byte-identical across modes
-        #: and shard counts for the same seeded workload).
+        #: differential-parity observable (byte-identical across shard
+        #: counts for the same seeded workload).
         self.flow_streams: Dict[bytes, List[bytes]] = {}
-        self._specs = [
-            ShardSpec(shard, seed=seed + shard, ports=ports, batch=batch,
-                      inq_len=inq_len, outq_len=outq_len,
-                      specialize=specialize, control_plane=control_plane)
-            for shard in range(shards)]
-        self._books: Dict[int, Any] = {}
+        #: Live workers by shard; :meth:`kill_shard` removes one.
+        self.workers: Dict[int, ShardWorker] = {
+            shard: ShardWorker(ShardSpec(
+                shard, seed=seed + shard, ports=ports, batch=batch,
+                inq_len=inq_len, outq_len=outq_len,
+                specialize=specialize, control_plane=control_plane))
+            for shard in range(shards)}
         self._finished: Optional[FabricBooks] = None
-        if mode == "threads":
-            self.workers: Dict[int, ShardWorker] = {
-                shard: ShardWorker(spec)
-                for shard, spec in enumerate(self._specs)}
-            self._procs: Dict[int, _ProcessShard] = {}
-        else:
-            # fork shares nothing mutable here (workers build their own
-            # worlds post-fork) and starts ~50x faster than spawn.
-            ctx = (mp.get_context("fork") if "fork" in mp.get_all_start_methods()
-                   else mp.get_context())
-            self.workers = {}
-            self._procs = {shard: _ProcessShard(ctx, spec)
-                           for shard, spec in enumerate(self._specs)}
-        self._batch_id = 0
 
     # -- ingest ---------------------------------------------------------------
 
@@ -114,16 +72,13 @@ class ShardedKernel:
 
         Flow-keyed frames get a shard-local serial (injected into that
         shard's ledger) plus their flow key stamped into per-frame meta;
-        the metas ride the ring, survive classification, and come back
-        on every fate.  Non-flow frames (ARP, ICMP, fragments) are
-        forwarded unledgered — the exactly-once books cover classified
-        flow traffic.
+        the metas survive classification and come back on every fate.
+        Non-flow frames (ARP, ICMP, fragments) are forwarded unledgered —
+        the exactly-once books cover classified flow traffic.
         """
         if self._finished is not None:
             raise RuntimeError("fabric already finished")
-        from ..core.flowcache import flow_key_frame
         runs = self.dispatcher.dispatch(frames, metas)
-        sent: List[Tuple[int, int, List[int]]] = []
         all_fates: List[Fate] = []
         for shard in sorted(runs):
             shard_frames, shard_metas = runs[shard]
@@ -143,52 +98,15 @@ class ShardedKernel:
                 stamped["shard_serial"] = serial
                 stamped["flow"] = key
                 out_metas.append(stamped)
-            if self.mode == "threads":
-                fates = self._feed_thread_worker(shard, shard_frames,
-                                                 out_metas, serials)
+            worker = self.workers.get(shard)
+            if worker is None:  # killed
+                fates = self._failover(shard, serials)
             else:
-                self._batch_id += 1
-                self._procs[shard].rx_ring.put(
-                    ("batch", self._batch_id,
-                     encode_batch(shard_frames, out_metas)))
-                sent.append((shard, self._batch_id, serials))
-                continue
-            all_fates.extend(self._settle(shard, serials, fates))
-        for shard, batch_id, serials in sent:
-            fates = self._await_fates(shard, batch_id, serials)
-            all_fates.extend(self._settle(shard, serials, fates))
+                fates = worker.feed(shard_frames, out_metas)
+            all_fates.extend(self._settle(shard, fates))
         return all_fates
 
-    def _feed_thread_worker(self, shard: int, frames, metas,
-                            serials: List[int]) -> List[Fate]:
-        worker = self.workers.get(shard)
-        if worker is None:  # killed in threads mode
-            return self._failover(shard, serials)
-        return worker.feed(frames, metas)
-
-    def _await_fates(self, shard: int, batch_id: int,
-                     serials: List[int]) -> List[Fate]:
-        from queue import Empty
-        from .codec import decode_fates
-        proc = self._procs[shard]
-        waited = 0.0
-        while True:
-            try:
-                reply = proc.tx_ring.get(timeout=_ACK_POLL_S)
-            except Empty:
-                waited += _ACK_POLL_S
-                if not proc.process.is_alive() or waited >= _ACK_TIMEOUT_S:
-                    return self._failover(shard, serials)
-                continue
-            verb = reply[0]
-            if verb == "fates" and reply[2] == batch_id:
-                return decode_fates(reply[3])
-            if verb == "error":
-                return self._failover(shard, serials)
-            # stale ack from a batch already settled via failover: drop.
-
-    def _settle(self, shard: int, serials: List[int],
-                fates: List[Fate]) -> List[Fate]:
+    def _settle(self, shard: int, fates: List[Fate]) -> List[Fate]:
         ledger = self.ledgers[shard]
         for serial, category, payload in fates:
             ledger.account(serial, category)
@@ -203,34 +121,27 @@ class ShardedKernel:
     def _failover(self, shard: int, outstanding: List[int]) -> List[Fate]:
         """Handle a dead worker: re-pin its flows, fate its serials.
 
-        Returns ``shard_failover`` fates for every un-acked serial; the
-        caller settles them through the same path as real acks, so the
+        Returns ``shard_failover`` fates for every outstanding serial; the
+        caller settles them through the same path as real fates, so the
         ledger sees exactly one terminal state per serial either way.
         """
         orphaned_flows = self.dispatcher.mark_dead(shard)
         for key in sorted(orphaned_flows):
             self.dispatcher.shard_for_key(key)  # eager re-pin
-        proc = self._procs.get(shard)
-        if proc is not None and proc.process.is_alive():
-            proc.process.terminate()
         return [(serial, SHARD_FAILOVER, None) for serial in outstanding]
 
     def kill_shard(self, shard: int) -> None:
         """Chaos hook: make a worker vanish mid-run.
 
-        Threads mode drops the worker object (its next dispatch triggers
-        the same failover path the process mode takes on a dead ring);
-        process mode kills the OS process outright.
+        Drops the worker object; the shard's next dispatch takes the
+        failover path.
         """
-        if self.mode == "threads":
-            self.workers.pop(shard, None)
-        else:
-            self._procs[shard].process.kill()
+        self.workers.pop(shard, None)
 
     # -- rebalance -------------------------------------------------------------
 
     def rebalance(self, key: bytes, to_shard: int) -> None:
-        """Move one flow to another shard: drain, invalidate, re-pin.
+        """Move one flow to another shard: drain, re-pin, invalidate.
 
         The worker-side flow cache entry on the old shard is invalidated
         so a later return of the flow re-classifies from scratch; the
@@ -242,62 +153,32 @@ class ShardedKernel:
             raise RuntimeError("fabric already finished")
         old = self.dispatcher.pins.get(key)
         if old is None:
-            from .dispatch import shard_of
             old = shard_of(key, self.shards)
-        if old != to_shard and old not in self.dispatcher.dead:
-            if self.mode == "threads":
-                worker = self.workers.get(old)
-                if worker is not None:
-                    worker.invalidate_flow(key)
-            else:
-                proc = self._procs[old]
-                proc.rx_ring.put(("invalidate", key))
-                self._await_control(old, "invalidated")
+        # Pin first: a rejected target must leave the old shard's cache
+        # entry (and the pin) untouched.
         self.dispatcher.repin(key, to_shard)
-
-    def _await_control(self, shard: int, verb: str):
-        from queue import Empty
-        proc = self._procs[shard]
-        try:
-            reply = proc.tx_ring.get(timeout=_ACK_TIMEOUT_S)
-        except Empty:
-            return None
-        return reply if reply[0] == verb else None
+        if old != to_shard:
+            worker = self.workers.get(old)
+            if worker is not None:
+                worker.invalidate_flow(key)
 
     # -- closing the books -----------------------------------------------------
 
     def finish(self) -> FabricBooks:
-        """Stop every worker, collect books, merge, reconcile."""
+        """Collect every live worker's books, merge, reconcile."""
         if self._finished is not None:
             return self._finished
-        from queue import Empty
-        for shard in range(self.shards):
-            if shard in self._books or shard in self.dispatcher.dead:
-                continue
-            if self.mode == "threads":
-                worker = self.workers.get(shard)
-                if worker is not None:
-                    self._books[shard] = worker.books()
-            else:
-                proc = self._procs[shard]
-                if not proc.process.is_alive():
-                    self.dispatcher.dead.add(shard)
-                    continue
-                proc.rx_ring.put(("stop",))
-                try:
-                    reply = proc.tx_ring.get(timeout=_ACK_TIMEOUT_S)
-                    if reply[0] == "books":
-                        self._books[shard] = reply[2]
-                except Empty:
-                    pass
-                proc.process.join(timeout=10)
+        books: Dict[int, ShardBooks] = {
+            shard: worker.books()
+            for shard, worker in self.workers.items()
+            if shard not in self.dispatcher.dead}
         # Every ledger participates in the merge — a dead shard's
         # pre-death deliveries and its failover serials are real history.
         # Per-shard kernel-sum reconciliation only runs where books
         # exist (a dead worker cannot testify).
-        self._finished = FabricBooks(dict(self._books), dict(self.ledgers))
+        self._finished = FabricBooks(books, dict(self.ledgers))
         return self._finished
 
     def __repr__(self) -> str:
-        return (f"<ShardedKernel shards={self.shards} mode={self.mode} "
+        return (f"<ShardedKernel shards={self.shards} "
                 f"dead={sorted(self.dispatcher.dead)}>")

@@ -1,4 +1,4 @@
-"""One shard of the fabric: a whole Scout kernel behind a frame ring.
+"""One shard of the fabric: a whole Scout kernel fed whole frame runs.
 
 A shard is not a thread inside a shared kernel — it is a complete
 :class:`~repro.kernel.ScoutKernel` (own :class:`~repro.sim.SimWorld`,
@@ -6,13 +6,8 @@ own scheduler, own flow cache, own admission state) that receives whole
 frame runs from the dispatcher and answers with per-serial *fates*:
 ``delivered`` with the payload bytes, or the exact drop category its
 admission/queues assigned.  Because every shard runs its own virtual
-clock, shards are deterministic in isolation, which is what makes the
-in-process ``threads`` mode a tier-1 differential oracle for the
-multiprocessing mode.
-
-:class:`ShardWorker` is the in-process form; :func:`worker_main` wraps
-one in a ring-served loop for ``multiprocessing`` workers, speaking the
-:mod:`~repro.shard.codec` wire format in both directions.
+clock, shards are deterministic in isolation, which is what lets the
+differential suite compare 1-, 2- and 4-shard runs byte for byte.
 """
 
 from __future__ import annotations
@@ -21,17 +16,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..admission.control import BackpressureShedder
 from ..core.stage import BWD
-from ..faults.adversary import DELIVERED
 from ..faults.watchdog import PathWatchdog
 from ..kernel.scout import ScoutKernel
 from ..net.addresses import EthAddr, IpAddr
 from ..net.segment import EtherSegment
+from ..observe.ledger import DELIVERED
 from ..observe.metrics import MetricsRegistry
 from ..sim.world import SimWorld
 from .books import ShardBooks
-from .codec import decode_batch, encode_fates
 
-__all__ = ["ShardSpec", "ShardWorker", "worker_main", "SHARD_FAILOVER"]
+__all__ = ["ShardSpec", "ShardWorker", "SHARD_FAILOVER"]
 
 #: Ledger category for serials orphaned by a dead worker.
 SHARD_FAILOVER = "shard_failover"
@@ -41,7 +35,7 @@ Fate = Tuple[int, str, Optional[bytes]]
 
 
 class ShardSpec:
-    """Picklable recipe for building one shard's kernel.
+    """Recipe for building one shard's kernel.
 
     Every shard replicates the *same* local addresses: the fabric is one
     logical Scout machine, so a frame must validate (ETH dst, IP dst,
@@ -75,13 +69,6 @@ class ShardSpec:
         self.remote_mac = remote_mac
         self.remote_ip = remote_ip
         self.control_plane = control_plane
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
     def __repr__(self) -> str:
         return (f"<ShardSpec shard={self.shard_id} ports={self.ports} "
@@ -166,7 +153,7 @@ class ShardWorker:
             return path
         return rebuild
 
-    # -- the ring's request side ----------------------------------------------
+    # -- the dispatcher's request side ----------------------------------------
 
     def feed(self, frames: Sequence[bytes],
              metas: Optional[Sequence[Optional[dict]]] = None) -> List[Fate]:
@@ -256,43 +243,3 @@ class ShardWorker:
         return (f"<ShardWorker shard={self.shard_id} "
                 f"t={self.world.now:.0f}us>")
 
-
-def worker_main(spec: ShardSpec, rx_ring, tx_ring) -> None:
-    """Process entry point: serve one shard over a pair of rings.
-
-    Requests: ``("batch", batch_id, blob)`` with a codec-encoded frame
-    run → answered ``("fates", shard_id, batch_id, blob)``;
-    ``("invalidate", key)`` → ``("invalidated", shard_id, bool)``;
-    ``("stop",)`` → ``("books", shard_id, ShardBooks)`` then exit.
-    Any exception is reported as ``("error", shard_id, repr)`` before
-    the worker dies, so the fabric can ledger the loss instead of
-    hanging on a silent peer.
-    """
-    try:
-        worker = ShardWorker(spec)
-        while True:
-            request = rx_ring.get()
-            verb = request[0]
-            if verb == "batch":
-                _, batch_id, blob = request
-                frames, metas = decode_batch(blob)
-                fates = worker.feed(frames, metas)
-                tx_ring.put(("fates", worker.shard_id, batch_id,
-                             encode_fates(fates)))
-            elif verb == "invalidate":
-                hit = worker.invalidate_flow(request[1])
-                tx_ring.put(("invalidated", worker.shard_id, hit))
-            elif verb == "stop":
-                tx_ring.put(("books", worker.shard_id, worker.books()))
-                return
-            else:
-                raise ValueError(f"unknown ring verb {verb!r}")
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except BaseException as exc:  # noqa: BLE001 - report, then die
-        try:
-            tx_ring.put(("error", spec.shard_id,
-                         f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-        raise

@@ -9,8 +9,6 @@ to the dead worker is ledgered ``shard_failover`` — exactly those
 frames, no more, no fewer; and no frame is ever delivered twice.
 """
 
-import pytest
-
 from repro.core import flow_key_frame
 from repro.faults.adversary import DELIVERED
 from repro.faults.plan import PROFILES
@@ -32,8 +30,8 @@ def storm_burst(burst_index: int):
 
 
 class TestKillOneShard:
-    def run_storm_with_kill(self, mode: str):
-        fabric = ShardedKernel(shards=SHARDS, mode=mode, batch=8,
+    def run_storm_with_kill(self):
+        fabric = ShardedKernel(shards=SHARDS, batch=8,
                                ports=fabric_ports(FLOWS),
                                inq_len=2 * STORM_W)
         victim = 1
@@ -51,10 +49,9 @@ class TestKillOneShard:
         books = fabric.finish()
         return fabric, books, fates, victim, victim_flows
 
-    @pytest.mark.parametrize("mode", ["threads"])
-    def test_failover_exactness(self, mode):
+    def test_failover_exactness(self):
         fabric, books, fates, victim, victim_flows = \
-            self.run_storm_with_kill(mode)
+            self.run_storm_with_kill()
 
         # 1. the ledgered failover serials are exactly the doomed frames
         expected_failover = len(victim_flows) * STORM_W
@@ -82,10 +79,9 @@ class TestKillOneShard:
         assert books.reconciliation["injected"] == injected
         assert counts[DELIVERED] == injected - expected_failover
 
-    @pytest.mark.parametrize("mode", ["threads"])
-    def test_orphaned_flows_keep_delivering(self, mode):
+    def test_orphaned_flows_keep_delivering(self):
         fabric, _books, _fates, victim, victim_flows = \
-            self.run_storm_with_kill(mode)
+            self.run_storm_with_kill()
         # Each flow delivered its first and third bursts; the victim's
         # flows lost exactly the middle one.
         for key, stream in fabric.flow_streams.items():
@@ -98,17 +94,11 @@ class TestKillOneShard:
             assert len(set(stream)) == len(stream)
             assert stream == sorted(stream)
 
-    def test_process_mode_failover_matches_threads(self):
-        _, books_t, _, _, _ = self.run_storm_with_kill("threads")
-        _, books_p, _, _, _ = self.run_storm_with_kill("process")
-        assert books_t.ledger.counts() == books_p.ledger.counts()
-        assert books_p.ok
-
 
 def test_kill_then_finish_without_further_traffic():
     """Books must close cleanly even if the dead shard is never probed
     by later traffic (its acked history stays; nothing leaks)."""
-    fabric = ShardedKernel(shards=SHARDS, mode="threads", batch=8,
+    fabric = ShardedKernel(shards=SHARDS, batch=8,
                            ports=fabric_ports(8))
     fabric.offer(interleaved_workload(8, 2))
     fabric.kill_shard(2)
@@ -120,7 +110,7 @@ def test_kill_then_finish_without_further_traffic():
 def test_control_plane_shards_stay_exact():
     """With per-shard watchdogs + shedder active the books still close
     exactly (bounded-slice quiescence instead of run-until-idle)."""
-    fabric = ShardedKernel(shards=2, mode="threads", batch=8,
+    fabric = ShardedKernel(shards=2, batch=8,
                            ports=fabric_ports(6), control_plane=True)
     for i in range(3):
         fabric.offer(interleaved_workload(6, 4, start=i * 24))

@@ -17,6 +17,7 @@ sink parameters, not of which shard it shares with whom.
 
 import pytest
 
+from repro.core import flow_key_frame
 from repro.faults.adversary import DELIVERED
 from repro.shard import ShardedKernel
 
@@ -24,8 +25,8 @@ from .conftest import fabric_ports, interleaved_workload, udp_frame
 
 
 def run_fabric(shards: int, flows: int, offers, **kwargs) -> ShardedKernel:
-    fabric = ShardedKernel(shards=shards, mode="threads",
-                           ports=fabric_ports(flows), **kwargs)
+    fabric = ShardedKernel(shards=shards, ports=fabric_ports(flows),
+                           **kwargs)
     for frames in offers:
         fabric.offer(frames)
     fabric.finish()
@@ -110,15 +111,13 @@ class TestSpecializedTierParity:
 
 class TestRebalanceParity:
     def test_rebalanced_flow_stream_unchanged(self):
-        from repro.core import flow_key_frame
         key = flow_key_frame(udp_frame(3, 0))
         offers = [interleaved_workload(8, 4, start=i * 32)
                   for i in range(2)]
 
         plain = run_fabric(4, 8, offers, batch=8)
 
-        moved = ShardedKernel(shards=4, mode="threads", batch=8,
-                              ports=fabric_ports(8))
+        moved = ShardedKernel(shards=4, batch=8, ports=fabric_ports(8))
         moved.offer(offers[0])
         home = moved.dispatcher.shard_for_key(key)
         moved.rebalance(key, (home + 1) % 4)
@@ -127,6 +126,27 @@ class TestRebalanceParity:
 
         assert_fabrics_agree(plain, moved)
         assert moved.dispatcher.pins[key] == (home + 1) % 4
+
+    @pytest.mark.parametrize("bad_shard", [99, -1])
+    def test_out_of_range_rebalance_leaves_fabric_usable(self, bad_shard):
+        """A rejected rebalance must not poison the dispatcher: the pin
+        is unchanged, the flow keeps delivering, the books close."""
+        key = flow_key_frame(udp_frame(3, 0))
+        fabric = ShardedKernel(shards=4, batch=8, ports=fabric_ports(8))
+        fabric.offer(interleaved_workload(8, 4))
+        home = fabric.dispatcher.shard_for_key(key)
+        cached = fabric.workers[home].kernel.flow_cache.invalidations
+
+        with pytest.raises(ValueError):
+            fabric.rebalance(key, bad_shard)
+
+        assert key not in fabric.dispatcher.pins
+        assert fabric.dispatcher.shard_for_key(key) == home
+        assert fabric.workers[home].kernel.flow_cache.invalidations == cached
+        fates = fabric.offer(interleaved_workload(8, 4, start=32))
+        assert [cat for _, cat, _ in fates] == [DELIVERED] * 32
+        assert len(fabric.flow_streams[key]) == 8
+        assert fabric.finish().ok
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1234])
