@@ -1,44 +1,30 @@
 """The router kernel: a Scout appliance built around forwarding paths.
 
 Where :class:`~repro.kernel.scout.ScoutKernel` is the paper's end-host
-configuration (Figure 9), :class:`RouterKernel` is its router appliance:
+configuration (Figure 9), :class:`RouterKernel` is its router appliance.
+On top of the shared :class:`~repro.kernel.runtime.PathRuntime` it adds
 N NICs on N segments, one :class:`~repro.net.forward.ForwardRouter`, and
-one short forwarding path per ingress port.  The runtime behaviours are
-the same two that define Scout — interrupt-time classification deposits
-each arriving frame directly on its port's forwarding-path queue, and a
-per-path thread does the TTL/route/rewrite work under the world's
-scheduler — so a three-hop chain of routers is just three more kernels
-in the same sim world.
+one short forwarding path per ingress port, entered at that port's ETH
+router; the TTL/route/rewrite work is the path's, so a three-hop chain
+of routers is just three more kernels in the same sim world.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, Optional
 
 from .. import params
 from ..core.attributes import PA_INQ_LEN, Attrs
-from ..core.classify import ClassifierStats, classify
-from ..core.message import Msg
 from ..core.graph import RouterGraph
-from ..core.path import DELETED, Path
+from ..core.path import Path
 from ..core.path_create import path_create
 from ..net.addresses import IpAddr
-from ..net.common import take_cost
 from ..net.eth import EthRouter
 from ..net.forward import PA_FWD_INGRESS, ForwardRouter
 from ..net.segment import EtherSegment, NetDevice
-from ..sim.threads import Compute, Dequeue, YIELD
 from ..sim.world import POLICY_RR, SimWorld
-from ..core.stage import BWD
-
-#: Distinct MAC prefix for auto-assigned router ports.
-_mac_counter = itertools.count(1)
-
-
-def _auto_mac() -> str:
-    n = next(_mac_counter)
-    return f"02:00:5e:00:{(n >> 8) & 0xFF:02x}:{n & 0xFF:02x}"
+from .runtime import PathRuntime, mac_for
 
 
 class RouterPort:
@@ -59,21 +45,18 @@ class RouterPort:
         self.thread = None
 
 
-class RouterKernel:
+class RouterKernel(PathRuntime):
     """A booted Scout router appliance in a sim world."""
 
     def __init__(self, world: SimWorld, name: str = "RTR",
                  inq_len: int = 64, priority: int = 1):
-        self.world = world
+        super().__init__(world)
         self.name = name
         self.inq_len = inq_len
         self.priority = priority
         self.graph = RouterGraph()
         self.fwd: ForwardRouter = self.graph.add(ForwardRouter("FWD"))
         self.ports: Dict[str, RouterPort] = {}
-        self.classifier_stats = ClassifierStats()
-        self.unclassified_drops = 0
-        self.inq_overflow_drops = 0
         self._booted = False
 
     # -- construction ------------------------------------------------------
@@ -87,7 +70,7 @@ class RouterKernel:
                                "before boot")
         if name in self.ports:
             raise ValueError(f"{self.name}: duplicate port {name!r}")
-        mac = mac or _auto_mac()
+        mac = mac or mac_for(ip)
         eth = self.graph.add(
             EthRouter(f"ETH-{name}", mac=mac, mtu=mtu))
         device = NetDevice(mac, self.world.cpu,
@@ -116,71 +99,16 @@ class RouterKernel:
             attrs = Attrs({PA_FWD_INGRESS: port.name,
                            PA_INQ_LEN: self.inq_len})
             port.path = path_create(self.fwd, attrs)
-            port.thread = self.world.spawn(
-                self._forward_thread_body(port.path),
-                name=f"{self.name}-fwd-{port.name}",
-                policy=POLICY_RR, priority=self.priority, path=port.path)
-            port.device.rx_handler = self._make_rx(port)
+            port.thread = self._spawn_path_thread(
+                port.path, f"{self.name}-fwd-{port.name}", POLICY_RR,
+                self.priority)
+            port.device.rx_handler = partial(self._rx, entry=port.eth)
 
     def add_route(self, network, prefix_len: int, port: str,
                   gateway=None):
         return self.fwd.add_route(network, prefix_len, port, gateway)
 
-    # -- interrupt-time receive -------------------------------------------
-
-    def _make_rx(self, port: RouterPort):
-        eth = port.eth
-
-        def rx(frame: bytes) -> None:
-            msg = Msg(frame, meta={"rx_time": self.world.now})
-            before = self.classifier_stats.refinements
-            path = classify(eth, msg, stats=self.classifier_stats)
-            hops = self.classifier_stats.refinements - before + 1
-            self.world.cpu.extend_interrupt(
-                hops * params.CLASSIFY_PER_HOP_US)
-            if path is None:
-                self.unclassified_drops += 1
-                self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
-                return
-            if not path.input_queue(BWD).try_enqueue(msg):
-                self.inq_overflow_drops += 1
-                path.note_drop(msg, "forwarding queue full",
-                               "inq_overflow")
-                self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
-                return
-            path.stats.charge_memory(msg.footprint())
-
-        return rx
-
-    # -- path thread -------------------------------------------------------
-
-    @staticmethod
-    def _forward_thread_body(path: Path):
-        inq = path.input_queue(BWD)
-        while path.state != DELETED:
-            msg = yield Dequeue(inq)
-            path.deliver(msg, BWD)
-            cost = take_cost(msg)
-            if cost > 0:
-                yield Compute(cost)
-            path.stats.release_memory(msg.footprint())
-            yield YIELD
-
     # -- introspection -----------------------------------------------------
-
-    def paths(self) -> List[Path]:
-        return [p.path for p in self.ports.values() if p.path is not None]
-
-    def drop_ledger(self) -> Dict[str, int]:
-        """Aggregate drop accounting across every forwarding path plus
-        the kernel-level classification drops."""
-        ledger: Dict[str, int] = {}
-        for path in self.paths():
-            for category, count in path.stats.drop_reasons.items():
-                ledger[category] = ledger.get(category, 0) + count
-        if self.unclassified_drops:
-            ledger["unclassified"] = self.unclassified_drops
-        return ledger
 
     def stats(self) -> Dict[str, int]:
         stats = dict(self.fwd.stats())

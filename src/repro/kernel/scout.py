@@ -1,19 +1,12 @@
 """The Scout kernel: the Figure 9 configuration, booted and running.
 
 Wires the router graph (DISPLAY / MPEG / MFLOW / SHELL / UDP / IP / ETH
-plus ARP and ICMP), attaches the NIC and framebuffer, and implements the
-two runtime behaviours that define Scout:
-
-* **interrupt-time classification** — every received frame is classified
-  at interrupt level and deposited directly on its path's input queue
-  ("since each video path has its own input queue and since the packet
-  classifier is run at interrupt time, newly arriving packets are
-  immediately placed in the correct queue"), or dropped right there when
-  no path wants it (early discard);
-* **per-path threads under per-path scheduling** — each path's thread
-  dequeues, traverses the path, and pays the accumulated CPU cost; the
-  path's ``wakeup`` callback imposes EDF deadlines (or RR priority) on
-  every wakeup.
+plus ARP and ICMP) and attaches the NIC and framebuffer, on the shared
+:class:`~repro.kernel.runtime.PathRuntime`.  Around it the end host adds
+burst receive through the flow cache, early discard of skipped video
+frames (Section 4.4), the arrival EWMA the EDF deadline estimate
+consumes, and the ``inline_icmp`` ablation.  Each path's ``wakeup``
+callback imposes EDF deadlines (or RR priority) on every wakeup.
 """
 
 from __future__ import annotations
@@ -34,11 +27,11 @@ from ..core.attributes import (
     PA_TRACE,
     Attrs,
 )
-from ..core.classify import ClassifierStats, classify, classify_batch
+from ..core.classify import classify_batch
 from ..core.flowcache import VALIDATED_STAMPS, FlowCache
 from ..core.graph import RouterGraph
 from ..core.message import Msg
-from ..core.path import DELETED, Path
+from ..core.path import Path
 from ..core.path_create import AdmissionHook, path_create
 from ..core.stage import BWD
 from ..core.transform import TransformRegistry
@@ -49,7 +42,7 @@ from ..mpeg.decoder import peek_packet_header
 from ..mpeg.router import PA_FRAME_SKIP, PA_VIDEO_PROFILE, MpegRouter
 from ..net.addresses import EthAddr, IpAddr
 from ..net.arp import ArpRouter
-from ..net.common import PA_LOCAL_PORT, PA_UDP_CHECKSUM, charge, take_cost
+from ..net.common import PA_LOCAL_PORT, PA_UDP_CHECKSUM, take_cost
 from ..net.eth import EthRouter
 from ..net.headers import EthHeader, IpHeader, UdpHeader, MflowHeader
 from ..net.icmp import IcmpRouter
@@ -60,8 +53,8 @@ from ..multipath import MEMBER_REMOVED, PathGroup
 from ..net.udp import UdpRouter
 from ..observe import Observatory
 from ..shell.router import ShellRouter
-from ..sim.threads import Compute, DequeueBatch, WaitSpace, YIELD
 from ..sim.world import POLICY_EDF, POLICY_RR, SimWorld
+from .runtime import PathRuntime
 from .transforms import default_transforms
 
 #: Byte offset of the MPEG packet header in a full video frame:
@@ -135,7 +128,7 @@ class VideoSessionGroup:
                 f"presented={self.frames_presented}>")
 
 
-class ScoutKernel:
+class ScoutKernel(PathRuntime):
     """A booted Scout system on the virtual machine."""
 
     def __init__(self, world: SimWorld, segment: Optional[EtherSegment],
@@ -152,7 +145,7 @@ class ScoutKernel:
                  udp_sink: bool = False,
                  display: bool = True,
                  device=None):
-        self.world = world
+        super().__init__(world)
         #: Handed to every ``path_create(specialize=)`` below
         #: (DESIGN.md §11): a per-path ``PA_SPECIALIZE`` attribute
         #: still overrides it and ``None`` takes the default (on).
@@ -225,7 +218,6 @@ class ScoutKernel:
         self.arp.use_engine(world.engine)
 
         # -- runtime state ---------------------------------------------------
-        self.classifier_stats = ClassifierStats()
         #: Established-flow fast path for interrupt-time classification:
         #: one exact-match probe instead of the ETH->IP->UDP->... chain.
         #: The annotate hook reproduces the meta the skipped demux hops
@@ -237,17 +229,8 @@ class ScoutKernel:
         self.shell_path: Optional[Path] = None
         #: port -> established sink path (see :meth:`start_udp_sink`).
         self.sink_paths: Dict[int, Path] = {}
-        #: Optional per-message discard observer ``fn(msg, category)``,
-        #: invoked at every admission-time drop site (unclassified, early
-        #: discard, input-queue overflow).  The shard fabric's workers use
-        #: it to close each handed-off serial under an exact category;
-        #: ``None`` (the default) costs nothing.
-        self.drop_hook = None
         #: path pid -> keep-every-Nth modulus for adapter-level early drop.
         self._skip_filters: Dict[int, int] = {}
-        self.early_drops = 0
-        self.unclassified_drops = 0
-        self.inq_overflow_drops = 0
         self.icmp_inline_served = 0
 
         self.device.rx_handler = self._rx
@@ -276,19 +259,8 @@ class ScoutKernel:
                                     self._mpeg_decode_post)
 
     # ------------------------------------------------------------------
-    # Interrupt-time receive: classify early, segregate early.
+    # Interrupt-time receive, burst form
     # ------------------------------------------------------------------
-
-    def _rx(self, frame: bytes) -> None:
-        msg = Msg(frame, meta={"rx_time": self.world.now})
-        refinements_before = self.classifier_stats.refinements
-        path = classify(self.eth, msg, stats=self.classifier_stats,
-                        cache=self.flow_cache)
-        # A cache hit adds no refinements, so its modeled interrupt cost
-        # is a single probe — the speedup the flow cache exists to buy.
-        hops = self.classifier_stats.refinements - refinements_before + 1
-        self.world.cpu.extend_interrupt(hops * params.CLASSIFY_PER_HOP_US)
-        self._admit(path, msg)
 
     def rx_burst(self, frames, metas=None) -> int:
         """Interrupt-time receive for a burst of frames (DESIGN.md §13).
@@ -329,44 +301,28 @@ class ScoutKernel:
         return deposited
 
     def _admit(self, path: Optional[Path], msg: Msg) -> bool:
-        """Post-classification admission, identical for single frames and
-        bursts; returns True when the message reached an input queue."""
+        """The end host's steps around the shared admission: early
+        discard, the arrival EWMA, and the ``inline_icmp`` ablation."""
         if path is None:
-            self.unclassified_drops += 1
-            msg.meta.setdefault("drop_reason", "no path wants this frame")
             if self.observatory.armed:
                 self.observatory.metrics.counter(
                     "kernel_unclassified_drops").inc()
-            if self.drop_hook is not None:
-                self.drop_hook(msg, "unclassified")
-            self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
-            return False
-        if self._should_early_drop(path, msg):
+        elif self._should_early_drop(path, msg):
             self.early_drops += 1
             path.note_drop(msg, "early discard of skipped frame",
                            "early_discard")
-            if self.drop_hook is not None:
-                self.drop_hook(msg, "early_discard")
-            self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
+            self._shed(msg, "early_discard")
             return False
-        self._note_arrival(path)
-        if self.inline_icmp and path is self.icmp_path:
-            # Ablation: no early segregation for ICMP — serve the request
-            # at interrupt level, like a conventional kernel.
-            path.deliver(msg, BWD)
-            self.world.cpu.extend_interrupt(take_cost(msg))
-            self.icmp_inline_served += 1
-            return False
-        queue = path.input_queue(BWD)
-        if not queue.try_enqueue(msg):
-            self.inq_overflow_drops += 1
-            path.note_drop(msg, "path input queue full", "inq_overflow")
-            if self.drop_hook is not None:
-                self.drop_hook(msg, "inq_overflow")
-            self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
-            return False
-        path.stats.charge_memory(msg.footprint())
-        return True
+        else:
+            self._note_arrival(path)
+            if self.inline_icmp and path is self.icmp_path:
+                # Ablation: no early segregation for ICMP — serve the
+                # request at interrupt level, like a conventional kernel.
+                path.deliver(msg, BWD)
+                self.world.cpu.extend_interrupt(take_cost(msg))
+                self.icmp_inline_served += 1
+                return False
+        return super()._admit(path, msg)
 
     def _annotate_flow_hit(self, msg: Msg, key: bytes) -> None:
         """Reproduce the ``msg.meta`` annotations the skipped demux chain
@@ -417,102 +373,14 @@ class ScoutKernel:
         frame_no, _ftype, _flags = header
         return frame_no % modulus != 0
 
-    # ------------------------------------------------------------------
-    # Path threads
-    # ------------------------------------------------------------------
-
-    def _path_thread_body(self, path: Path, batch_limit: int = 1,
-                          reserve_output: bool = False):
-        """The one path thread: drain up to *batch_limit* messages per
-        scheduler dispatch (DESIGN.md §13; one message is a batch of
-        one), traverse them, pay the accumulated cost in a single
-        ``Compute``, then release the messages' memory charges.
-
-        *reserve_output* (video paths): "if the output queue is full
-        already, there is little point in scheduling a thread to process
-        a packet in the input queue" — wait for display space before
-        burning decode CPU.  One slot is reserved per dispatch; should
-        the queue fill mid-batch, the overflowing deposits take the
-        ledgered ``outq_overflow`` drop instead of blocking the batch.
-        Service and sink paths do not reserve: their ends deposit (or
-        transmit) themselves and account any overflow.
-        """
-        inq = path.input_queue(BWD)
-        outq = path.output_queue(BWD)
-        while path.state != DELETED:
-            msgs = yield DequeueBatch(inq, batch_limit)
-            if reserve_output:
-                yield WaitSpace(outq)
-            self._traverse_batch(path, msgs)
-            cost = 0.0
-            for msg in msgs:
-                cost += take_cost(msg)
-            if cost > 0:
-                yield Compute(cost)
-            for msg in msgs:
-                path.stats.release_memory(msg.footprint())
-            yield YIELD
-
-    @staticmethod
-    def _traverse(path: Path, msg: Msg) -> None:
-        entry = msg.meta.pop("entry_router", None)
-        if entry is not None:
-            path.inject_at(path.stage_of(entry), msg, BWD)
-        else:
-            path.deliver(msg, BWD)
-
-    @classmethod
-    def _traverse_batch(cls, path: Path, msgs: List[Msg]) -> None:
-        """Run a dequeued batch through the path.
-
-        The whole batch rides :meth:`~repro.core.path.Path.deliver_batch`
-        (one call into the path's generated function) unless some message
-        needs a mid-path injection (a reassembled datagram entering at
-        IP) — then the batch falls back to per-message traversal to
-        preserve arrival order exactly.  A batch of one has no followers
-        to mark and takes the same per-message route.
-        """
-        if len(msgs) == 1 or \
-                any("entry_router" in msg.meta for msg in msgs):
-            for msg in msgs:
-                cls._traverse(path, msg)
-        else:
-            # Mark everything but the tail so stages that turn per-packet
-            # feedback around (MFLOW window advs, TCP cumulative ACKs) can
-            # coalesce it to one message per batch.
-            for msg in msgs[:-1]:
-                msg.meta["batch_followup"] = True
-            path.deliver_batch(msgs, BWD)
-
     def _make_service_path(self, router, attrs: Attrs, policy: str,
                            priority: int, name: str) -> Path:
         path = path_create(router, attrs, transforms=self.transforms,
                            admission=self.admission,
                            specialize=self.specialize)
-        self.world.spawn(self._path_thread_body(path),
-                         name=f"{name}-path{path.pid}", policy=policy,
-                         priority=priority, path=path)
+        self._spawn_path_thread(path, f"{name}-path{path.pid}", policy,
+                                priority)
         return path
-
-    # ------------------------------------------------------------------
-    # Reassembled datagrams: rerun the classifier (Section 3.5)
-    # ------------------------------------------------------------------
-
-    def _reclassify(self, msg: Msg, header) -> None:
-        take_cost(msg)  # the fragment path's thread already paid so far
-        whole = msg
-        whole.push(header.pack())
-        refinements_before = self.classifier_stats.refinements
-        path = classify(self.ip, whole, stats=self.classifier_stats)
-        hops = self.classifier_stats.refinements - refinements_before + 1
-        charge(whole, hops * params.CLASSIFY_PER_HOP_US)
-        if path is None or path is self.frag_path:
-            self.unclassified_drops += 1
-            return
-        whole.meta["entry_router"] = "IP"
-        if not path.input_queue(BWD).try_enqueue(whole):
-            self.inq_overflow_drops += 1
-            path.note_drop(whole, "path input queue full", "inq_overflow")
 
     # ------------------------------------------------------------------
     # Video sessions
@@ -581,10 +449,9 @@ class ScoutKernel:
         policy = attrs.get(PA_SCHED_POLICY, POLICY_EDF)
         priority = int(attrs.get(PA_SCHED_PRIORITY, 0))
         batch = int(attrs.get(PA_BATCH, 1) or 1)
-        thread = self.world.spawn(
-            self._path_thread_body(path, batch, reserve_output=True),
-            name=f"video-path{path.pid}", policy=policy, priority=priority,
-            path=path)
+        thread = self._spawn_path_thread(
+            path, f"video-path{path.pid}", policy, priority, batch,
+            reserve_output=True)
         sink = self.framebuffer.sinks[f"path{path.pid}"]
         if path.observer is not None:
             path.observer.watch_sink(sink)
@@ -744,9 +611,8 @@ class ScoutKernel:
         path = path_create(self.test, attrs, transforms=self.transforms,
                            admission=self.admission,
                            specialize=self.specialize)
-        self.world.spawn(self._path_thread_body(path, batch),
-                         name=f"sink-path{path.pid}",
-                         policy=policy, priority=priority, path=path)
+        self._spawn_path_thread(path, f"sink-path{path.pid}", policy,
+                                priority, batch)
         self.sink_paths[local_port] = path
         return path
 

@@ -224,17 +224,10 @@ class ShardWorker:
 
     def books(self) -> ShardBooks:
         kernel = self.kernel
-        drops: Dict[str, int] = {}
-        for category, counter in (
-                ("early_discard", kernel.early_drops),
-                ("inq_overflow", kernel.inq_overflow_drops),
-                ("unclassified", kernel.classifier_stats.dropped)):
-            if counter:
-                drops[category] = counter
         account = {
             "delivered": len(kernel.test.received),
             "delivered_bytes": kernel.test.bytes_received,
-            "drops": drops,
+            "drops": kernel.drop_ledger(),
         }
         return ShardBooks(self.shard_id, self.metrics, account,
                           kernel.stats(), control=self.control_state())

@@ -1,31 +1,30 @@
 """An end host in a multi-hop topology.
 
-:class:`HostNode` is a compact ScoutKernel-style end station: the
-TEST/UDP/IP/ETH graph of Figure 7 plus ARP and ICMP, a NIC on one
-segment, interrupt-time classification depositing onto per-path input
-queues, and per-path service threads under the world's scheduler.  It
-adds the two pieces multi-hop forwarding needs that the single-segment
-kernels never did: a configurable default **gateway** (off-net traffic
-rides the link layer toward the router instead of truncating at IP) and
-**PMTUD** (DF on sends, ICMP Fragmentation Needed feedback shrinking the
+:class:`HostNode` boots the TEST/UDP/IP/ETH graph of Figure 7 plus ARP
+and ICMP with a NIC on one segment, on the shared
+:class:`~repro.kernel.runtime.PathRuntime`.  What it adds is the two
+pieces multi-hop forwarding needs that the single-segment kernels never
+did: a configurable default **gateway** (off-net traffic rides the link
+layer toward the router instead of truncating at IP) and **PMTUD** (DF
+on sends, ICMP Fragmentation Needed feedback shrinking the
 per-destination path-MTU estimate).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .. import params
 from ..core.attributes import PA_INQ_LEN, PA_NET_PARTICIPANTS, Attrs
-from ..core.classify import ClassifierStats, classify
 from ..core.graph import RouterGraph
 from ..core.message import Msg
-from ..core.path import DELETED, Path
+from ..core.path import Path
 from ..core.path_create import path_create
-from ..core.stage import BWD, FWD
+from ..core.stage import FWD
+from ..kernel.runtime import PathRuntime, mac_for
 from ..net.addresses import EthAddr, IpAddr
 from ..net.arp import ArpRouter
-from ..net.common import PA_LOCAL_PORT, charge, take_cost
+from ..net.common import PA_LOCAL_PORT
 from ..net.eth import EthRouter
 from ..net.headers import UdpHeader
 from ..net.icmp import IcmpRouter
@@ -33,23 +32,22 @@ from ..net.ip import PA_IP_CATCHALL, IpRouter
 from ..net.segment import EtherSegment, NetDevice
 from ..net.testrouter import TestRouter
 from ..net.udp import UdpRouter
-from ..sim.threads import Compute, Dequeue, YIELD
 from ..sim.world import POLICY_RR, SimWorld
 
 
-class HostNode:
+class HostNode(PathRuntime):
     """A booted end host attached to one segment of a sim world."""
 
     def __init__(self, world: SimWorld, segment: EtherSegment,
                  name: str, ip, mac: Optional[str] = None,
                  mtu: int = params.ETH_MTU, prefix_len: int = 24,
                  service_priority: int = 1):
-        self.world = world
+        super().__init__(world)
         self.segment = segment
         self.name = name
         self.prefix_len = prefix_len
         self.service_priority = service_priority
-        mac = mac or _host_mac()
+        mac = mac or mac_for(ip)
 
         self.graph = RouterGraph()
         self.eth: EthRouter = self.graph.add(
@@ -78,10 +76,6 @@ class HostNode:
         self.ip.use_engine(world.engine)
         self.arp.use_engine(world.engine)
 
-        self.classifier_stats = ClassifierStats()
-        self.unclassified_drops = 0
-        self.inq_overflow_drops = 0
-        self.paths: List[Path] = []
         self.device.rx_handler = self._rx
 
         # Boot-time service paths: ICMP echo + fragment catch-all.
@@ -106,67 +100,14 @@ class HostNode:
         (other hosts, router ports) become resolvable."""
         self.arp.learn_from_segment(self.segment)
 
-    # -- interrupt-time receive -------------------------------------------
-
-    def _rx(self, frame: bytes) -> None:
-        msg = Msg(frame, meta={"rx_time": self.world.now})
-        before = self.classifier_stats.refinements
-        path = classify(self.eth, msg, stats=self.classifier_stats)
-        hops = self.classifier_stats.refinements - before + 1
-        self.world.cpu.extend_interrupt(hops * params.CLASSIFY_PER_HOP_US)
-        if path is None:
-            self.unclassified_drops += 1
-            self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
-            return
-        if not path.input_queue(BWD).try_enqueue(msg):
-            self.inq_overflow_drops += 1
-            path.note_drop(msg, "path input queue full", "inq_overflow")
-            self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
-            return
-        path.stats.charge_memory(msg.footprint())
-
-    def _reclassify(self, msg: Msg, header) -> None:
-        take_cost(msg)
-        msg.push(header.pack())
-        before = self.classifier_stats.refinements
-        path = classify(self.ip, msg, stats=self.classifier_stats)
-        hops = self.classifier_stats.refinements - before + 1
-        charge(msg, hops * params.CLASSIFY_PER_HOP_US)
-        if path is None or path is self.frag_path:
-            self.unclassified_drops += 1
-            return
-        msg.meta["entry_router"] = "IP"
-        if not path.input_queue(BWD).try_enqueue(msg):
-            self.inq_overflow_drops += 1
-            path.note_drop(msg, "path input queue full", "inq_overflow")
-
-    # -- path threads ------------------------------------------------------
-
-    def _service_thread_body(self, path: Path):
-        inq = path.input_queue(BWD)
-        while path.state != DELETED:
-            msg = yield Dequeue(inq)
-            entry = msg.meta.pop("entry_router", None)
-            if entry is not None:
-                path.inject_at(path.stage_of(entry), msg, BWD)
-            else:
-                path.deliver(msg, BWD)
-            cost = take_cost(msg)
-            if cost > 0:
-                yield Compute(cost)
-            path.stats.release_memory(msg.footprint())
-            yield YIELD
+    # -- transport ---------------------------------------------------------
 
     def _make_service_path(self, router, attrs: Attrs, label: str) -> Path:
         path = path_create(router, attrs)
-        self.world.spawn(self._service_thread_body(path),
-                         name=f"{self.name}-{label}-path{path.pid}",
-                         policy=POLICY_RR, priority=self.service_priority,
-                         path=path)
-        self.paths.append(path)
+        self._spawn_path_thread(path,
+                                f"{self.name}-{label}-path{path.pid}",
+                                POLICY_RR, self.service_priority)
         return path
-
-    # -- transport ---------------------------------------------------------
 
     def open(self, remote_ip, remote_port: int,
              local_port: Optional[int] = None,
@@ -216,24 +157,6 @@ class HostNode:
     def bytes_received(self) -> int:
         return self.test.bytes_received
 
-    def drop_ledger(self) -> Dict[str, int]:
-        """Aggregate drop accounting across this host's paths."""
-        ledger: Dict[str, int] = {}
-        for path in self.paths:
-            for category, count in path.stats.drop_reasons.items():
-                ledger[category] = ledger.get(category, 0) + count
-        if self.unclassified_drops:
-            ledger["unclassified"] = self.unclassified_drops
-        return ledger
-
     def __repr__(self) -> str:
         return f"<HostNode {self.name} {self.ip.addr}>"
 
-
-_mac_serial = 0
-
-
-def _host_mac() -> str:
-    global _mac_serial
-    _mac_serial += 1
-    return f"02:00:0a:00:{(_mac_serial >> 8) & 0xFF:02x}:{_mac_serial & 0xFF:02x}"

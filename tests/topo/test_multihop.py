@@ -161,6 +161,18 @@ class TestDiscovery:
         assert sorted(inv.nodes_on("L2")) == ["r1", "r2"]
         assert sorted(inv.segments_of("r1")) == ["L1", "L2"]
 
+    def test_identical_builds_discover_identical_inventories(self):
+        """Same seed, same declaration, same bytes: auto-assigned MACs
+        are a function of the build, not of what the process built
+        before it."""
+        def macs():
+            _world, topo = three_hop()
+            return [(d.node, d.segment, d.mac)
+                    for d in topo.discover().devices]
+        first, second = macs(), macs()
+        assert first == second
+        assert len({mac for _node, _seg, mac in first}) == 6
+
     def test_adjacency_and_chain(self):
         world, topo = three_hop()
         inv = topo.discover()
