@@ -327,7 +327,6 @@ class Scout:
                  host: str = "127.0.0.1",
                  port: int = 0,
                  rx_ring: int = 512,
-                 pace: float = 0.0,
                  **kernel_kwargs: Any):
         mode = _resolve_backend(backend, executor, shards)
         self.backend = backend
@@ -350,7 +349,7 @@ class Scout:
                                         **kernel_kwargs)
             return
         if mode in (_MODE_AIO, _MODE_SOCKET):
-            self.world = AioWorld(seed=seed, pace=pace)
+            self.world = AioWorld(seed=seed)
             # The vsync loop needs a pumped virtual engine, which the
             # asyncio executor does not provide; wall-clock kernels run
             # headless unless the caller insists.

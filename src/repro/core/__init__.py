@@ -49,7 +49,7 @@ from .errors import (
     ServiceTypeError,
     SpecSyntaxError,
 )
-from .flowcache import FlowCache, flow_key, flow_key_frame, flow_key_ipv4_udp
+from .flowcache import FlowCache, flow_key, flow_key_frame
 from .graph import RouterGraph, RouterRegistry, build_graph, register_router
 from .interfaces import (
     FsIface,
@@ -107,7 +107,7 @@ __all__ = [
     "classify", "classify_ex", "classify_batch", "classify_or_raise",
     "ClassifierStats", "ClassifyResult",
     "SOURCE_DEMUX", "SOURCE_CACHE", "SOURCE_GROUP",
-    "FlowCache", "flow_key", "flow_key_frame", "flow_key_ipv4_udp",
+    "FlowCache", "flow_key", "flow_key_frame",
     "ScoutError", "ConfigurationError", "CyclicDependencyError",
     "ServiceTypeError", "SpecSyntaxError", "PathCreationError",
     "RoutingError", "ClassificationError", "PathStateError",

@@ -14,10 +14,8 @@ The Scout classifier's requirements (both honored here):
 * **efficient enough for peak loads** — the chain is a handful of
   dictionary probes over peeked header bytes, and established flows skip
   it entirely via the :class:`~repro.core.flowcache.FlowCache` consulted
-  before the first demux (benchmarked in
-  ``benchmarks/bench_path_micro.py`` and
-  ``benchmarks/bench_classify_cache.py``; machine-readable numbers land
-  in ``benchmarks/results/BENCH_fastpath.json``);
+  before the first demux (``benchmarks/e2e`` times both:
+  ``probe.core.classify.hit_ns`` and ``probe.core.classify.miss_ns``);
 * **relaxed (best-effort) accuracy** — a router may return a path that is
   merely "good enough" (e.g. the short/fat reassembly path for IP
   fragments); the IP router later *reruns* the classifier on the

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Optional, Set
 
 from .path import ESTABLISHED, Path
 
-#: Frame layout offsets for :func:`flow_key_ipv4_udp` (ETH 14 + IP 20 +
+#: Frame layout offsets for :func:`flow_key` (ETH 14 + IP 20 +
 #: UDP 8 — the minimum frame that can carry a keyable flow).
 _FLOW_KEY_BYTES = 42
 _ETHERTYPE_IPV4 = b"\x08\x00"
@@ -102,10 +102,6 @@ def flow_key_frame(frame: bytes) -> Optional[bytes]:
     if (frame[20] & 0x3F) or frame[21]:
         return None
     return frame[0:6] + frame[23:24] + frame[26:38]
-
-
-#: Historical name for :func:`flow_key`, kept for existing callers.
-flow_key_ipv4_udp = flow_key
 
 
 class FlowCache:

@@ -1,8 +1,9 @@
 """Experiment harnesses: one module per paper table / in-text experiment.
 
-See DESIGN.md section 4 for the experiment index.  Every harness is
-invoked both from ``benchmarks/`` (which print the regenerated tables)
-and importable for programmatic use.
+See DESIGN.md section 4 for the experiment index.  ``EXPERIMENTS`` maps
+each id to its ``(run, format, check)``; ``python -m repro.experiments
+[--check]`` walks it, and every harness is importable for programmatic
+use.
 """
 
 from .ablation import (
@@ -23,11 +24,13 @@ from .adversary_exp import (
 )
 from .admission_exp import (
     AdmissionDecision,
+    AdmissionReport,
     ClipSample,
     admission_scenario,
     fit_model,
     format_admission,
     measure_clip_cost,
+    run_admission,
 )
 from .chaos import (
     TcpRecoveryResult,
@@ -66,20 +69,15 @@ from .queue_sizing import (
     measure_point,
     run_queue_sizing,
 )
+from .registry import EXPERIMENTS, Experiment
 from .shard_exp import ShardRun, format_shard, run_shard
-from .wallclock_exp import (
-    LoopbackRun,
-    WallclockRun,
-    format_wallclock,
-    run_loopback,
-    run_wallclock,
-)
 from .table1 import PAPER_TABLE1, Table1Row, format_table1, measure_max_rate, run_table1
 from .trace_exp import TraceReport, format_trace, run_trace
 from .table2 import PAPER_TABLE2, Table2Row, format_table2, measure_under_load, run_table2
 from .testbed import Testbed, frames_budget
 
 __all__ = [
+    "EXPERIMENTS", "Experiment",
     "Testbed", "frames_budget",
     "run_table1", "format_table1", "measure_max_rate", "Table1Row",
     "PAPER_TABLE1",
@@ -89,8 +87,8 @@ __all__ = [
     "Fig7Stack", "measure_structure", "format_micro", "MicroReport",
     "run_queue_sizing", "measure_point", "format_queue_sizing",
     "QueueSizingPoint",
-    "fit_model", "measure_clip_cost", "admission_scenario",
-    "format_admission", "ClipSample", "AdmissionDecision",
+    "fit_model", "measure_clip_cost", "admission_scenario", "run_admission",
+    "format_admission", "ClipSample", "AdmissionDecision", "AdmissionReport",
     "run_early_discard", "format_early_discard", "EarlyDiscardResult",
     "run_segregation_sweep", "measure_segregation", "format_segregation",
     "SegregationPoint",
@@ -104,8 +102,6 @@ __all__ = [
     "MultipathPoint", "PoolChurnResult",
     "run_multihop", "run_loss_amplification", "format_multihop",
     "run_shard", "format_shard", "ShardRun",
-    "run_wallclock", "run_loopback", "format_wallclock",
-    "WallclockRun", "LoopbackRun",
     "build_three_hop", "MultihopRun", "LossGoodput",
     "run_adversary", "run_adversary_matrix", "format_adversary",
     "AdversaryRunResult",

@@ -1,10 +1,12 @@
-"""Regenerate every paper table from the command line.
+"""Regenerate every paper table from the command line, and check it.
 
 Usage::
 
     python -m repro.experiments              # capped clip lengths
     REPRO_FULL=1 python -m repro.experiments # the paper's full clips
     python -m repro.experiments table1 e3    # a subset
+    python -m repro.experiments --check      # also assert each result's
+                                             # shape; exit 1 on a failure
 
 Experiment ids: table1, table2, e3 (EDF vs RR), e4 (micro), e5 (queue
 sizing), e6 (admission), e7 (early discard), e8 (ablations), trace
@@ -12,142 +14,49 @@ sizing), e6 (admission), e7 (early discard), e8 (ablations), trace
 multipath (path groups + warm pools; an extension beyond the paper),
 adversary (worst-case traffic vs stability verdicts), multihop (3-hop
 heterogeneous-MTU forwarding with path-MTU discovery), shard (N-kernel
-fabric: dispatch balance + merged-book exactness), wallclock (asyncio
-executor parity + socket-loopback reconciliation).
+fabric: dispatch balance + merged-book exactness), recovery (TCP across
+fault profiles + watchdog rebuild of a stalled video path).
 """
 
 from __future__ import annotations
 
 import sys
+import traceback
 
-from . import (
-    admission_scenario,
-    fit_model,
-    format_admission,
-    format_adversary,
-    format_alf,
-    format_early_discard,
-    format_edf_rr,
-    format_micro,
-    format_multihop,
-    format_multipath,
-    format_shard,
-    format_wallclock,
-    format_queue_sizing,
-    format_segregation,
-    format_table1,
-    format_table2,
-    format_trace,
-    measure_structure,
-    run_adversary_matrix,
-    run_alf_ablation,
-    run_early_discard,
-    run_loss_amplification,
-    run_multihop,
-    run_multipath,
-    run_pool_churn,
-    run_queue_sizing,
-    run_queue_sweep,
-    run_segregation_sweep,
-    run_loopback,
-    run_shard,
-    run_table1,
-    run_wallclock,
-    run_table2,
-    run_trace,
-)
-
-
-def _table1() -> str:
-    return format_table1(run_table1())
-
-
-def _table2() -> str:
-    return format_table2(run_table2())
-
-
-def _e3() -> str:
-    return format_edf_rr(run_queue_sweep(queue_sizes=[16, 128]))
-
-
-def _e4() -> str:
-    return format_micro(measure_structure())
-
-
-def _e5() -> str:
-    return format_queue_sizing(run_queue_sizing(
-        latencies_us=[100.0, 10_000.0], inq_lens=[1, 2, 4, 8, 16, 32]))
-
-
-def _e6() -> str:
-    model, samples = fit_model()
-    return format_admission(samples, model.correlation(),
-                            admission_scenario(model))
-
-
-def _e7() -> str:
-    return format_early_discard(run_early_discard())
-
-
-def _e8() -> str:
-    return (format_segregation(run_segregation_sweep(
-        rates_pps=[0, 2000, 4000])) + "\n\n"
-        + format_alf(run_alf_ablation()))
-
-
-def _trace() -> str:
-    return format_trace(run_trace())
-
-
-def _multipath() -> str:
-    return format_multipath(run_multipath(), run_pool_churn())
-
-
-def _adversary() -> str:
-    return format_adversary(run_adversary_matrix())
-
-
-def _multihop() -> str:
-    return format_multihop(run_multihop(), run_loss_amplification())
-
-
-def _shard() -> str:
-    return format_shard(run_shard())
-
-
-def _wallclock() -> str:
-    return format_wallclock(run_wallclock(), run_loopback())
-
-
-EXPERIMENTS = {
-    "table1": _table1,
-    "table2": _table2,
-    "e3": _e3,
-    "e4": _e4,
-    "e5": _e5,
-    "e6": _e6,
-    "e7": _e7,
-    "e8": _e8,
-    "trace": _trace,
-    "multipath": _multipath,
-    "adversary": _adversary,
-    "multihop": _multihop,
-    "shard": _shard,
-    "wallclock": _wallclock,
-}
+from .registry import EXPERIMENTS
 
 
 def main(argv) -> int:
-    wanted = argv[1:] or list(EXPERIMENTS)
+    args = argv[1:]
+    check = "--check" in args
+    wanted = [arg for arg in args if arg != "--check"] or list(EXPERIMENTS)
     unknown = [name for name in wanted if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {unknown}; "
               f"choose from {sorted(EXPERIMENTS)}")
         return 2
+    if check and not __debug__:
+        print("--check asserts; it cannot run under python -O")
+        return 2
+    failed = []
     for name in wanted:
+        experiment = EXPERIMENTS[name]
         print(f"\n=== {name} " + "=" * (66 - len(name)))
-        print(EXPERIMENTS[name]())
-    return 0
+        result = experiment.run()
+        print(experiment.format(result))
+        if not check:
+            continue
+        try:
+            experiment.check(result)
+        except AssertionError:
+            failed.append(name)
+            print("check FAILED:")
+            traceback.print_exc(file=sys.stdout)
+        else:
+            print("check ok")
+    if failed:
+        print(f"\nfailed checks: {failed}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -126,3 +126,36 @@ def format_alf(results: List[AlfResult]) -> str:
         lines.append(f"{r.framing:<14}{r.fps:>8.1f}{r.frames_decoded:>9}"
                      f"{r.peak_decoder_buffer_bytes:>20}B")
     return "\n".join(lines)
+
+
+def check_segregation(points: List[SegregationPoint]) -> None:
+    """Early segregation is what shields Scout from the flood (the sweep
+    must include flood rates 0 and 4000 pps)."""
+    by_system = {}
+    for p in points:
+        by_system.setdefault(p.system, {})[p.flood_pps] = p
+    scout = by_system["scout"]
+    no_seg = by_system["scout-no-segregation"]
+    linux = by_system["linux"]
+    # Scout-with-segregation barely notices 4k pps.
+    scout_drop = 1 - scout[4000].fps / scout[0].fps
+    assert scout_drop < 0.05, scout_drop
+    # Removing early segregation exposes Scout to interrupt-time echo
+    # service: it degrades several times worse (though still less than
+    # the baseline, whose per-packet kernel costs are higher).
+    no_seg_drop = 1 - no_seg[4000].fps / no_seg[0].fps
+    linux_drop = 1 - linux[4000].fps / linux[0].fps
+    assert no_seg_drop > 3 * max(scout_drop, 0.01), (scout_drop, no_seg_drop)
+    assert linux_drop > no_seg_drop
+    assert scout[4000].fps > no_seg[4000].fps > linux[4000].fps
+
+
+def check_alf(results: List[AlfResult]) -> None:
+    """ALF needs no cross-packet buffering inside the decoder;
+    byte-stream framing forces nearly a frame's worth."""
+    alf, stream = results
+    assert alf.framing == "ALF"
+    assert alf.peak_decoder_buffer_bytes == 0
+    assert stream.peak_decoder_buffer_bytes > 2000
+    # Both decode the stream correctly.
+    assert alf.frames_decoded == stream.frames_decoded

@@ -18,7 +18,8 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from ..admission.control import CpuAdmission, FrameCostModel, theoretical_frame_us
 from ..core.errors import AdmissionError
-from ..mpeg.clips import CANYON, FLOWER, NEPTUNE, PAPER_CLIPS, ClipProfile
+from ..mpeg.clips import (CANYON, FLOWER, NEPTUNE, PAPER_CLIPS, ClipProfile,
+                          clip_by_name)
 from .testbed import Testbed, frames_budget
 
 
@@ -115,8 +116,20 @@ def admission_scenario(model: FrameCostModel,
     return decisions
 
 
-def format_admission(samples: List[ClipSample], correlation: float,
-                     decisions: List[AdmissionDecision]) -> str:
+class AdmissionReport(NamedTuple):
+    model: FrameCostModel
+    samples: List[ClipSample]
+    decisions: List[AdmissionDecision]
+
+
+def run_admission(seed: int = 0) -> AdmissionReport:
+    model, samples = fit_model(seed)
+    return AdmissionReport(model, samples, admission_scenario(model))
+
+
+def format_admission(report: AdmissionReport) -> str:
+    model, samples, decisions = report
+    correlation = model.correlation()
     lines = [
         "E6 (Sec 4.4): frame size vs decode CPU, and admission control",
         f"{'clip':<15}{'avg bits':>10}{'measured us':>13}{'model us':>10}",
@@ -136,3 +149,33 @@ def format_admission(samples: List[ClipSample], correlation: float,
                      f"{d.predicted_utilization:>10.1%}"
                      f"{d.committed_after:>10.1%}{fallback:>10}")
     return "\n".join(lines)
+
+
+def check_admission(report: AdmissionReport) -> None:
+    """Frame size predicts decode CPU, and admission control commits the
+    CPU up to the headroom and no further."""
+    model, samples, decisions = report
+    # "A good correlation between the average size of a frame (in bits)
+    # and the average amount of CPU time it takes to decode a frame."
+    assert model.correlation() > 0.95
+    # The fitted bits+pixels model tracks the measured cost per clip.
+    for sample in samples:
+        pixels = clip_by_name(sample.clip).pixels
+        predicted = model.predict_frame_us(sample.avg_frame_bits, pixels)
+        assert abs(predicted - sample.measured_frame_us) \
+            <= 0.10 * sample.measured_frame_us, sample
+    # Scenario shape: Neptune + 4 Canyons fit; Flower at full rate does
+    # not but a reduced-quality fallback is found and admitted.
+    by_request = {}
+    for d in decisions:
+        by_request.setdefault(d.request, d)  # keep first occurrence
+    assert by_request["Neptune@30fps"].admitted
+    assert all(by_request[f"Canyon@10fps #{i}"].admitted
+               for i in range(1, 5))
+    flower = by_request["Flower@30fps"]
+    assert not flower.admitted
+    assert flower.suggested_skip is not None
+    fallback = by_request[f"Flower@30fps (1/{flower.suggested_skip})"]
+    assert fallback.admitted
+    # The committed utilization never exceeds the headroom.
+    assert all(d.committed_after <= 0.95 + 1e-9 for d in decisions)

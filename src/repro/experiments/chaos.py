@@ -11,8 +11,9 @@ Two harnesses drive the robustness machinery end to end:
   stall-faulted mid-stream; the path watchdog must notice the flat
   progress signature, tear the path down, rebuild it from its attributes,
   and playback must resume.  The result reports detection and recovery
-  latency in virtual time — the headline numbers of
-  ``benchmarks/bench_fault_recovery.py``.
+  latency in virtual time.
+
+``python -m repro.experiments recovery`` prints both tables.
 """
 
 from __future__ import annotations
@@ -313,3 +314,30 @@ def format_watchdog_recovery(result: WatchdogRecoveryResult) -> str:
         f"{'yes' if result.source_done else 'no'}",
     ]
     return "\n".join(lines)
+
+
+def check_tcp_recovery(results: List[TcpRecoveryResult]) -> None:
+    """Every profile's stream arrives complete (must include the
+    ``none`` and ``drop10`` profiles)."""
+    by_name = {r.profile: r for r in results}
+    for r in results:
+        assert r.complete, r
+    # The clean profile needed no retransmissions; the lossy ones did.
+    assert by_name["none"].retransmissions == 0
+    assert by_name["drop10"].retransmissions > 0
+    assert by_name["drop10"].link["dropped"] > 0
+    # Loss costs time: goodput under faults is below the clean run's.
+    assert by_name["drop10"].goodput_kbps < by_name["none"].goodput_kbps
+
+
+def check_watchdog_recovery(result: WatchdogRecoveryResult) -> None:
+    """The stall is detected within budget and the rebuilt path plays."""
+    assert result.stalls_detected >= 1
+    assert result.rebuilds >= 1
+    # Detection within the stall budget plus two check intervals.
+    assert result.detection_latency_us is not None
+    assert result.detection_latency_us <= result.stall_budget_us + 100_000.0
+    # The rebuilt path actually played video, and the source finished.
+    assert result.recovery_latency_us is not None
+    assert result.frames_after_rebuild > 0
+    assert result.source_done

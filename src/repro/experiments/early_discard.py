@@ -87,3 +87,16 @@ def format_early_discard(results: List[EarlyDiscardResult]) -> str:
             f"{r.cpu_us_per_presented_frame:>11.0f}{r.total_cpu_s:>11.2f}"
             f"{r.adapter_drops:>9}{r.decoded_then_skipped:>8}")
     return "\n".join(lines)
+
+
+def check_early_discard(results: List[EarlyDiscardResult]) -> None:
+    """Early drop at the adapter burns substantially less CPU than
+    decode-then-discard for the same reduced-quality playback."""
+    full, naive, early = results
+    # Reduced quality shows ~1/3 of the frames.
+    assert early.frames_presented < full.frames_presented
+    # The naive version decodes frames nobody sees; early drop does not.
+    assert naive.decoded_then_skipped > 0
+    assert early.decoded_then_skipped == 0
+    assert early.adapter_drops > 0
+    assert early.total_cpu_s < 0.6 * naive.total_cpu_s, (naive, early)

@@ -112,3 +112,18 @@ def format_edf_rr(results: List[EdfRrResult]) -> str:
             f"{r.neptune_missed:>8}{r.neptune_deadlines:>11}"
             f"{r.miss_fraction * 100:>7.1f}%")
     return "\n".join(lines)
+
+
+def check_edf_rr(results: List[EdfRrResult]) -> None:
+    """EDF misses no deadline at any queue size; RR misses many with
+    large queues, and more the larger the queue (the sweep must cover
+    output queues of 16 and 128 frames)."""
+    by_key = {(r.policy, r.outq_frames): r for r in results}
+    for (policy, _outq), r in by_key.items():
+        if policy == "edf":
+            assert r.neptune_missed == 0, r
+    rr_large = by_key[("rr", 128)]
+    assert rr_large.neptune_missed > 50, rr_large
+    rr_small = by_key[("rr", 16)]
+    assert rr_large.neptune_missed > rr_small.neptune_missed, (rr_small,
+                                                               rr_large)

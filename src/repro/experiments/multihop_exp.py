@@ -27,6 +27,10 @@ from ..topo import Topology
 MID_MTU = 600
 EDGE_MTU = 1500
 
+#: Floor :func:`check_multihop` holds: post-PMTUD goodput relative to the
+#: always-fragmenting sender on the lossy min-MTU link.
+MIN_GOODPUT_RATIO = 1.5
+
 
 class MultihopRun(NamedTuple):
     label: str
@@ -137,8 +141,7 @@ def run_loss_amplification(loss_rate: float = 0.25,
         ratio=pmtud_bytes / max(frag_bytes, 1))
 
 
-def format_multihop(runs: List[MultihopRun],
-                    loss: Optional[LossGoodput] = None) -> str:
+def format_multihop(runs: List[MultihopRun], loss: LossGoodput) -> str:
     lines = [
         "Multi-hop forwarding (DESIGN.md sec 16): 1500/600/1500 chain",
         f"{'scenario':>24}{'hops':>6}{'pmtu':>6}{'dgrams':>8}"
@@ -151,9 +154,31 @@ def format_multihop(runs: List[MultihopRun],
             f"{r.datagrams:>8}{r.sender_fragments:>10}"
             f"{r.inflight_fragments:>10}{r.bytes_delivered:>8}"
             f"{'yes' if r.identical else 'NO':>4}")
-    if loss is not None:
-        lines.append(
-            f"  lossy min-MTU link (p={loss.loss_rate}): "
-            f"always-fragmenting {loss.frag_bytes} B vs "
-            f"PMTUD {loss.pmtud_bytes} B -> {loss.ratio:.2f}x goodput")
+    lines.append(
+        f"  lossy min-MTU link (p={loss.loss_rate}): "
+        f"always-fragmenting {loss.frag_bytes} B vs "
+        f"PMTUD {loss.pmtud_bytes} B -> {loss.ratio:.2f}x goodput")
     return "\n".join(lines)
+
+
+def check_multihop(runs: List[MultihopRun], loss: LossGoodput) -> None:
+    """All three data paths deliver the same bytes, the converged sender
+    fragments nothing, and PMTUD pays for itself under loss."""
+    by_label = {r.label: r for r in runs}
+    baseline = by_label["single-hop baseline"]
+    inflight = by_label["3-hop, in-flight frag"]
+    pmtud = by_label["3-hop, PMTUD"]
+    assert baseline.identical and inflight.identical and pmtud.identical
+    assert (baseline.bytes_delivered == inflight.bytes_delivered
+            == pmtud.bytes_delivered)
+    # The oblivious sender really did force in-flight fragmentation...
+    assert inflight.inflight_fragments > 0
+    # ...and the converged sender put zero fragments on the wire.
+    assert pmtud.pmtu == MID_MTU
+    assert pmtud.sender_fragments == 0
+    assert pmtud.inflight_fragments == 0
+    # Losing any one fragment loses the whole datagram, so the
+    # always-fragmenting baseline decays with the fragment count while
+    # the resegmenting sender decays only with the datagram count.
+    assert loss.pmtud_bytes > loss.frag_bytes
+    assert loss.ratio >= MIN_GOODPUT_RATIO, loss

@@ -33,6 +33,10 @@ from .micro import Fig7Stack, REMOTE_IP
 
 PORT = 6100
 
+#: Floor :func:`check_multipath` holds: delivered count of a 4-member
+#: group relative to the single path under the same offered load.
+MIN_GROUP_THROUGHPUT_RATIO = 2.0
+
 
 class MultipathPoint(NamedTuple):
     members: int
@@ -125,3 +129,16 @@ def format_multipath(points: List[MultipathPoint],
         f"{churn.hits} hits, {churn.misses} cold creates "
         f"({churn.prewarmed} prewarmed)")
     return "\n".join(lines)
+
+
+def check_multipath(points: List[MultipathPoint],
+                    churn: PoolChurnResult) -> None:
+    """A 4-member group absorbs the load that overflows one path, every
+    ledger reconciles exactly, and the warm pool never creates cold."""
+    for p in points:
+        assert p.offered == p.delivered + p.dropped, p
+    by_members = {p.members: p for p in points}
+    assert by_members[1].dropped > 0  # the single path really was overloaded
+    assert by_members[4].throughput_x >= MIN_GROUP_THROUGHPUT_RATIO, \
+        by_members[4]
+    assert churn.misses == 0  # every cycle was a warm hit

@@ -102,3 +102,25 @@ def format_queue_sizing(points: List[QueueSizingPoint]) -> str:
             f"{(predicted if predicted is not None else 0):>10}"
             f"{p.window_stalls:>8}{marker}")
     return "\n".join(lines)
+
+
+def check_queue_sizing(points: List[QueueSizingPoint]) -> None:
+    """The decode rate saturates once the input queue reaches the
+    paper's 2 x RTT x bandwidth rule."""
+    by_latency = {}
+    for p in points:
+        by_latency.setdefault(p.latency_us, []).append(p)
+    for latency, series in by_latency.items():
+        series.sort(key=lambda p: p.inq_len)
+        best = max(p.fps for p in series)
+        # Starved at the smallest queue on the slow link, saturated at
+        # the largest.
+        assert series[-1].fps >= 0.95 * best, series
+        if latency >= 10_000.0:
+            assert series[0].fps < 0.8 * best, series
+        # Once the queue reaches the predicted sufficient size,
+        # throughput is within 10% of saturation.
+        for p in series:
+            predicted = p.predicted_sufficient_inq
+            if predicted is not None and p.inq_len >= predicted:
+                assert p.fps >= 0.90 * best, p

@@ -100,3 +100,12 @@ def format_shard(runs: List[ShardRun]) -> str:
                  + ("IDENTICAL across shard counts"
                     if len(digests) == 1 else "DIVERGE (BUG)"))
     return "\n".join(lines)
+
+
+def check_shard(runs: List[ShardRun]) -> None:
+    """Books reconcile at every scale and the shard count is invisible
+    in what was delivered."""
+    for run in runs:
+        assert run.reconciled, run
+    assert len({(run.injected, run.delivered, run.flow_streams,
+                 run.stream_digest) for run in runs}) == 1, runs

@@ -92,3 +92,17 @@ def format_table1(rows: List[Table1Row]) -> str:
             f"{row.linux_fps:>9.1f}{row.paper_linux_fps:>9.1f}"
             f"{row.speedup:>8.2f}x{row.paper_speedup:>8.2f}x")
     return "\n".join(lines)
+
+
+def check_table1(rows: List[Table1Row]) -> None:
+    """Scout beats Linux on every clip, each cell is within 20% of the
+    paper, and the ordering across clips matches."""
+    for row in rows:
+        assert row.scout_fps > row.linux_fps, row
+        assert abs(row.scout_fps - row.paper_scout_fps) \
+            <= 0.20 * row.paper_scout_fps, row
+        assert abs(row.linux_fps - row.paper_linux_fps) \
+            <= 0.20 * row.paper_linux_fps, row
+    ordering = sorted(rows, key=lambda r: r.scout_fps)
+    paper_ordering = sorted(rows, key=lambda r: PAPER_TABLE1[r.clip][0])
+    assert [r.clip for r in ordering] == [r.clip for r in paper_ordering]

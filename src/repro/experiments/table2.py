@@ -102,3 +102,16 @@ def format_table2(rows: List[Table2Row]) -> str:
             f"{row.delta_pct:>8.1f}%{row.paper_delta_pct:>14.1f}%"
             f"{row.flood_rate_pps:>11.0f}")
     return "\n".join(lines)
+
+
+def check_table2(rows: List[Table2Row]) -> None:
+    """The paper's shape: Scout loses almost nothing (-0.2%), Linux loses
+    a large fraction (-42.1%)."""
+    scout = next(r for r in rows if r.system == "Scout")
+    linux = next(r for r in rows if r.system == "Linux")
+    assert scout.delta_pct > -5.0, scout
+    assert linux.delta_pct < -25.0, linux
+    assert scout.loaded_fps > linux.loaded_fps
+    # The emergent flood rates explain the result: the kernel that answers
+    # promptly gets flooded hard, the one that deprioritizes does not.
+    assert linux.flood_rate_pps > 1000

@@ -120,3 +120,10 @@ def format_trace(report: TraceReport) -> str:
         report.metrics_text,
     ]
     return "\n".join(lines)
+
+
+def check_trace(report: TraceReport) -> None:
+    """Tracing recorded the playback and leaked nothing at quiescence."""
+    assert report.frames_presented > 0
+    assert report.spans > 0
+    assert report.open_spans == 0

@@ -32,7 +32,8 @@ Two guarantees hold *by construction*:
   under a named category); the :class:`VerdictEngine` reconciles the
   ledger and turns a run into a :class:`StabilityVerdict` — bounded
   queue depth, no starved flow within the horizon, zero ledger leaks —
-  the machine-checked proof artifact ``bench_adversary.py`` records.
+  the machine-checked proof artifact
+  ``python -m repro.experiments --check adversary`` gates on.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ loop:
 * **accounting** — every detection and repair is appended to
   :attr:`events` with virtual timestamps, and the recovery latency
   (detection to first post-rebuild progress) is measured per incident —
-  the number ``benchmarks/bench_fault_recovery.py`` reports.
+  the number ``python -m repro.experiments recovery`` reports.
 """
 
 from __future__ import annotations

@@ -109,19 +109,13 @@ class AioExecutor:
         The :class:`~repro.sim.world.SimWorld` whose CPU accounting the
         executor keeps consistent (``cpu.compute_us`` advances exactly
         as the simulated scheduler would advance it).
-    pace:
-        Wall seconds per virtual second for ``Compute``/``Sleep``
-        pacing.  ``0.0`` (the default) runs computes as fast as the
-        event loop allows — the virtual cost is *accounted*, never
-        slept — which is what the parity tests and benchmarks want.
-        ``1.0`` replays virtual time in real time.
+
+    ``Compute`` and ``Sleep`` run as fast as the event loop allows: the
+    virtual cost is *accounted*, never slept.
     """
 
-    def __init__(self, world: SimWorld, pace: float = 0.0):
-        if pace < 0:
-            raise ValueError("pace must be non-negative")
+    def __init__(self, world: SimWorld):
         self.world = world
-        self.pace = pace
         self.threads: List[AioThread] = []
         self.threads_spawned = 0
         self._gates: Dict[int, _Gate] = {}
@@ -232,7 +226,7 @@ class AioExecutor:
             # Keep the world CPU's books executor-independent: the
             # simulated scheduler adds the same amount via start_compute.
             self.world.cpu.compute_us += us
-            await self._pause(us)
+            await asyncio.sleep(0)
             return None
         if isinstance(op, Dequeue):
             await self._wait_fill(thread, op.queue)
@@ -247,19 +241,10 @@ class AioExecutor:
         if isinstance(op, WaitSpace):
             await self._wait_space(thread, op.queue)
             return None
-        if isinstance(op, Sleep):
-            await self._pause(op.us)
-            return None
-        if isinstance(op, _Yield):
+        if isinstance(op, (Sleep, _Yield)):
             await asyncio.sleep(0)
             return None
         raise TypeError(f"{thread.name} yielded unknown op {op!r}")
-
-    async def _pause(self, us: float) -> None:
-        if self.pace > 0:
-            await asyncio.sleep(us * self.pace / 1e6)
-        else:
-            await asyncio.sleep(0)
 
     # -- queue gating ------------------------------------------------------
 
@@ -333,8 +318,7 @@ class AioExecutor:
 
     def __repr__(self) -> str:
         return (f"<AioExecutor threads={len(self.threads)} "
-                f"alive={self._alive} parked={self._parked} "
-                f"pace={self.pace}>")
+                f"alive={self._alive} parked={self._parked}>")
 
 
 class AioWorld(SimWorld):
@@ -350,9 +334,9 @@ class AioWorld(SimWorld):
     correctness does not depend on timer-driven behaviour.
     """
 
-    def __init__(self, seed: int = 0, pace: float = 0.0, **world_kwargs):
+    def __init__(self, seed: int = 0, **world_kwargs):
         super().__init__(seed=seed, **world_kwargs)
-        self.executor = AioExecutor(self, pace=pace)
+        self.executor = AioExecutor(self)
 
     def spawn(self, body, name: str = "", policy: str = "rr",
               priority: int = 0, path=None):

@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.core.queues import PathQueue
-from repro.sim.aio import AioExecutor, AioWorld
+from repro.sim.aio import AioWorld
 from repro.sim.threads import (
     YIELD,
     Compute,
@@ -239,7 +239,3 @@ class TestLifecycle:
                 await thread.task
 
         run(main())
-
-    def test_negative_pace_rejected(self):
-        with pytest.raises(ValueError):
-            AioExecutor(AioWorld(seed=0), pace=-1.0)

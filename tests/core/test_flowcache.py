@@ -10,7 +10,7 @@ from repro.core import (
     Msg,
     Path,
     classify,
-    flow_key_ipv4_udp,
+    flow_key,
 )
 from repro.experiments.micro import Fig7Stack
 
@@ -221,35 +221,35 @@ class TestFlowKey:
         self.frame = self.stack.udp_frame(6100)
 
     def test_udp_frame_is_keyable(self):
-        assert flow_key_ipv4_udp(Msg(self.frame)) is not None
+        assert flow_key(Msg(self.frame)) is not None
 
     def test_same_flow_same_key_despite_payload(self):
-        a = flow_key_ipv4_udp(Msg(self.stack.udp_frame(6100, b"x" * 10)))
-        b = flow_key_ipv4_udp(Msg(self.stack.udp_frame(6100, b"y" * 90)))
+        a = flow_key(Msg(self.stack.udp_frame(6100, b"x" * 10)))
+        b = flow_key(Msg(self.stack.udp_frame(6100, b"y" * 90)))
         assert a == b
 
     def test_different_port_different_key(self):
-        a = flow_key_ipv4_udp(Msg(self.stack.udp_frame(6100)))
-        b = flow_key_ipv4_udp(Msg(self.stack.udp_frame(6200)))
+        a = flow_key(Msg(self.stack.udp_frame(6100)))
+        b = flow_key(Msg(self.stack.udp_frame(6200)))
         assert a != b
 
     def test_non_ipv4_is_ineligible(self):
         frame = bytearray(self.frame)
         frame[12:14] = b"\x08\x06"  # ARP ethertype
-        assert flow_key_ipv4_udp(Msg(bytes(frame))) is None
+        assert flow_key(Msg(bytes(frame))) is None
 
     def test_non_udp_is_ineligible(self):
         frame = bytearray(self.frame)
         frame[23] = 6  # TCP
-        assert flow_key_ipv4_udp(Msg(bytes(frame))) is None
+        assert flow_key(Msg(bytes(frame))) is None
 
     def test_fragment_is_ineligible(self):
         frame = bytearray(self.frame)
         frame[20] |= 0x20  # MF flag
-        assert flow_key_ipv4_udp(Msg(bytes(frame))) is None
+        assert flow_key(Msg(bytes(frame))) is None
 
     def test_runt_is_ineligible(self):
-        assert flow_key_ipv4_udp(Msg(self.frame[:20])) is None
+        assert flow_key(Msg(self.frame[:20])) is None
 
 
 class TestClassifyIntegration:

@@ -109,6 +109,6 @@ def test_armed_observatory_counts_unclassified_frames(dual_session_world):
 
 
 def test_trace_experiment_is_registered():
-    from repro.experiments.__main__ import EXPERIMENTS
+    from repro.experiments import EXPERIMENTS
 
     assert "trace" in EXPERIMENTS

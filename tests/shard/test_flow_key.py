@@ -7,7 +7,7 @@ if either representation drifted, a flow could classify on one shard
 and dispatch to another.
 """
 
-from repro.core import Msg, flow_key, flow_key_frame, flow_key_ipv4_udp
+from repro.core import Msg, flow_key, flow_key_frame
 from repro.net.addresses import EthAddr, IpAddr
 from repro.net.packets import build_udp_frame
 
@@ -36,9 +36,6 @@ class TestFlowKeyStability:
         keys = {flow_key_frame(udp_frame(1, 0, payload=b"p" * n))
                 for n in (1, 10, 100, 1000)}
         assert len(keys) == 1
-
-    def test_legacy_alias_is_same_function(self):
-        assert flow_key_ipv4_udp is flow_key
 
 
 class TestFlowKeyDeclines:

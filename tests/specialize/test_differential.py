@@ -222,6 +222,8 @@ class TestBatchShapeDifferential:
         result = assert_tiers_agree(lambda tier: self.run_stack(tier, chunk))
         assert len(result["delivered"]) == 64
         assert result["delivered"][3].endswith(b"payload003")
+        assert result["books"]["drops"] == 0
+        assert result["rx_validated"] == (64, 64, 64)
 
     def test_batch_shape_invisible_within_each_tier(self):
         for tier in TIERS:

@@ -146,6 +146,7 @@ def test_overflow_is_ledgered_and_memory_is_what_is_queued(rig):
     rig.offer([rig.frame(b"pkt%02d" % i) for i in range(INQ + 3)])
     assert rig.kernel.drop_ledger() == {"inq_overflow": 3}
     assert rig.kernel.inq_overflow_drops == 3
+    assert rig.path.input_queue(BWD).dropped == 3
     assert rig.fates == [("inq_overflow", True)] * 3
     queued = rig.queued()
     assert len(queued) == INQ
