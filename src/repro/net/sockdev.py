@@ -10,24 +10,31 @@ demux, IP, UDP, the paths themselves — is byte-identical to the
 simulated stack, which is what makes the socket backend a *backend* and
 not a second implementation.
 
-Receive side: an asyncio datagram endpoint appends frames to a bounded
-ring; the Scout serve loop (``repro.api.Scout.serve``) awaits
-:meth:`next_burst` and hands each burst to ``kernel.rx_burst`` — the
-same interrupt-time classify/admit code the simulated device feeds.
-When the ring is full the frame is dropped at the device, and *ledgered*
-(``rx_overflow``): socket-backend drops reconcile exactly like simulated
-ones (DESIGN.md §18).
+Receive side: the device owns a non-blocking socket and one
+``loop.add_reader`` readiness callback.  Each wake drains the socket to
+``EAGAIN`` — at most ``rx_ring`` datagrams, so a flood cannot starve the
+loop — through the device filter into a bounded ring, then signals the
+:meth:`next_burst` waiter **once**: a burst is what the kernel's socket
+buffer held, not one datagram.  The Scout serve loop
+(``repro.api.Scout.serve``) awaits :meth:`next_burst` and hands each
+burst to ``kernel.rx_burst`` — the same interrupt-time classify/admit
+code the simulated device feeds.  When the ring is full the frame is
+dropped at the device, and *ledgered* (``rx_overflow``): socket-backend
+drops reconcile exactly like simulated ones (DESIGN.md §18).
 
 Transmit side: ``send(frame)`` resolves the destination MAC against a
-peer table learned from received traffic (source MAC → UDP address) or
-seeded via :meth:`add_peer`, then ``sendto``.  Frames to unknown MACs
-are ledgered (``tx_unroutable``), mirroring a real NIC's inability to
-reach a host no switch has seen.
+peer table learned from received traffic (source MAC → UDP address, at
+most :data:`MAX_LEARNED_PEERS` entries, oldest out first) or seeded via
+:meth:`add_peer` (never evicted), then ``sendto``.  Frames to unknown
+MACs are ledgered (``tx_unroutable``), mirroring a real NIC's inability
+to reach a host no switch has seen; a socket buffer that would block is
+ledgered too (``tx_full``), never queued without bound.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -37,26 +44,11 @@ __all__ = ["SocketNetDevice"]
 
 _BROADCAST = b"\xff" * 6
 _ETH_HEADER = 14
+_MAX_DATAGRAM = 65535
 
-
-class _SockProtocol(asyncio.DatagramProtocol):
-    """Thin adapter: datagrams and errors go straight to the device."""
-
-    def __init__(self, device: "SocketNetDevice"):
-        self.device = device
-
-    def connection_made(self, transport) -> None:
-        self.device._transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.device._on_datagram(data, addr)
-
-    def error_received(self, exc: Exception) -> None:
-        self.device.drops["sock_error"] = \
-            self.device.drops.get("sock_error", 0) + 1
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.device._transport = None
+#: Cap on MAC -> address entries learned from received traffic (a sender
+#: spraying source MACs must not grow the table without limit).
+MAX_LEARNED_PEERS = 1024
 
 
 class SocketNetDevice:
@@ -99,44 +91,74 @@ class SocketNetDevice:
         self._ring: Deque[bytes] = deque()
         self._rx_waiter: Optional["asyncio.Future"] = None
         self._peers: Dict[bytes, Tuple[str, int]] = {}
-        self._transport = None
+        #: The learned subset of ``_peers``, oldest first (eviction order).
+        self._learned: Dict[bytes, None] = {}
+        self._sock: Optional[socket.socket] = None
+        self._loop: Optional["asyncio.AbstractEventLoop"] = None
         self._registry = None
 
     # -- lifecycle ---------------------------------------------------------
 
     async def open(self) -> Tuple[str, int]:
-        """Bind the socket and start the receive loop; returns the
-        bound ``(host, port)``."""
-        if self._transport is not None:
+        """Bind the socket and register the readiness callback; returns
+        the bound ``(host, port)``."""
+        if self._sock is not None:
             return self.address
-        loop = asyncio.get_running_loop()
-        await loop.create_datagram_endpoint(
-            lambda: _SockProtocol(self),
-            local_addr=(self.host, self.port))
-        self.address = self._transport.get_extra_info("sockname")[:2]
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind((self.host, self.port))
+        except OSError:
+            sock.close()
+            raise
+        self._sock = sock
+        self._loop = asyncio.get_running_loop()
+        self._loop.add_reader(sock.fileno(), self._on_readable)
+        self.address = sock.getsockname()[:2]
         return self.address
 
     def close(self) -> None:
         """Stop receiving and release the socket (idempotent); frames
         already in the ring stay readable via :meth:`next_burst`."""
-        transport, self._transport = self._transport, None
-        if transport is not None:
-            transport.close()
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            self._loop.remove_reader(sock.fileno())
+            sock.close()
         self._signal_rx()  # unblock a waiter so serve loops can exit
 
     @property
     def is_open(self) -> bool:
-        return self._transport is not None
+        return self._sock is not None
 
     # -- receive -----------------------------------------------------------
+
+    def _on_readable(self) -> None:
+        """One wake: drain the socket to ``EAGAIN`` (at most ``rx_ring``
+        datagrams; readiness is level-triggered, so a remainder wakes the
+        loop again), then signal the waiter once for the whole burst."""
+        recvfrom = self._sock.recvfrom
+        on_datagram = self._on_datagram
+        for _ in range(self.rx_ring):
+            try:
+                data, addr = recvfrom(_MAX_DATAGRAM)
+            except BlockingIOError:
+                break
+            except OSError:
+                self._drop("sock_error")
+                break
+            on_datagram(data, addr)
+        if self._ring:
+            self._signal_rx()
 
     def _on_datagram(self, data: bytes, addr) -> None:
         if len(data) < _ETH_HEADER:
             self._drop("rx_runt")
             return
         # Learn the peer: source MAC -> UDP address, like a switch's CAM.
-        self._peers[bytes(data[6:12])] = addr[:2]
-        dst = bytes(data[:6])
+        src = data[6:12]
+        if self._peers.get(src) != addr:
+            self._learn(src, addr)
+        dst = data[:6]
         if dst != _BROADCAST and dst != self.mac.to_bytes():
             self.rx_missed += 1
             return
@@ -145,8 +167,15 @@ class SocketNetDevice:
             return
         self.rx_frames += 1
         self.rx_bytes += len(data)
-        self._ring.append(bytes(data))
-        self._signal_rx()
+        self._ring.append(data)
+
+    def _learn(self, mac: bytes, addr: Tuple[str, int]) -> None:
+        if mac not in self._peers:
+            if len(self._learned) >= MAX_LEARNED_PEERS:
+                oldest = next(iter(self._learned))
+                del self._learned[oldest], self._peers[oldest]
+            self._learned[mac] = None
+        self._peers[mac] = addr
 
     def _signal_rx(self) -> None:
         waiter, self._rx_waiter = self._rx_waiter, None
@@ -162,19 +191,19 @@ class SocketNetDevice:
         are the serve loop's cue to check for shutdown.
         """
         if not self._ring:
-            if self._transport is None:
+            if self._sock is None:
                 return []
             loop = asyncio.get_running_loop()
-            self._rx_waiter = loop.create_future()
+            waiter = self._rx_waiter = loop.create_future()
+            # The timeout is one timer resolving the same waiter a wake
+            # does; an empty ring afterwards is what says it elapsed.
+            timer = None if timeout is None else \
+                loop.call_later(timeout, self._signal_rx)
             try:
-                if timeout is not None:
-                    await asyncio.wait_for(
-                        asyncio.shield(self._rx_waiter), timeout)
-                else:
-                    await self._rx_waiter
-            except asyncio.TimeoutError:
-                return []
+                await waiter
             finally:
+                if timer is not None:
+                    timer.cancel()
                 self._rx_waiter = None
         burst: List[bytes] = []
         while self._ring and len(burst) < limit:
@@ -189,7 +218,8 @@ class SocketNetDevice:
 
     def send(self, frame: bytes) -> None:
         """Transmit one frame (the ``EthRouter.transmit`` contract)."""
-        if self._transport is None:
+        sock = self._sock
+        if sock is None:
             self._drop("tx_closed")
             return
         frame = bytes(frame)
@@ -205,15 +235,25 @@ class SocketNetDevice:
                 self._drop("tx_unroutable")
                 return
             targets = [addr]
+        sent = 0
         for addr in targets:
-            self._transport.sendto(frame, addr)
-        self.tx_frames += 1
-        self.tx_bytes += len(frame)
+            try:
+                sock.sendto(frame, addr)
+                sent += 1
+            except BlockingIOError:
+                self._drop("tx_full")
+            except OSError:
+                self._drop("sock_error")
+        if sent:
+            self.tx_frames += 1
+            self.tx_bytes += len(frame)
 
     def add_peer(self, mac, address: Tuple[str, int]) -> None:
         """Pre-seed the MAC -> UDP-address table (the static-ARP
         analogue for L2 reachability)."""
-        self._peers[EthAddr(mac).to_bytes()] = tuple(address)[:2]
+        mac = EthAddr(mac).to_bytes()
+        self._learned.pop(mac, None)
+        self._peers[mac] = tuple(address)[:2]
 
     def peers(self) -> Dict[str, Tuple[str, int]]:
         return {str(EthAddr(mac)): addr

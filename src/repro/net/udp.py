@@ -85,14 +85,22 @@ class UdpStage(Stage):
     def _receive(self, iface, msg: Msg, direction: int, **kwargs):
         router: UdpRouter = self.router  # type: ignore[assignment]
         charge(msg, params.UDP_PROC_US)
-        if msg.meta.pop("udp_validated", False):
+        validated = msg.meta.pop("udp_validated", False)
+        if len(msg) < UdpHeader.SIZE:
+            # Checked on both branches: the flow key leaves out the IP
+            # total length, so a cache hit cannot prove that what IP's
+            # trim left still holds a UDP header.
+            self.note_drop(msg, "short UDP packet", "malformed")
+            router.rx_dropped += 1
+            return None
+        if validated:
             # Validated-run fast receive (DESIGN.md §13): a flow-cache hit
             # already matched the exact header bytes — well-formed
             # non-fragmented IPv4/UDP framing, this path's port pair — so
-            # re-checking length and dport here would re-derive what the
-            # 42-byte key proved.  Strip the header and go; the header
-            # object itself is only materialised when a checksum pass
-            # still needs its stored sum.
+            # re-checking dport here would re-derive what the 42-byte key
+            # proved.  Strip the header and go; the header object itself
+            # is only materialised when a checksum pass still needs its
+            # stored sum.
             self.rx_validated += 1
             if not self.use_checksum or msg.meta.get("checksum_fused"):
                 msg.pop(UdpHeader.SIZE)
@@ -100,10 +108,6 @@ class UdpStage(Stage):
             header = UdpHeader.unpack(msg.peek(UdpHeader.SIZE))
             msg.pop(UdpHeader.SIZE)
         else:
-            if len(msg) < UdpHeader.SIZE:
-                self.note_drop(msg, "short UDP packet", "malformed")
-                router.rx_dropped += 1
-                return None
             header = UdpHeader.unpack(msg.peek(UdpHeader.SIZE))
             if header.dport != self.local_port:
                 self.note_drop(

@@ -17,7 +17,10 @@ correct assertion.
 
 import asyncio
 
+import pytest
+
 from repro.api import EthAddr, IpAddr, Scout, build_udp_frame
+from repro.sim.threads import DONE
 
 LOCAL_MAC = EthAddr("02:00:00:00:00:01")
 LOCAL_IP = IpAddr("10.0.0.1")
@@ -33,7 +36,7 @@ def udp_frame(flow: int, sequence: int) -> bytes:
 
 
 def _setup(scout: Scout, flows: int, inq_len: int, batch: int,
-           drops: list) -> None:
+           drops: list, specialize=None) -> None:
     # The deterministic scheduler keeps no roster; record spawns so the
     # per-thread CPU books can be compared across executors.
     spawned = []
@@ -51,7 +54,7 @@ def _setup(scout: Scout, flows: int, inq_len: int, batch: int,
     for flow in range(flows):
         scout.kernel.start_udp_sink(
             SINK_PORT + flow, (str(REMOTE_IP), 7000 + flow),
-            batch=batch, inq_len=inq_len)
+            batch=batch, inq_len=inq_len, specialize=specialize)
 
 
 def _collect(scout: Scout, drops: list) -> dict:
@@ -163,3 +166,48 @@ class TestOverflowParity:
         assert sim["drops"].get("unclassified", 0) == 5
         assert aio["drops"] == sim["drops"]
         assert aio["delivered"] == sim["delivered"]
+
+
+class TestLyingTotalLength:
+    """A frame on a cached flow whose IP total length is below IHL + 8:
+    the flow key leaves total length out, so the cache stamps the frame
+    validated, IP trims it to 5 bytes, and UDP must drop it (ledgered
+    ``malformed``) instead of popping a header that is not there.  That
+    ``ValueError`` used to kill the sink's thread under asyncio and
+    raise out of ``run_until_idle`` under the simulator."""
+
+    @staticmethod
+    def _scenario(scout: Scout, specialize: bool):
+        _setup(scout, flows=1, inq_len=32, batch=8, drops=[],
+               specialize=specialize)
+        path = scout.kernel.sink_paths[SINK_PORT]
+        lying = bytearray(udp_frame(0, 3))
+        lying[16:18] = (25).to_bytes(2, "big")
+        scout.kernel.rx_burst([udp_frame(0, seq) for seq in range(3)])
+        yield
+        scout.kernel.rx_burst([bytes(lying)])
+        yield
+        scout.kernel.rx_burst([udp_frame(0, 4)])
+        yield
+        assert path.stats.drop_reasons == {"malformed": 1}
+        assert scout.kernel.drop_ledger() == {"malformed": 1}
+        assert [msg.to_bytes() for msg in scout.kernel.test.received] == \
+            [b"flow00-%06d" % seq for seq in (0, 1, 2, 4)]
+        threads = _threads(scout)
+        assert threads and all(t.state != DONE for t in threads)
+
+    @pytest.mark.parametrize("specialize", [True, False])
+    def test_sim(self, specialize):
+        with Scout(seed=3, udp_sink=True, display=False) as scout:
+            for _ in self._scenario(scout, specialize):
+                scout.world.run_until_idle()
+
+    @pytest.mark.parametrize("specialize", [True, False])
+    def test_asyncio(self, specialize):
+        async def main():
+            async with Scout(seed=3, executor="asyncio",
+                             udp_sink=True) as scout:
+                for _ in self._scenario(scout, specialize):
+                    await scout.settle()
+
+        asyncio.run(main())

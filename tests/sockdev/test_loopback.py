@@ -15,9 +15,8 @@ Skipped wholesale where loopback sockets are unavailable.
 import asyncio
 import socket
 
-import pytest
-
 from repro.api import EthAddr, IpAddr, Scout, build_udp_frame
+from .conftest import requires_loopback
 
 LOCAL_MAC = EthAddr("02:00:00:00:00:01")
 LOCAL_IP = IpAddr("10.0.0.1")
@@ -26,19 +25,7 @@ REMOTE_IP = IpAddr("10.0.0.2")
 SINK_PORT = 6100
 
 
-def _loopback_available() -> bool:
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.close()
-        return True
-    except OSError:
-        return False
-
-
-pytestmark = pytest.mark.skipif(
-    not _loopback_available(),
-    reason="UDP loopback sockets unavailable in this environment")
+pytestmark = requires_loopback
 
 
 def udp_frame(sequence: int, dport: int = SINK_PORT) -> bytes:
@@ -54,6 +41,18 @@ async def _pump_until(scout: Scout, predicate, timeout: float = 5.0):
     deadline = loop.time() + timeout
     while not predicate() and loop.time() < deadline:
         await scout.serve(seconds=0.05)
+
+
+def _record_sizes(obj, name: str, sizes: list) -> None:
+    """Wrap ``obj.name`` on the instance: note ``len()`` of its first
+    argument per call."""
+    original = getattr(obj, name)
+
+    def spy(items, *args):
+        sizes.append(len(items))
+        return original(items, *args)
+
+    setattr(obj, name, spy)
 
 
 class TestLoopbackDelivery:
@@ -155,5 +154,43 @@ class TestLoopbackDelivery:
                 assert b"ping-me" in reply
                 assert device.tx_frames == 1
                 sender.close()
+
+        asyncio.run(main())
+
+
+class TestBurstsReachTheKernel:
+    def test_backlog_is_one_rx_burst_and_one_batch_per_sink(self):
+        flows, per_flow = 4, 16
+
+        async def main():
+            async with Scout(seed=11, backend="socket",
+                             executor="asyncio") as scout:
+                sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                sender.bind(("127.0.0.1", 0))
+                scout.add_peer(REMOTE_IP, REMOTE_MAC, sender.getsockname())
+                bursts, batches = [], {}
+                _record_sizes(scout.kernel, "rx_burst", bursts)
+                for flow in range(flows):
+                    path = scout.kernel.start_udp_sink(
+                        SINK_PORT + flow, (str(REMOTE_IP), 7000 + flow),
+                        batch=per_flow, inq_len=256)
+                    batches[flow] = []
+                    _record_sizes(path, "deliver_batch", batches[flow])
+                # The whole backlog is in the socket before serve() runs.
+                for seq in range(flows * per_flow):
+                    sender.sendto(
+                        build_udp_frame(REMOTE_MAC, LOCAL_MAC, REMOTE_IP,
+                                        LOCAL_IP, 7000 + seq % flows,
+                                        SINK_PORT + seq % flows,
+                                        b"burst-%04d" % seq),
+                        scout.device.address)
+                received = scout.kernel.test.received
+                await _pump_until(
+                    scout, lambda: len(received) == flows * per_flow)
+                sender.close()
+                assert bursts == [flows * per_flow]
+                assert batches == {flow: [per_flow] for flow in range(flows)}
+                assert scout.device.rx_frames == len(received) \
+                    == flows * per_flow
 
         asyncio.run(main())
