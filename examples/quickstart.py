@@ -102,8 +102,8 @@ def main() -> None:
     # 5. The same flow, kernel-hosted.  Scout() boots the full machine on
     #    a virtual-time world; the context manager is the supported
     #    lifecycle (construction opens it, leaving the block closes it).
-    #    Swapping backend="socket", executor="asyncio" here would serve
-    #    real UDP loopback traffic instead — see wallclock_socket.py.
+    #    Scout(backend="socket") would serve real UDP loopback traffic
+    #    through the same kernel instead — see wallclock_socket.py.
     # -----------------------------------------------------------------------
     with Scout(seed=7, udp_sink=True, display=False) as scout:
         scout.add_peer("10.0.0.2", "02:00:00:00:00:02")

@@ -3,9 +3,9 @@
 
 Everything in the other examples runs on simulated virtual time.  This
 one crosses the wall-clock edge (DESIGN.md §18): the same kernel — same
-router graph, same path machinery, same drop ledgers — is driven by the
-asyncio executor, and frames arrive from an actual UDP socket on the
-loopback interface instead of the simulated segment.
+router graph, same path machinery, same scheduler, same drop ledgers —
+is pumped from an asyncio loop, and frames arrive from an actual UDP
+socket on the loopback interface instead of the simulated segment.
 
 An external sender (a plain ``socket.socket`` below, standing in for a
 remote load generator) blasts ETH/IP/UDP frames at the kernel's socket
@@ -41,7 +41,7 @@ def loopback_available() -> bool:
 
 
 async def main() -> None:
-    async with Scout(seed=7, backend="socket", executor="asyncio") as scout:
+    async with Scout(seed=7, backend="socket") as scout:
         print("socket device bound:", scout.device.address)
 
         # The external load generator: any process that can sendto().

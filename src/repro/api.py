@@ -120,7 +120,6 @@ from .net.sockdev import SocketNetDevice
 from .observe import Observatory, StarvationDetector
 from .observe.wallclock import WallClockBridge
 from .sim import SimWorld
-from .sim.aio import AioExecutor, AioWorld
 from .sim.world import POLICY_EDF, POLICY_RR
 
 #: Result-returning classification is the facade's canonical spelling:
@@ -222,59 +221,55 @@ class PathBuilder:
                 f"attrs={len(self._attrs)}>")
 
 
-#: Backend / executor choices the facade resolves (DESIGN.md §18).
-BACKENDS = ("sim", "socket")
-EXECUTORS = ("sim", "asyncio")
+#: Backends the facade resolves, each with the executor name it implies
+#: (DESIGN.md §18).  One :class:`~repro.sim.sched.Scheduler` runs the
+#: path threads on every backend; the name only says who pumps it:
+#: ``run()`` in virtual time, or ``serve()`` on an asyncio loop.
+_IMPLIED_EXECUTOR = {"sim": "sim", "socket": "asyncio"}
+BACKENDS = tuple(_IMPLIED_EXECUTOR)
+EXECUTORS = tuple(_IMPLIED_EXECUTOR.values())
 
-#: Resolved construction modes.
+#: The one construction mode that is not a backend's own name.
 _MODE_FABRIC = "fabric"
-_MODE_SIM = "sim"
-_MODE_AIO = "aio"
-_MODE_SOCKET = "socket"
 
 
-def _resolve_backend(backend: str, executor: str,
+def _resolve_backend(backend: str, executor: Optional[str],
                      shards: Optional[int]) -> str:
     """The one decision point for every Scout construction shape.
 
-    Validates the ``backend`` × ``executor`` × ``shards`` combination
-    and returns the construction mode; every rejection is a
-    :class:`ScoutError` that names the offending knob and the supported
-    values, replacing the ad-hoc ``RuntimeError`` guards this facade
-    used to scatter.
+    Validates the ``backend`` × ``shards`` combination and returns the
+    construction mode (``'fabric'``, or the backend's name); every
+    rejection is a :class:`ScoutError` that names the offending knob and
+    the fix.  ``executor`` is not an axis: it is accepted only as the
+    value *backend* already implies.
     """
     if backend not in BACKENDS:
         raise ScoutError(
             f"unknown backend {backend!r}: choose 'sim' (simulated "
             f"device, the tier-1 default) or 'socket' (real UDP "
             f"loopback sockets)")
-    if executor not in EXECUTORS:
+    implied = _IMPLIED_EXECUTOR[backend]
+    if executor is not None and executor != implied:
+        if executor not in EXECUTORS:
+            raise ScoutError(
+                f"unknown executor {executor!r}: the executor follows "
+                f"from the backend, so drop executor= and choose "
+                f"backend='sim' or backend='socket'")
         raise ScoutError(
-            f"unknown executor {executor!r}: choose 'sim' "
-            f"(deterministic virtual-time scheduler, the tier-1 "
-            f"default) or 'asyncio' (wall-clock task executor)")
+            f"backend={backend!r} requires executor={implied!r} (got "
+            f"{executor!r}): the executor follows from the backend, so "
+            f"drop executor= and choose backend='sim' (virtual time) or "
+            f"backend='socket' (real packets, under 'async with')")
     if shards is not None and shards < 1:
         raise ScoutError(f"shards must be >= 1, got {shards}")
     if shards is not None and shards > 1:
-        if backend != "sim" or executor != "sim":
+        if backend != "sim":
             raise ScoutError(
                 f"Scout(shards={shards}) is the deterministic fabric: "
-                f"it requires backend='sim' and executor='sim' (got "
-                f"backend={backend!r}, executor={executor!r}); run one "
-                f"wall-clock kernel per process instead")
+                f"it requires backend='sim' (got backend={backend!r}); "
+                f"run one wall-clock kernel per process instead")
         return _MODE_FABRIC
-    if backend == "socket":
-        if executor != "asyncio":
-            raise ScoutError(
-                "backend='socket' requires executor='asyncio': real "
-                "arrivals cannot be replayed by the deterministic "
-                "virtual-time scheduler; pass executor='asyncio' (and "
-                "drive it with 'async with Scout(...) as s: await "
-                "s.serve()')")
-        return _MODE_SOCKET
-    if executor == "asyncio":
-        return _MODE_AIO
-    return _MODE_SIM
+    return backend
 
 
 class Scout:
@@ -286,33 +281,31 @@ class Scout:
             scout.kernel.start_video(NEPTUNE, ("10.0.0.2", 7000))
             scout.run(5.0)
 
-    By default this wraps a :class:`~repro.sim.SimWorld`, an
-    :class:`~repro.net.EtherSegment` and a
-    :class:`~repro.kernel.ScoutKernel` — the deterministic tier-1
-    configuration.  Two orthogonal knobs select the wall-clock edge
-    (DESIGN.md §18):
-
-    ``executor='asyncio'``
-        The same kernel and thread bodies, driven by
-        :class:`~repro.sim.aio.AioExecutor` as asyncio tasks; queue
-        blocking awaits real arrivals, cycle accounting still fills the
-        virtual books (read them against real time via
-        :meth:`wallclock`).
+    Every single-kernel form wraps a :class:`~repro.sim.SimWorld` and a
+    :class:`~repro.kernel.ScoutKernel`; the default adds a simulated
+    :class:`~repro.net.EtherSegment`, the deterministic tier-1
+    configuration.  One knob selects the wall-clock edge (DESIGN.md §18):
 
     ``backend='socket'``
         Frames arrive from a real UDP socket
         (:class:`~repro.net.sockdev.SocketNetDevice`) instead of the
-        simulated segment; requires ``executor='asyncio'``::
+        simulated segment, and :meth:`serve` pumps the same
+        deterministic scheduler from an asyncio loop: priorities, EDF
+        wakeups and timers mean what they mean in virtual time, which
+        advances by charged work only (read it against real time via
+        :meth:`wallclock`)::
 
-            async with Scout(backend="socket", executor="asyncio") as s:
+            async with Scout(backend="socket") as s:
                 s.kernel.start_udp_sink(6100, ("10.0.0.2", 7000))
                 s.add_peer("10.0.0.2", "02:00:00:00:00:02", sender_addr)
                 await s.serve(seconds=1.0)
 
     ``shards=N`` (N > 1) selects the deterministic fabric of
-    DESIGN.md §17; it composes with neither wall-clock knob.  All
+    DESIGN.md §17; it does not compose with the socket backend.  All
     combinations resolve through :func:`_resolve_backend`, which rejects
     unsupported shapes with a :class:`ScoutError` naming the fix.
+    ``executor=`` survives only as the value the backend implies
+    (``'sim'`` / ``'asyncio'``); anything else is rejected.
     Keyword arguments flow through to the kernel (admission hooks,
     flow-cache capacity, display mode, ...).  For multi-host simulated
     scenarios use :class:`Testbed`.
@@ -323,14 +316,14 @@ class Scout:
                  latency_us: float = params.ETH_LINK_LATENCY_US,
                  shards: Optional[int] = None,
                  backend: str = "sim",
-                 executor: str = "sim",
+                 executor: Optional[str] = None,
                  host: str = "127.0.0.1",
                  port: int = 0,
                  rx_ring: int = 512,
                  **kernel_kwargs: Any):
         mode = _resolve_backend(backend, executor, shards)
         self.backend = backend
-        self.executor = executor
+        self.executor = _IMPLIED_EXECUTOR[backend]
         self.fabric: Optional[Any] = None
         self.world = None
         self.segment = None
@@ -348,22 +341,21 @@ class Scout:
             self.fabric = ShardedKernel(shards=shards, seed=seed,
                                         **kernel_kwargs)
             return
-        if mode in (_MODE_AIO, _MODE_SOCKET):
-            self.world = AioWorld(seed=seed)
-            # The vsync loop needs a pumped virtual engine, which the
-            # asyncio executor does not provide; wall-clock kernels run
-            # headless unless the caller insists.
-            kernel_kwargs.setdefault("display", False)
-        else:
-            self.world = SimWorld(seed=seed)
-        if mode == _MODE_SOCKET:
+        self.world = SimWorld(seed=seed)
+        if mode == "socket":
             mac = kernel_kwargs.get("local_mac", "02:00:00:00:00:01")
             self.device = SocketNetDevice(mac, host=host, port=port,
                                           rx_ring=rx_ring)
             kernel_kwargs.setdefault("udp_sink", True)
+            # The vsync loop is a virtual-time timer, and serve() only
+            # advances virtual time by charged work; wall-clock kernels
+            # run headless unless the caller insists.
+            kernel_kwargs.setdefault("display", False)
             self.kernel = ScoutKernel(self.world, None, device=self.device,
                                       **kernel_kwargs)
             self.device.bind_metrics(self.kernel.observatory.metrics)
+            self.bridge = WallClockBridge(self.world.cpu)
+            self.bridge.bind_metrics(self.kernel.observatory.metrics)
         else:
             self.segment = EtherSegment(self.world.engine,
                                         bandwidth_mbps=bandwidth_mbps,
@@ -371,9 +363,6 @@ class Scout:
                                         rng=self.world.rng)
             self.kernel = ScoutKernel(self.world, self.segment,
                                       **kernel_kwargs)
-        if mode in (_MODE_AIO, _MODE_SOCKET):
-            self.bridge = WallClockBridge(self.world.cpu)
-            self.bridge.bind_metrics(self.kernel.observatory.metrics)
 
     @property
     def now(self) -> float:
@@ -382,13 +371,14 @@ class Scout:
         return self.world.now
 
     def run(self, seconds: float) -> None:
-        """Advance virtual time by *seconds* (deterministic executor)."""
+        """Advance virtual time by *seconds* (simulated backend)."""
         self._require_single_kernel("run")
-        if self.executor != "sim":
+        if self.device is not None:
             raise ScoutError(
-                "run() advances virtual time, which the asyncio "
-                "executor does not replay: use 'await serve(...)' / "
-                "'await settle()' inside 'async with Scout(...)'")
+                "run() jumps virtual time forward, which on "
+                "backend='socket' advances by charged work only: use "
+                "'await serve(...)' / 'await settle()' inside "
+                "'async with Scout(backend='socket')'")
         self.world.run_for(seconds * 1_000_000.0)
 
     def _require_single_kernel(self, what: str) -> None:
@@ -398,70 +388,60 @@ class Scout:
                 f"single-kernel form; use offer()/merged_books() or the "
                 f"fabric attribute")
 
-    def _require_aio(self, what: str) -> None:
+    def _require_socket(self, what: str) -> None:
         self._require_single_kernel(what)
-        if self.executor != "asyncio":
+        if self.device is None:
             raise ScoutError(
-                f"{what} needs executor='asyncio': the deterministic "
-                f"executor is driven synchronously via run()")
+                f"{what} needs backend='socket': the simulated backend "
+                f"is driven synchronously via run()")
 
     # -- wall-clock lifecycle ---------------------------------------------------
 
     async def start(self) -> None:
-        """Open the backend and start the asyncio executor (idempotent)."""
-        self._require_aio("start")
-        if self.device is not None:
-            await self.device.open()
-        if self.bridge is not None and not self.bridge.running():
+        """Open the device and start the wall-clock bridge (idempotent)."""
+        self._require_socket("start")
+        await self.device.open()
+        if not self.bridge.running():
             self.bridge.start()
-        await self.world.executor.start()
 
     async def serve(self, seconds: Optional[float] = None,
                     batch: int = 64) -> None:
-        """Pump the backend until *seconds* elapse (or, with ``None``,
-        until the device is closed), then drain the kernel.
+        """Pump the device until *seconds* elapse (or, with ``None``,
+        until the device is closed).
 
-        Socket backend: awaits bursts from the device's receive ring
-        and hands them to ``kernel.rx_burst`` — the same interrupt-time
-        classify/admit boundary the simulated device feeds.  Simulated
-        backend: equivalent to :meth:`settle`.
+        Each burst from the device's receive ring goes to
+        ``kernel.rx_burst`` (the same interrupt-time classify/admit
+        boundary the simulated device feeds) and then the scheduler
+        runs until every path thread is blocked again
+        (:meth:`SimWorld.run_ready <repro.sim.SimWorld.run_ready>`).  A
+        thread body that raises fails ``serve()`` with that error.
         """
-        self._require_aio("serve")
+        self._require_socket("serve")
         await self.start()
-        if self.device is None:
-            await self.world.executor.drain()
-            return
         loop = asyncio.get_running_loop()
         deadline = None if seconds is None else loop.time() + seconds
         while self.device.is_open or self.device.pending():
-            if deadline is not None:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                timeout: Optional[float] = remaining
-            else:
-                timeout = None
+            timeout = None if deadline is None else deadline - loop.time()
+            if timeout is not None and timeout <= 0:
+                break
+            # The ring refills only on loop turns, so this await parks at
+            # least once per rx_ring frames: the pump cannot starve the
+            # loop and needs no sleep(0) of its own.
             frames = await self.device.next_burst(limit=batch,
                                                   timeout=timeout)
             if frames:
                 self.kernel.rx_burst(frames)
-                await asyncio.sleep(0)
-        await self.world.executor.drain()
+                self.world.run_ready()
 
     async def settle(self) -> None:
-        """Run the asyncio executor until every path thread is parked."""
-        self._require_aio("settle")
-        await self.world.executor.drain()
+        """Run the scheduler until every path thread is blocked."""
+        self._require_socket("settle")
+        self.world.run_ready()
 
     async def aclose(self) -> None:
-        """Close the device and cancel the executor's tasks."""
-        self._require_aio("aclose")
-        if self._closed:
-            return
-        self._closed = True
-        if self.device is not None:
-            self.device.close()
-        await self.world.executor.close()
+        """Close the device (idempotent)."""
+        self._require_socket("aclose")
+        self.close()
 
     async def __aenter__(self) -> "Scout":
         await self.start()
@@ -477,8 +457,8 @@ class Scout:
 
         Fabric form: stops the workers and caches the reconciled books
         for :meth:`merged_books`.  Simulated single-kernel form: a
-        definite end for ``with Scout(...)`` scripts.  The asyncio
-        forms close via :meth:`aclose` (``async with``).
+        definite end for ``with Scout(...)`` scripts.  The socket
+        backend closes its device (``async with`` does the same).
         """
         if self._closed:
             return
@@ -489,10 +469,10 @@ class Scout:
             self.device.close()
 
     def __enter__(self) -> "Scout":
-        if self.executor == "asyncio":
+        if self.device is not None:
             raise ScoutError(
-                "executor='asyncio' has an async lifecycle: use "
-                "'async with Scout(...) as s'")
+                "backend='socket' has an async lifecycle: use "
+                "'async with Scout(backend='socket') as s'")
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -503,7 +483,7 @@ class Scout:
     def wallclock(self) -> dict:
         """One :class:`~repro.observe.wallclock.WallClockBridge`
         snapshot: real seconds vs virtual CPU seconds charged."""
-        self._require_aio("wallclock")
+        self._require_socket("wallclock")
         return self.bridge.snapshot()
 
     def add_peer(self, ip: Any, mac: Any,
@@ -539,8 +519,7 @@ class Scout:
 
     def path(self, router: Any) -> PathBuilder:
         """A :class:`PathBuilder` rooted at *router*, pre-wired with the
-        kernel's transformation rules and admission hook.  Works under
-        either executor: path creation is synchronous in both."""
+        kernel's transformation rules and admission hook."""
         self._require_single_kernel("path")
         return PathBuilder(router, transforms=self.kernel.transforms,
                            admission=self.kernel.admission)
@@ -552,20 +531,16 @@ class Scout:
     def __repr__(self) -> str:
         if self.fabric is not None:
             return f"<Scout fabric {self.fabric!r}>"
-        tag = f"backend={self.backend} executor={self.executor}"
-        if self.executor == "sim":
-            return (f"<Scout {self.kernel.ip.addr} {tag} "
-                    f"t={self.world.now:.0f}us>")
-        return f"<Scout {self.kernel.ip.addr} {tag}>"
+        return (f"<Scout {self.kernel.ip.addr} backend={self.backend} "
+                f"t={self.world.now:.0f}us>")
 
 
 __all__ = [
     # entry points
     "Scout", "PathBuilder", "Testbed", "ScoutKernel", "LinuxKernel",
     "SimWorld", "EtherSegment", "Observatory",
-    # wall-clock edge (backend/executor selection, DESIGN.md §18)
-    "BACKENDS", "EXECUTORS", "AioWorld", "AioExecutor",
-    "SocketNetDevice", "WallClockBridge",
+    # wall-clock edge (backend selection, DESIGN.md §18)
+    "BACKENDS", "EXECUTORS", "SocketNetDevice", "WallClockBridge",
     # multi-hop forwarding & the discovery control plane
     "Topology", "ProvisionedPath", "HostNode", "Inventory",
     "RouterKernel", "ForwardRouter", "Route", "RouteTable",

@@ -36,8 +36,6 @@ from ..net.udp import UdpRouter
 from ..net.addresses import EthAddr, IpAddr
 
 #: Paper reference values.
-PAPER_PATH_CREATE_US = 200.0
-PAPER_CLASSIFY_US = 5.0
 PAPER_PATH_BYTES = 300
 PAPER_STAGE_BYTES = 150
 PAPER_UDP_PATH_STAGES = 6  # four interior stages + the two queue-managing ends
@@ -112,8 +110,7 @@ def measure_structure() -> MicroReport:
     return report
 
 
-def format_micro(report: MicroReport, create_us: float = float("nan"),
-                 classify_us: float = float("nan")) -> str:
+def format_micro(report: MicroReport) -> str:
     lines = [
         "E4 (Sec 3.6): path micro-costs (measured vs paper)",
         f"  UDP path stages:       {report.udp_path_stages}   "
@@ -123,10 +120,6 @@ def format_micro(report: MicroReport, create_us: float = float("nan"),
         f"  per-stage bytes:       {report.per_stage_modeled_bytes:.0f}   "
         f"(paper: ~{PAPER_STAGE_BYTES})",
         f"  classify hops:         {report.classify_hops}",
-        f"  path_create wall time: {create_us:.1f} us   "
-        f"(paper on 300MHz Alpha: ~{PAPER_PATH_CREATE_US:.0f} us)",
-        f"  classify wall time:    {classify_us:.2f} us   "
-        f"(paper on 300MHz Alpha: <{PAPER_CLASSIFY_US:.0f} us)",
     ]
     return "\n".join(lines)
 

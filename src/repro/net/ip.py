@@ -207,9 +207,15 @@ class IpStage(Stage):
             # walk checked dst == ours when the entry was inserted); only
             # the per-packet total length still matters, for trimming
             # link-layer padding.
-            router.rx_validated += 1
             payload_len = int.from_bytes(msg.peek(2, at=2), "big") \
                 - IpHeader.SIZE
+            if payload_len < 0:
+                # A negative length would trim from the *end* below.
+                self.note_drop(msg, "IP total length below header length",
+                               "malformed")
+                router.rx_dropped += 1
+                return None
+            router.rx_validated += 1
             msg.pop(IpHeader.SIZE)
             if len(msg) > payload_len:
                 msg = Msg(msg.to_bytes()[:payload_len], meta=msg.meta)
@@ -224,9 +230,14 @@ class IpStage(Stage):
                            "misaddressed")
             router.rx_dropped += 1
             return None
+        payload_len = header.total_length - IpHeader.SIZE
+        if payload_len < 0:
+            self.note_drop(msg, "IP total length below header length",
+                           "malformed")
+            router.rx_dropped += 1
+            return None
         msg.pop(IpHeader.SIZE)
         # Trim link-layer padding beyond the IP total length.
-        payload_len = header.total_length - IpHeader.SIZE
         if len(msg) > payload_len:
             tail = msg.to_bytes()[:payload_len]
             trimmed = Msg(tail, meta=msg.meta)

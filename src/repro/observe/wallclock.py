@@ -1,9 +1,9 @@
 """Bridge between virtual cycle accounting and wall-clock time.
 
-Every executor — deterministic scheduler and asyncio alike — keeps the
-kernel's books in *virtual* microseconds: ``Compute`` charges paths via
-``Path.charge_cycles`` and advances ``cpu.compute_us``.  When the
-asyncio executor serves real socket traffic those books still fill, but
+The kernel keeps its books in *virtual* microseconds on every backend:
+``Compute`` charges paths via ``Path.charge_cycles`` and advances
+``cpu.compute_us`` and the virtual clock.  When ``Scout.serve()`` pumps
+that scheduler with real socket traffic the books still fill, but
 nothing relates them to the seconds actually elapsing on the machine.
 :class:`WallClockBridge` is that relation: a read-only sampler that
 pairs the CPU model's virtual charge with ``time.monotonic()``, so a
@@ -11,8 +11,8 @@ wall-clock run can report "this load cost N virtual CPU seconds over M
 real seconds" — the speed-up (or, under pacing, the slowdown) of the
 reproduction relative to the modeled 300 MHz machine.
 
-The bridge deliberately does not *charge* anything — the executors
-already keep ``cpu.compute_us`` consistent (DESIGN.md §18), so a second
+The bridge deliberately does not *charge* anything — the scheduler
+already keeps ``cpu.compute_us`` (DESIGN.md §18), so a second
 bookkeeper would be a double-count waiting to happen.  It only reads.
 """
 

@@ -5,7 +5,6 @@ This package stands in for the paper's physical machine (a 300 MHz Alpha
 behaviour the experiments depend on.
 """
 
-from .aio import AioExecutor, AioThread, AioWorld
 from .cpu import CPU, CPU_MHZ, cycles_to_us, us_to_cycles
 from .engine import Engine, Event
 from .sched import EDF, FixedPriorityRR, Policy, Scheduler
@@ -34,5 +33,4 @@ __all__ = [
     "Sleep", "YIELD",
     "READY", "RUNNING", "BLOCKED", "DONE",
     "SimWorld", "POLICY_RR", "POLICY_EDF",
-    "AioExecutor", "AioThread", "AioWorld",
 ]

@@ -374,7 +374,10 @@ class Scheduler:
         return sum(len(slot.policy) for slot in self._slots.values())
 
     def idle(self) -> bool:
-        return self.current is None and self.ready_count() == 0
+        """True when every thread is blocked or done.  O(1): a READY
+        thread always has a dispatch pending or a thread on the CPU
+        ahead of it (``make_runnable`` ends in ``_request_dispatch``)."""
+        return self.current is None and not self._dispatch_pending
 
     def __repr__(self) -> str:
         running = self.current.name if self.current else "-"

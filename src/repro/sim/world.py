@@ -85,5 +85,19 @@ class SimWorld:
         """Drain all pending events (careful with self-perpetuating loads)."""
         return self.engine.run(max_events=max_events)
 
+    def run_ready(self) -> None:
+        """Step the engine while a thread is running or ready; stop the
+        moment every thread is blocked.
+
+        The wall-clock pump (``Scout.serve``, DESIGN.md §18): events due
+        later (reassembly expiry, ARP retry, watchdog ticks) stay in the
+        heap, so virtual time advances by charged work only and never
+        jumps to a timer.
+        """
+        idle = self.scheduler.idle
+        step = self.engine.step
+        while not idle() and step():
+            pass
+
     def __repr__(self) -> str:
         return f"<SimWorld t={self.engine.now:.1f}us seed={self.seed}>"

@@ -20,6 +20,7 @@ from repro.core import (
     forward,
     turn_around,
 )
+from repro.sim import SimWorld
 
 
 class TraceStage(Stage):
@@ -121,3 +122,20 @@ def make_chain(*names: str, **routers_kwargs) -> Tuple["RouterGraphLike", list]:
         graph.connect(f"{upper.name}.down", f"{lower.name}.up")
     graph.boot()
     return graph, routers
+
+
+def record_spawns(monkeypatch) -> list:
+    """The list every thread any :class:`SimWorld` spawns from now on
+    lands in, the ones a kernel starts while it boots included (the
+    scheduler keeps no roster, so a test that asks "is every path thread
+    still alive" keeps its own)."""
+    spawned = []
+    spawn = SimWorld.spawn
+
+    def recording_spawn(world, *args, **kwargs):
+        thread = spawn(world, *args, **kwargs)
+        spawned.append(thread)
+        return thread
+
+    monkeypatch.setattr(SimWorld, "spawn", recording_spawn)
+    return spawned

@@ -9,7 +9,9 @@ datagram must end with exactly one fate.
 
 Not covered here: fragment bombs aimed at the reassembly table (these
 mutants leave at most one piece per datagram) and a peer that vanishes
-mid-send.  Skipped wholesale where loopback sockets are unavailable.
+mid-send.  The two frames the corpus found that did damage are pinned
+below it, on tier x backend.  Socket cases are skipped where loopback
+sockets are unavailable.
 """
 
 import asyncio
@@ -19,6 +21,8 @@ import socket
 import pytest
 
 from repro.api import EthAddr, IpAddr, Scout, build_udp_frame
+from repro.sim import DONE
+from ..helpers import record_spawns
 from .conftest import accounted, requires_loopback
 
 LOCAL_MAC = EthAddr("02:00:00:00:00:01")
@@ -33,8 +37,6 @@ MUTANTS = 2500
 # Offsets into the frame: ETH is 14 bytes, IP 20, UDP 8.
 IP_VERSION_IHL, IP_TOTAL_LENGTH, IP_IDENT, IP_FRAGMENT, UDP_LENGTH = \
     14, 16, 18, 20, 38
-
-pytestmark = requires_loopback
 
 
 def good_frame(sequence: int) -> bytes:
@@ -77,18 +79,19 @@ def mutate(rng: random.Random, frame: bytes) -> bytes:
     return bytes(out)   # kind 7: untouched
 
 
+@requires_loopback
 @pytest.mark.parametrize("specialize", [True, False],
                          ids=["specialized", "reference"])
-def test_mutation_corpus_every_datagram_has_one_fate(specialize):
+def test_mutation_corpus_every_datagram_has_one_fate(specialize, monkeypatch):
     rng = random.Random(20240917)
+    threads = record_spawns(monkeypatch)
 
     async def main():
         errors = []
         loop = asyncio.get_running_loop()
         loop.set_exception_handler(
             lambda loop, context: errors.append(context))
-        async with Scout(seed=11, backend="socket",
-                         executor="asyncio") as scout:
+        async with Scout(seed=11, backend="socket") as scout:
             kernel, device = scout.kernel, scout.device
             sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sender.bind(("127.0.0.1", 0))
@@ -130,8 +133,8 @@ def test_mutation_corpus_every_datagram_has_one_fate(specialize):
             sender.close()
 
             assert errors == []
-            assert all(not thread.task.done()
-                       for thread in scout.world.executor.threads)
+            assert len(threads) > FLOWS
+            assert all(thread.state != DONE for thread in threads)
             assert accounted(device) == sent
             # A lone fragment waits in the reassembly table: neither
             # fate yet, and at most MAX_REASSEMBLY of them.
@@ -145,3 +148,68 @@ def test_mutation_corpus_every_datagram_has_one_fate(specialize):
             assert received[-1].to_bytes() == last[42:]
 
     asyncio.run(main())
+
+
+def _drive(backend: str, scenario) -> None:
+    """Run generator *scenario(scout)* on one backend, quiescing the
+    kernel at every ``yield``."""
+    if backend == "sim":
+        with Scout(seed=3, udp_sink=True, display=False) as scout:
+            for _ in scenario(scout):
+                scout.world.run_until_idle()
+        return
+
+    async def main():
+        async with Scout(seed=3, backend="socket") as scout:
+            for _ in scenario(scout):
+                await scout.settle()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("backend", [
+    "sim", pytest.param("socket", marks=requires_loopback)])
+@pytest.mark.parametrize("specialize", [True, False],
+                         ids=["specialized", "reference"])
+class TestLyingTotalLength:
+    """A frame on a cached flow whose IP total length lies low.  The flow
+    key leaves total length out, so the cache stamps the frame validated
+    and every later check is the stage's own.
+
+    * 25 (below IHL + 8): IP trims it to 5 bytes and UDP must drop it
+      instead of popping a header that is not there; that ``ValueError``
+      used to kill the sink's thread.
+    * 10 (below IHL): IP must drop it; the negative payload length used
+      to slice from the *end* and deliver the datagram short.
+
+    Either way the frame is ledgered ``malformed``, nothing short is
+    delivered, and the next good frame arrives on a live thread.
+    """
+
+    @pytest.mark.parametrize("total_length", [25, 10])
+    def test_dropped_as_malformed(self, backend, specialize, total_length,
+                                  monkeypatch):
+        threads = record_spawns(monkeypatch)
+        flow0 = [good_frame(FLOWS * n) for n in range(5)]
+        lying = bytearray(flow0[3])
+        _put16(lying, IP_TOTAL_LENGTH, total_length)
+
+        def scenario(scout):
+            kernel = scout.kernel
+            scout.add_peer(REMOTE_IP, REMOTE_MAC)
+            path = kernel.start_udp_sink(SINK_PORT, (str(REMOTE_IP), 7000),
+                                         batch=8, inq_len=32,
+                                         specialize=specialize)
+            kernel.rx_burst(flow0[:3])
+            yield
+            kernel.rx_burst([bytes(lying)])
+            yield
+            kernel.rx_burst(flow0[4:])
+            yield
+            assert path.stats.drop_reasons == {"malformed": 1}
+            assert kernel.drop_ledger() == {"malformed": 1}
+            assert [msg.to_bytes() for msg in kernel.test.received] == \
+                [frame[42:] for frame in flow0[:3] + flow0[4:]]
+
+        _drive(backend, scenario)
+        assert threads and all(t.state != DONE for t in threads)

@@ -2,9 +2,9 @@
 
 An external sender — a plain ``socket.socket`` in this test process,
 standing in for a remote load generator — blasts ETH/IP/UDP frames at
-``Scout(backend="socket", executor="asyncio")`` over the loopback
-interface.  The kernel classifies, admits and delivers them through the
-same path machinery tier-1 exercises in virtual time, and the books
+``Scout(backend="socket")`` over the loopback interface.  The kernel
+classifies, admits and delivers them through the same path machinery
+and scheduler tier-1 exercises in virtual time, and the books
 must reconcile *exactly*: every frame the device accepted is either
 delivered to the TEST sink or accounted in a drop ledger, and the
 socket-level ledger itself lands in the metrics registry.
@@ -14,6 +14,8 @@ Skipped wholesale where loopback sockets are unavailable.
 
 import asyncio
 import socket
+
+import pytest
 
 from repro.api import EthAddr, IpAddr, Scout, build_udp_frame
 from .conftest import requires_loopback
@@ -60,8 +62,7 @@ class TestLoopbackDelivery:
         sent = 30
 
         async def main():
-            async with Scout(seed=11, backend="socket",
-                             executor="asyncio") as scout:
+            async with Scout(seed=11, backend="socket") as scout:
                 drops = []
                 scout.kernel.drop_hook = \
                     lambda msg, category: drops.append(category)
@@ -111,8 +112,7 @@ class TestLoopbackDelivery:
 
     def test_socket_level_drops_land_in_registry(self):
         async def main():
-            async with Scout(seed=11, backend="socket",
-                             executor="asyncio") as scout:
+            async with Scout(seed=11, backend="socket") as scout:
                 sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
                 sender.sendto(b"runt", scout.device.address)
                 device = scout.device
@@ -135,8 +135,7 @@ class TestLoopbackDelivery:
         from repro.net.packets import build_icmp_echo
 
         async def main():
-            async with Scout(seed=11, backend="socket",
-                             executor="asyncio") as scout:
+            async with Scout(seed=11, backend="socket") as scout:
                 sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
                 sender.bind(("127.0.0.1", 0))
                 sender.settimeout(5.0)
@@ -163,8 +162,7 @@ class TestBurstsReachTheKernel:
         flows, per_flow = 4, 16
 
         async def main():
-            async with Scout(seed=11, backend="socket",
-                             executor="asyncio") as scout:
+            async with Scout(seed=11, backend="socket") as scout:
                 sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
                 sender.bind(("127.0.0.1", 0))
                 scout.add_peer(REMOTE_IP, REMOTE_MAC, sender.getsockname())
@@ -192,5 +190,50 @@ class TestBurstsReachTheKernel:
                 assert batches == {flow: [per_flow] for flow in range(flows)}
                 assert scout.device.rx_frames == len(received) \
                     == flows * per_flow
+
+        asyncio.run(main())
+
+
+class TestSchedulingReachesTheEdge:
+    """The socket backend runs the deterministic scheduler, so what a
+    path asks of it (priority, virtual time, a loud failure) holds for
+    real packets too."""
+
+    def test_rr_priority_orders_service(self):
+        async def main():
+            async with Scout(seed=11, backend="socket") as scout:
+                scout.add_peer(REMOTE_IP, REMOTE_MAC)
+                for flow, priority in ((0, 5), (1, 0)):
+                    scout.kernel.start_udp_sink(
+                        SINK_PORT + flow, (str(REMOTE_IP), 7000),
+                        priority=priority)
+                # Frames 0-3 to the priority-5 sink, then 4-7 to the
+                # priority-0 sink: low priority first in, last out.
+                scout.kernel.rx_burst([udp_frame(seq, SINK_PORT + seq // 4)
+                                       for seq in range(8)])
+                await scout.settle()
+                assert [msg.to_bytes()
+                        for msg in scout.kernel.test.received] == \
+                    [b"loop-%06d" % seq for seq in (4, 5, 6, 7, 0, 1, 2, 3)]
+                assert scout.world.now > 0
+
+        asyncio.run(main())
+
+    def test_raising_thread_body_fails_serve(self):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sink broke")
+
+        async def main():
+            async with Scout(seed=11, backend="socket") as scout:
+                sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                sender.bind(("127.0.0.1", 0))
+                scout.add_peer(REMOTE_IP, REMOTE_MAC, sender.getsockname())
+                path = scout.kernel.start_udp_sink(
+                    SINK_PORT, (str(REMOTE_IP), 7000), specialize=False)
+                path.deliver = broken
+                sender.sendto(udp_frame(0), scout.device.address)
+                sender.close()
+                with pytest.raises(RuntimeError, match="sink broke"):
+                    await asyncio.wait_for(scout.serve(), timeout=5.0)
 
         asyncio.run(main())

@@ -2,6 +2,7 @@
 fluent PathBuilder, the Scout entry point, and the deprecation shims
 that keep older deep-import call sites working."""
 
+import asyncio
 import warnings
 
 import pytest
@@ -22,6 +23,8 @@ from repro.api import (
     classify,
     path_create,
 )
+
+from .sockdev.conftest import requires_loopback
 
 SPEC = """
 router ETH  { class = EthRouter;  service = {up:net};
@@ -169,9 +172,10 @@ class TestDeprecationShims:
 
 
 class TestBackendResolution:
-    """Every backend x executor x shards combination resolves through
+    """Every backend x shards combination resolves through
     _resolve_backend: accepted shapes construct, rejected shapes raise
-    ScoutError with a message naming the offending knob."""
+    ScoutError with a message naming the offending knob.  ``executor=``
+    is not an axis: only the value the backend implies is accepted."""
 
     ACCEPTED = [
         dict(),
@@ -179,8 +183,8 @@ class TestBackendResolution:
         dict(executor="sim"),
         dict(backend="sim", executor="sim"),
         dict(backend="sim", executor="sim", shards=1),
-        dict(executor="asyncio"),
-        dict(backend="sim", executor="asyncio"),
+        dict(backend="socket"),
+        dict(backend="socket", shards=1),
         dict(backend="socket", executor="asyncio"),
         dict(backend="sim", executor="sim", shards=4),
     ]
@@ -190,27 +194,36 @@ class TestBackendResolution:
         (dict(executor="threads"), "unknown executor"),
         (dict(shards=0), "shards must be >= 1"),
         (dict(shards=-2), "shards must be >= 1"),
-        (dict(backend="socket"), "requires executor='asyncio'"),
+        (dict(executor="asyncio"),
+         "requires executor='sim'.*drop executor=.*backend='socket'"),
         (dict(backend="socket", executor="sim"),
          "requires executor='asyncio'"),
-        (dict(shards=2, executor="asyncio"),
-         "requires backend='sim' and executor='sim'"),
+        (dict(shards=2, backend="socket"), "requires backend='sim'"),
         (dict(shards=2, backend="socket", executor="asyncio"),
-         "requires backend='sim' and executor='sim'"),
-        (dict(shards=3, backend="socket"),
-         "requires backend='sim' and executor='sim'"),
+         "requires backend='sim'"),
+        (dict(shards=3, backend="socket"), "requires backend='sim'"),
+        (dict(shards=2, executor="asyncio"), "requires executor='sim'"),
     ]
 
     @pytest.mark.parametrize("kwargs", ACCEPTED)
     def test_accepted_combinations_resolve(self, kwargs):
         api._resolve_backend(kwargs.get("backend", "sim"),
-                             kwargs.get("executor", "sim"),
+                             kwargs.get("executor"),
                              kwargs.get("shards"))
 
     @pytest.mark.parametrize("kwargs,message", REJECTED)
     def test_rejected_combinations_name_the_fix(self, kwargs, message):
         with pytest.raises(api.ScoutError, match=message):
             Scout(**kwargs)
+
+    def test_socket_backend_implies_its_executor(self):
+        # No socket is bound before start(), so this runs anywhere.
+        alone = Scout(seed=1, backend="socket")
+        spelled = Scout(seed=1, backend="socket", executor="asyncio")
+        for scout in (alone, spelled):
+            assert type(scout.world) is api.SimWorld
+            assert scout.executor == "asyncio"
+            assert scout.device is not None and scout.bridge is not None
 
     def test_fabric_guard_is_scout_error(self):
         scout = Scout(seed=0, shards=2, ports=[6100])
@@ -254,38 +267,42 @@ class TestScoutLifecycle:
         assert books is scout.merged_books()
 
     def test_asyncio_scout_rejects_sync_with(self):
-        scout = Scout(seed=2, executor="asyncio")
+        scout = Scout(seed=2, backend="socket")
         with pytest.raises(api.ScoutError, match="async with"):
             scout.__enter__()
 
     def test_asyncio_scout_rejects_run(self):
-        scout = Scout(seed=2, executor="asyncio")
+        scout = Scout(seed=2, backend="socket")
         with pytest.raises(api.ScoutError, match="virtual time"):
             scout.run(0.1)
 
     def test_sim_scout_rejects_async_surface(self):
         with Scout(seed=2) as scout:
-            with pytest.raises(api.ScoutError, match="asyncio"):
+            with pytest.raises(api.ScoutError, match="backend='socket'"):
                 scout.wallclock()
+            for call in (scout.start, scout.serve, scout.settle,
+                         scout.aclose):
+                with pytest.raises(api.ScoutError,
+                                   match="backend='socket'"):
+                    asyncio.run(call())
 
+    @requires_loopback
     def test_async_lifecycle_serves_and_closes(self):
-        import asyncio
-
         async def main():
-            async with Scout(seed=2, executor="asyncio",
-                             udp_sink=True) as scout:
+            async with Scout(seed=2, backend="socket") as scout:
+                assert scout.device.is_open and scout.bridge.running()
                 builder = scout.path(scout.kernel.test)
                 assert builder._transforms is scout.kernel.transforms
                 await scout.settle()
                 snap = scout.wallclock()
                 assert snap["wall_s"] >= 0.0
-            assert scout._closed
+            assert scout._closed and not scout.device.is_open
 
         asyncio.run(main())
 
 
 class TestRenamedFacadeNames:
     def test_wallclock_names_are_exported(self):
-        for name in ("AioWorld", "AioExecutor", "SocketNetDevice",
-                     "WallClockBridge", "BACKENDS", "EXECUTORS"):
+        for name in ("SocketNetDevice", "WallClockBridge", "BACKENDS",
+                     "EXECUTORS"):
             assert name in api.__all__
