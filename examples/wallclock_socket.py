@@ -79,7 +79,7 @@ async def main() -> None:
         print(f"device: rx={scout.device.rx_frames} "
               f"tx={scout.device.tx_frames} "
               f"drops={scout.device.drop_ledger()}")
-        print(f"admission drops: {drops}")
+        print(f"kernel drops: {drops}")
         assert scout.device.rx_frames == delivered + len(drops), \
             "books must reconcile: accepted = delivered + dropped"
         snap = scout.wallclock()

@@ -93,7 +93,7 @@ from .http import HttpRouter
 from .kernel import LinuxKernel, RouterKernel, ScoutKernel
 from .mpeg import CANYON, FLOWER, NEPTUNE, PAPER_CLIPS, synthesize_clip
 from .multipath import PathGroup, PathPool
-from .shard import FabricBooks, ShardBooks, ShardedKernel
+from .shard import FabricBooks, ShardedKernel
 from .net import (
     IPPROTO_TCP,
     IPPROTO_UDP,
@@ -555,7 +555,7 @@ __all__ = [
     # multipath
     "PathGroup", "PathPool",
     # shard fabric
-    "ShardedKernel", "FabricBooks", "ShardBooks", "flow_key",
+    "ShardedKernel", "FabricBooks", "flow_key",
     "flow_key_frame",
     # attributes
     "PA_NET_PARTICIPANTS", "PA_LOCAL_PORT", "PA_PATHNAME", "PA_FRAME_RATE",

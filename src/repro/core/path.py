@@ -106,6 +106,11 @@ class Path:
         #: truthy ``PA_TRACE`` attribute.  ``None`` — the default — keeps
         #: every hot path to a single attribute test.
         self.observer: Optional[Any] = None
+        #: Fate report ``fn(msg, category)``, called by :meth:`note_drop`
+        #: for every message this path ledgers.  The kernel whose thread
+        #: serves the path installs it (``PathRuntime``); ``None`` — the
+        #: default — reports to nobody.
+        self.drop_report: Optional[Callable[[Any, str], None]] = None
         #: Scheduling hook: "a path can set the wakeup function pointer to
         #: request that a specific function gets executed when a thread t
         #: is awakened to execute in a path p" (Section 3.2).
@@ -398,7 +403,8 @@ class Path:
         isolation, early discard, fault injection — funnels through here so
         drop accounting is uniform: ``msg.meta["drop_reason"]`` explains the
         individual message, :attr:`PathStats.drops` and
-        :attr:`PathStats.drop_reasons` aggregate per path.
+        :attr:`PathStats.drop_reasons` aggregate per path, and
+        :attr:`drop_report` hears the fate once.
         """
         meta = getattr(msg, "meta", None)
         if meta is not None:
@@ -406,6 +412,8 @@ class Path:
         self.stats.record_drop(category)
         if self.observer is not None:
             self.observer.on_drop(msg, reason, category)
+        if self.drop_report is not None:
+            self.drop_report(msg, category)
 
     def charge_cycles(self, cycles: float) -> None:
         """Charge CPU cycles to this path's account (the scheduler's

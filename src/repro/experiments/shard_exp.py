@@ -72,7 +72,7 @@ def run_shard(shard_counts: Sequence[int] = (1, 2, 4)) -> List[ShardRun]:
         runs.append(ShardRun(
             shards=shards,
             flows_per_shard=flows_per_shard,
-            injected=books.reconciliation["injected"],
+            injected=books.ledger.injected,
             delivered=counts.get(DELIVERED, 0),
             flow_streams=len(fabric.flow_streams),
             reconciled=books.ok,

@@ -478,9 +478,6 @@ class VerdictEngine:
         max_depth = self.max_depth()
         counts = self.ledger.counts()
         leaks = self.ledger.leaks()
-        accounted = sum(counts.values())
-        ledger_ok = (not leaks and not self.ledger.double_counted
-                     and accounted == self.ledger.injected)
         starved = self.starvation.starved_flows()
         return StabilityVerdict(
             strategy=strategy,
@@ -498,5 +495,5 @@ class VerdictEngine:
             ledger=counts,
             leaked=len(leaks),
             double_counted=len(self.ledger.double_counted),
-            ledger_ok=ledger_ok,
+            ledger_ok=self.ledger.ok,
         )

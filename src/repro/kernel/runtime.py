@@ -54,11 +54,14 @@ class PathRuntime:
     def __init__(self, world: SimWorld):
         self.world = world
         self.classifier_stats = ClassifierStats()
-        #: Optional per-message discard observer ``fn(msg, category)``,
-        #: invoked at every admission-time drop site (unclassified, early
-        #: discard, input-queue overflow).  The shard fabric's workers use
-        #: it to close each handed-off serial under an exact category;
-        #: ``None`` (the default) costs nothing.
+        #: Optional per-message fate observer ``fn(obj, category)``: it
+        #: hears exactly what :meth:`drop_ledger` counts, once per dropped
+        #: object — admission drops, drops inside a path, teardown drains
+        #: and reassembled datagrams no path wants.  *obj* is usually a
+        #: ``Msg`` but need not be (DISPLAY's ``outq_overflow`` drops a
+        #: decoded frame), so read ``getattr(obj, "meta", None)``.  The
+        #: shard fabric's workers use it to close each handed-off serial
+        #: under an exact category; ``None`` (the default) costs nothing.
         self.drop_hook = None
         self.early_drops = 0
         self.unclassified_drops = 0
@@ -86,22 +89,28 @@ class PathRuntime:
         if path is None:
             self.unclassified_drops += 1
             msg.meta.setdefault("drop_reason", "no path wants this frame")
-            self._shed(msg, "unclassified")
+            self._report_drop(msg, "unclassified")
+            self._shed()
             return False
         if not path.input_queue(BWD).try_enqueue(msg):
             self.inq_overflow_drops += 1
             path.note_drop(msg, "path input queue full", "inq_overflow")
-            self._shed(msg, "inq_overflow")
+            self._shed()
             return False
         path.stats.charge_memory(msg.footprint())
         return True
 
-    def _shed(self, msg: Msg, category: str) -> None:
-        """The tail of every interrupt-time drop: report the fate, pay
-        for the discard."""
+    def _shed(self) -> None:
+        """Pay for an interrupt-time discard."""
+        self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
+
+    def _report_drop(self, msg, category: str) -> None:
+        """The one place this kernel's fates reach :attr:`drop_hook`:
+        every path it serves reports here from ``Path.note_drop``, and
+        the two pathless sites (unclassified at admission and after
+        reassembly) call it directly."""
         if self.drop_hook is not None:
             self.drop_hook(msg, category)
-        self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
 
     # ------------------------------------------------------------------
     # Reassembled datagrams: rerun the classifier (Section 3.5)
@@ -120,6 +129,9 @@ class PathRuntime:
         charge(whole, hops * params.CLASSIFY_PER_HOP_US)
         if path is None or path is self.frag_path:
             self.unclassified_drops += 1
+            whole.meta.setdefault("drop_reason",
+                                  "no path wants the reassembled datagram")
+            self._report_drop(whole, "unclassified")
             return
         whole.meta["entry_router"] = "IP"
         if not path.input_queue(BWD).try_enqueue(whole):
@@ -200,6 +212,7 @@ class PathRuntime:
                            reserve_output: bool = False):
         """Give *path* its thread and enter it in the kernel's books."""
         self._paths.append(path)
+        path.drop_report = self._report_drop
         return self.world.spawn(
             self._path_thread_body(path, batch_limit, reserve_output),
             name=name, policy=policy, priority=priority, path=path)

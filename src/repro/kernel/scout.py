@@ -311,7 +311,7 @@ class ScoutKernel(PathRuntime):
             self.early_drops += 1
             path.note_drop(msg, "early discard of skipped frame",
                            "early_discard")
-            self._shed(msg, "early_discard")
+            self._shed()
             return False
         else:
             self._note_arrival(path)

@@ -141,6 +141,11 @@ class ForwardStage(Stage):
         except ValueError as exc:
             self.note_drop(msg, str(exc), "malformed")
             return None
+        if header.total_length < IpHeader.SIZE:
+            # RFC 1812 §5.2.2; a negative length would slice from the end.
+            self.note_drop(msg, "IP total length below header length",
+                           "malformed")
+            return None
         msg.pop(IpHeader.SIZE)
         # Trim link-layer padding beyond the IP total length.
         payload = msg.to_bytes()[:header.total_length - IpHeader.SIZE]

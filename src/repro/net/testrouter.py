@@ -41,6 +41,14 @@ class TestStage(Stage):
             router.sink_overflows += 1
         return None
 
+    def destroy(self) -> None:
+        # Everything on the sink's output queue is already delivered (it
+        # is in ``received``).  Take it back by dequeue before the path
+        # drains its queues: a drain would ledger it a second fate.
+        outq = self.path.output_queue(BWD)
+        while outq.try_dequeue() is not None:
+            pass
+
 
 def _specialize_test_sink(stage: TestStage, iface, direction: int,
                           terminal: bool) -> Optional[StageFragment]:

@@ -25,8 +25,7 @@ class DropLedger:
     (:data:`DELIVERED`, :data:`BACKPRESSURE_SHED`, a drop category...).
     Closing a serial twice is recorded as a double count, never silently
     merged; serials still open at reconciliation are leaks.  The verdict
-    is only ``ok`` when both lists are empty and the category counts sum
-    exactly to the injection count.
+    is :attr:`ok`.
     """
 
     def __init__(self) -> None:
@@ -56,6 +55,13 @@ class DropLedger:
     def leaks(self) -> List[int]:
         return sorted(serial for serial, cat in self._state.items()
                       if cat is None)
+
+    @property
+    def ok(self) -> bool:
+        """No leaks and no double counts.  Conservation needs no third
+        check: every serial holds one state, so the category counts sum
+        to :attr:`injected` exactly when no serial is open."""
+        return not self.double_counted and None not in self._state.values()
 
     def counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

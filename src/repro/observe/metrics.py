@@ -55,10 +55,6 @@ class Counter(_Instrument):
             raise ValueError("counters only go up")
         self.value += amount
 
-    def merge_from(self, other: "Counter") -> None:
-        """Fold *other* into this series: counts add."""
-        self.value += other.value
-
     def render(self) -> List[str]:
         return [f"{self.name}{self.label_suffix()} {_fmt(self.value)}"]
 
@@ -80,21 +76,6 @@ class Gauge(_Instrument):
             self.max_value = value
         if value < self.min_value:
             self.min_value = value
-
-    def merge_from(self, other: "Gauge") -> None:
-        """Fold *other* into this series.
-
-        Levels **add** (the fabric-wide occupancy is the total across
-        shards) while the watermarks take the elementwise extreme (the
-        worst any single shard ever saw) — both operations are
-        associative and commutative, so a merge of merges equals the
-        merge of the whole set in any order.
-        """
-        self.value += other.value
-        if other.max_value > self.max_value:
-            self.max_value = other.max_value
-        if other.min_value < self.min_value:
-            self.min_value = other.min_value
 
     def render(self) -> List[str]:
         hi = _fmt(self.max_value) if self.max_value != float("-inf") else "-"
@@ -133,25 +114,6 @@ class Histogram(_Instrument):
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold *other* into this series: bucket-wise addition.
-
-        Requires identical bucket bounds — merging differently-bucketed
-        histograms would silently misplace observations, so it raises.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {self.name} with bounds "
-                f"{other.bounds} into bounds {self.bounds}")
-        for index, n in enumerate(other.buckets):
-            self.buckets[index] += n
-        self.count += other.count
-        self.sum += other.sum
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
 
     def render(self) -> List[str]:
         head = (f"{self.name}{self.label_suffix()} count={self.count} "
@@ -225,43 +187,6 @@ class MetricsRegistry:
         """Sum of counter values (or gauge levels) matching the filter."""
         return sum(getattr(series, "value", 0.0)
                    for series in self.series(name, **labels))
-
-    # -- cross-registry merge ------------------------------------------------
-
-    def merge(self, *snapshots: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold every series of *snapshots* into this registry.
-
-        The merged-books primitive of the shard fabric (DESIGN.md §17):
-        each shard keeps its own registry, and the fabric-level view is
-        ``MetricsRegistry().merge(*per_shard)``.  Series are matched by
-        exact ``(name, labels)`` identity; counters add, gauges add their
-        levels and keep the worst per-shard watermarks, histograms add
-        bucket-wise.  The operation is associative and commutative (the
-        property suite pins this), so shards may be merged in any order
-        or in any grouping and every total equals the per-shard sum.
-
-        A series present in a snapshot but not here is deep-copied in; a
-        series registered under a different instrument type raises
-        ``TypeError`` rather than guessing.  Returns ``self`` so
-        ``MetricsRegistry().merge(a, b, c)`` reads as a constructor.
-        """
-        for snapshot in snapshots:
-            for key, series in snapshot._series.items():
-                mine = self._series.get(key)
-                if mine is None:
-                    if isinstance(series, Histogram):
-                        mine = Histogram(series.name, series.labels,
-                                         series.bounds)
-                    else:
-                        mine = type(series)(series.name, series.labels)
-                    self._series[key] = mine
-                elif type(mine) is not type(series):
-                    raise TypeError(
-                        f"{series.name} registered as "
-                        f"{type(mine).__name__} here but "
-                        f"{type(series).__name__} in the merged snapshot")
-                mine.merge_from(series)
-        return self
 
     # -- snapshot --------------------------------------------------------------
 

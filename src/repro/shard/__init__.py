@@ -12,21 +12,18 @@ test that observation (DESIGN.md §17):
 * :mod:`~repro.shard.worker` — one whole ``ScoutKernel`` per shard,
   answering per-serial fates, with a shard-local shedder/watchdog
   control plane;
-* :mod:`~repro.shard.books` — merged metrics + cross-shard drop-ledger
-  reconciliation, exact to the serial;
 * :mod:`~repro.shard.fabric` — :class:`ShardedKernel`, composing it
   all as one deterministic in-process machine, with dead-worker
-  failover and a flow ``rebalance()`` hook.
+  failover, a flow ``rebalance()`` hook, and :class:`FabricBooks`: the
+  merged drop ledger, cross-checked against every live shard kernel.
 """
 
-from .books import FabricBooks, ShardBooks, reconcile
 from .dispatch import FlowDispatcher, shard_of
-from .fabric import ShardedKernel
-from .worker import SHARD_FAILOVER, ShardSpec, ShardWorker
+from .fabric import FabricBooks, ShardedKernel
+from .worker import SHARD_FAILOVER, ShardWorker
 
 __all__ = [
-    "ShardedKernel",
+    "ShardedKernel", "FabricBooks",
     "FlowDispatcher", "shard_of",
-    "ShardSpec", "ShardWorker", "SHARD_FAILOVER",
-    "ShardBooks", "FabricBooks", "reconcile",
+    "ShardWorker", "SHARD_FAILOVER",
 ]

@@ -22,15 +22,56 @@ is re-pinned onto live shards.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.flowcache import flow_key_frame
-from ..observe.ledger import DropLedger
-from .books import FabricBooks, ShardBooks
+from ..observe.ledger import DELIVERED, DropLedger
 from .dispatch import FlowDispatcher, shard_of
-from .worker import SHARD_FAILOVER, Fate, ShardSpec, ShardWorker
+from .worker import SHARD_FAILOVER, Fate, ShardWorker
 
-__all__ = ["ShardedKernel"]
+__all__ = ["ShardedKernel", "FabricBooks"]
+
+
+class FabricBooks:
+    """The fabric's closing statement.
+
+    :attr:`ledger` merges the per-shard :attr:`ledgers` with serials
+    namespaced ``(shard_id, serial)``.  Each live shard's slice is also
+    checked against what its own kernel counted — ``{"delivered": sink
+    receives, **drop_ledger()}`` — which catches a category misfiled the
+    same way on both sides of the handoff, and a fate the kernel
+    ledgered but never reported.  A dead shard cannot testify: its
+    ledger, ``shard_failover`` serials included, still merges.
+    """
+
+    def __init__(self, ledgers: Dict[int, DropLedger],
+                 live: Dict[int, ShardWorker]):
+        self.ledgers = ledgers
+        self.ledger = DropLedger.merge(ledgers)
+        #: ``shard -> (ledger counts, kernel counts)`` where they differ.
+        self.mismatches: Dict[int, Tuple[Dict[str, int], Dict[str, int]]] = {}
+        for shard, worker in sorted(live.items()):
+            counts = ledgers[shard].counts()
+            counts.setdefault(DELIVERED, 0)
+            kernel = worker.kernel
+            own = {DELIVERED: len(kernel.test.received),
+                   **kernel.drop_ledger()}
+            if counts != own:
+                self.mismatches[shard] = (counts, own)
+        self._control = {shard: worker.control_state()
+                         for shard, worker in sorted(live.items())}
+
+    @property
+    def ok(self) -> bool:
+        return self.ledger.ok and not self.mismatches
+
+    def governor_view(self) -> Dict[int, Dict[str, Any]]:
+        """Fabric-level control-plane summary, one row per live shard."""
+        return {shard: dict(row) for shard, row in self._control.items()}
+
+    def __repr__(self) -> str:
+        return (f"<FabricBooks {self.ledger.counts()} "
+                f"mismatches={self.mismatches} ok={self.ok}>")
 
 
 class ShardedKernel:
@@ -57,10 +98,10 @@ class ShardedKernel:
         self.flow_streams: Dict[bytes, List[bytes]] = {}
         #: Live workers by shard; :meth:`kill_shard` removes one.
         self.workers: Dict[int, ShardWorker] = {
-            shard: ShardWorker(ShardSpec(
+            shard: ShardWorker(
                 shard, seed=seed + shard, ports=ports, batch=batch,
                 inq_len=inq_len, outq_len=outq_len,
-                specialize=specialize, control_plane=control_plane))
+                specialize=specialize, control_plane=control_plane)
             for shard in range(shards)}
         self._finished: Optional[FabricBooks] = None
 
@@ -165,18 +206,11 @@ class ShardedKernel:
     # -- closing the books -----------------------------------------------------
 
     def finish(self) -> FabricBooks:
-        """Collect every live worker's books, merge, reconcile."""
-        if self._finished is not None:
-            return self._finished
-        books: Dict[int, ShardBooks] = {
-            shard: worker.books()
-            for shard, worker in self.workers.items()
-            if shard not in self.dispatcher.dead}
-        # Every ledger participates in the merge — a dead shard's
-        # pre-death deliveries and its failover serials are real history.
-        # Per-shard kernel-sum reconciliation only runs where books
-        # exist (a dead worker cannot testify).
-        self._finished = FabricBooks(books, dict(self.ledgers))
+        """Close the books: merge every ledger, cross-check the live
+        shards (a killed worker has left :attr:`workers`)."""
+        if self._finished is None:
+            self._finished = FabricBooks(dict(self.ledgers),
+                                         dict(self.workers))
         return self._finished
 
     def __repr__(self) -> str:

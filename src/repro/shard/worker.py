@@ -4,10 +4,11 @@ A shard is not a thread inside a shared kernel — it is a complete
 :class:`~repro.kernel.ScoutKernel` (own :class:`~repro.sim.SimWorld`,
 own scheduler, own flow cache, own admission state) that receives whole
 frame runs from the dispatcher and answers with per-serial *fates*:
-``delivered`` with the payload bytes, or the exact drop category its
-admission/queues assigned.  Because every shard runs its own virtual
-clock, shards are deterministic in isolation, which is what lets the
-differential suite compare 1-, 2- and 4-shard runs byte for byte.
+``delivered`` with the payload bytes, or the exact drop category the
+kernel's ``drop_hook`` heard, wherever the frame died.  Because every
+shard runs its own virtual clock, shards are deterministic in isolation,
+which is what lets the differential suite compare 1-, 2- and 4-shard
+runs byte for byte.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from ..kernel.scout import ScoutKernel
 from ..net.addresses import EthAddr, IpAddr
 from ..net.segment import EtherSegment
 from ..observe.ledger import DELIVERED
-from ..observe.metrics import MetricsRegistry
 from ..sim.world import SimWorld
-from .books import ShardBooks
 
-__all__ = ["ShardSpec", "ShardWorker", "SHARD_FAILOVER"]
+__all__ = ["ShardWorker", "SHARD_FAILOVER"]
 
 #: Ledger category for serials orphaned by a dead worker.
 SHARD_FAILOVER = "shard_failover"
@@ -33,46 +32,13 @@ SHARD_FAILOVER = "shard_failover"
 #: Fate tuple: ``(serial, category, payload-or-None)``.
 Fate = Tuple[int, str, Optional[bytes]]
 
-
-class ShardSpec:
-    """Recipe for building one shard's kernel.
-
-    Every shard replicates the *same* local addresses: the fabric is one
-    logical Scout machine, so a frame must validate (ETH dst, IP dst,
-    UDP port) identically on whichever shard the dispatcher picks —
-    that address-replication is what makes 1-shard and N-shard runs
-    byte-comparable per flow.
-    """
-
-    __slots__ = ("shard_id", "seed", "ports", "batch", "inq_len",
-                 "outq_len", "specialize", "local_mac", "local_ip",
-                 "remote_mac", "remote_ip", "control_plane")
-
-    def __init__(self, shard_id: int, seed: int = 0,
-                 ports: Sequence[int] = (6100,),
-                 batch: int = 8, inq_len: int = 64, outq_len: int = 64,
-                 specialize: Optional[bool] = None,
-                 local_mac: str = "02:00:00:00:00:01",
-                 local_ip: str = "10.0.0.1",
-                 remote_mac: str = "02:00:00:00:00:02",
-                 remote_ip: str = "10.0.0.2",
-                 control_plane: bool = False):
-        self.shard_id = shard_id
-        self.seed = seed
-        self.ports = tuple(ports)
-        self.batch = batch
-        self.inq_len = inq_len
-        self.outq_len = outq_len
-        self.specialize = specialize
-        self.local_mac = local_mac
-        self.local_ip = local_ip
-        self.remote_mac = remote_mac
-        self.remote_ip = remote_ip
-        self.control_plane = control_plane
-
-    def __repr__(self) -> str:
-        return (f"<ShardSpec shard={self.shard_id} ports={self.ports} "
-                f"batch={self.batch}>")
+#: Every shard replicates the *same* addresses: the fabric is one logical
+#: Scout machine, so a frame must validate (ETH dst, IP dst, UDP port)
+#: identically on whichever shard the dispatcher picks — that
+#: replication is what makes 1-shard and N-shard runs byte-comparable
+#: per flow.
+LOCAL_MAC, LOCAL_IP = "02:00:00:00:00:01", "10.0.0.1"
+REMOTE_MAC, REMOTE_IP = "02:00:00:00:00:02", "10.0.0.2"
 
 
 class ShardWorker:
@@ -82,37 +48,25 @@ class ShardWorker:
     #: keep the engine from ever going idle.
     RUN_SLICE_US = 50_000.0
 
-    def __init__(self, spec: ShardSpec):
-        self.spec = spec
-        self.shard_id = spec.shard_id
-        self.world = SimWorld(seed=spec.seed)
+    def __init__(self, shard_id: int, seed: int, ports: Sequence[int],
+                 batch: int, inq_len: int, outq_len: int,
+                 specialize: Optional[bool], control_plane: bool):
+        self.shard_id = shard_id
+        self.world = SimWorld(seed=seed)
         self.segment = EtherSegment(self.world.engine, rng=self.world.rng)
         self.kernel = ScoutKernel(
-            self.world, self.segment,
-            local_mac=spec.local_mac, local_ip=spec.local_ip,
-            udp_sink=True, display=False, specialize=spec.specialize)
-        self.kernel.arp.add_entry(IpAddr(spec.remote_ip),
-                                  EthAddr(spec.remote_mac))
-        self.metrics = MetricsRegistry()
-        self._m_frames = self.metrics.counter(
-            "shard_frames_in", shard=self.shard_id)
-        self._m_delivered = self.metrics.counter(
-            "shard_delivered", shard=self.shard_id)
-        self._m_dropped = self.metrics.counter(
-            "shard_dropped", shard=self.shard_id)
-        self._m_batches = self.metrics.histogram(
-            "shard_batch_frames", bounds=(1, 8, 32, 128, 512),
-            shard=self.shard_id)
-        self._m_inq_depth = self.metrics.gauge(
-            "shard_inq_high_watermark", shard=self.shard_id)
-        self._drops: List[Tuple[Optional[int], str]] = []
+            self.world, self.segment, local_mac=LOCAL_MAC, local_ip=LOCAL_IP,
+            udp_sink=True, display=False, specialize=specialize)
+        self.kernel.arp.add_entry(IpAddr(REMOTE_IP), EthAddr(REMOTE_MAC))
+        self._drops: List[Tuple[int, str]] = []
         self.kernel.drop_hook = self._on_drop
         self._delivered_cursor = 0
-        for port in spec.ports:
-            self.kernel.start_udp_sink(
-                port, remote=(spec.remote_ip, 7000), batch=spec.batch,
-                inq_len=spec.inq_len, outq_len=spec.outq_len,
-                specialize=spec.specialize)
+        #: ``start_udp_sink`` arguments of every sink, rebuilt ones too.
+        self._sink = dict(remote=(REMOTE_IP, 7000), batch=batch,
+                          inq_len=inq_len, outq_len=outq_len,
+                          specialize=specialize)
+        for port in ports:
+            self.kernel.start_udp_sink(port, **self._sink)
         # -- shard-local control plane ------------------------------------
         # The shedder observes the sink input queues (its ``shedding``
         # flag is the watchdog's overload discriminator); it does not
@@ -123,8 +77,8 @@ class ShardWorker:
         self.watchdogs: Dict[int, PathWatchdog] = {}
         for port, path in self.kernel.sink_paths.items():
             self.shedder.watch(path.input_queue(BWD))
-        if spec.control_plane:
-            for port in spec.ports:
+        if control_plane:
+            for port in ports:
                 self.watchdogs[port] = PathWatchdog(
                     self.world.engine, self.kernel.sink_paths[port],
                     rebuild=self._make_rebuild(port),
@@ -134,8 +88,11 @@ class ShardWorker:
 
     # -- kernel hooks ----------------------------------------------------------
 
-    def _on_drop(self, msg, category: str) -> None:
-        self._drops.append((msg.meta.get("shard_serial"), category))
+    def _on_drop(self, obj, category: str) -> None:
+        meta = getattr(obj, "meta", None)
+        serial = meta.get("shard_serial") if meta else None
+        if serial is not None:
+            self._drops.append((serial, category))
 
     def _make_rebuild(self, port: int):
         def rebuild():
@@ -144,11 +101,7 @@ class ShardWorker:
             # owns the port.  The watchdog adopts the returned path.
             if port in self.kernel.sink_paths:
                 self.kernel.stop_udp_sink(port)
-            path = self.kernel.start_udp_sink(
-                port, remote=(self.spec.remote_ip, 7000),
-                batch=self.spec.batch, inq_len=self.spec.inq_len,
-                outq_len=self.spec.outq_len,
-                specialize=self.spec.specialize)
+            path = self.kernel.start_udp_sink(port, **self._sink)
             self.shedder.watch(path.input_queue(BWD))
             return path
         return rebuild
@@ -165,14 +118,9 @@ class ShardWorker:
         shedder samples occupancy once per run (admission-observational,
         never gating).
         """
-        self._m_frames.inc(len(frames))
-        self._m_batches.observe(len(frames))
         self.kernel.rx_burst(list(frames), metas=list(metas) if metas else None)
         self.shedder.admit()
         self._run_to_quiescence()
-        depth = max((len(p.input_queue(BWD))
-                     for p in self.kernel.sink_paths.values()), default=0)
-        self._m_inq_depth.set(depth)
         return self._collect_fates()
 
     def _run_to_quiescence(self) -> None:
@@ -194,12 +142,9 @@ class ShardWorker:
             serial = msg.meta.get("shard_serial")
             if serial is not None:
                 fates.append((serial, DELIVERED, msg.to_bytes()))
-                self._m_delivered.inc()
         self._delivered_cursor = len(received)
-        for serial, category in self._drops:
-            if serial is not None:
-                fates.append((serial, category, None))
-                self._m_dropped.inc()
+        fates.extend((serial, category, None)
+                     for serial, category in self._drops)
         self._drops.clear()
         return fates
 
@@ -220,19 +165,6 @@ class ShardWorker:
                                       for w in self.watchdogs.values()),
         }
 
-    # -- closing the books -----------------------------------------------------
-
-    def books(self) -> ShardBooks:
-        kernel = self.kernel
-        account = {
-            "delivered": len(kernel.test.received),
-            "delivered_bytes": kernel.test.bytes_received,
-            "drops": kernel.drop_ledger(),
-        }
-        return ShardBooks(self.shard_id, self.metrics, account,
-                          kernel.stats(), control=self.control_state())
-
     def __repr__(self) -> str:
         return (f"<ShardWorker shard={self.shard_id} "
                 f"t={self.world.now:.0f}us>")
-

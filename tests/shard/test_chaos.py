@@ -69,14 +69,14 @@ class TestKillOneShard:
 
         # 3. no double delivery, no leaks, conservation holds
         assert books.ledger.double_counted == []
-        assert books.reconciliation["leaks"] == []
-        assert books.reconciliation["conserved"]
+        assert books.ledger.leaks() == []
+        assert sum(counts.values()) == books.ledger.injected
         assert books.ok
 
         # 4. totals: 3 bursts injected, one burst of the victim's flows
         #    failed over, everything else delivered
         injected = 3 * FLOWS * STORM_W
-        assert books.reconciliation["injected"] == injected
+        assert books.ledger.injected == injected
         assert counts[DELIVERED] == injected - expected_failover
 
     def test_orphaned_flows_keep_delivering(self):
@@ -103,8 +103,8 @@ def test_kill_then_finish_without_further_traffic():
     fabric.offer(interleaved_workload(8, 2))
     fabric.kill_shard(2)
     books = fabric.finish()
-    assert books.reconciliation["leaks"] == []
-    assert books.reconciliation["conserved"]
+    assert books.ledger.leaks() == []
+    assert sum(books.ledger.counts().values()) == books.ledger.injected
 
 
 def test_control_plane_shards_stay_exact():

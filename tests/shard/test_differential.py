@@ -109,6 +109,20 @@ class TestSpecializedTierParity:
             run_fabric(4, 6, offers, batch=8, specialize=True))
 
 
+class TestInPathDropParity:
+    """A frame that dies inside a sink path, not at admission, must get
+    its fate from the kernel's drop hook on every shard count."""
+
+    def test_lying_total_length_on_a_warm_flow(self):
+        lying = bytearray(udp_frame(3, 99))
+        lying[16:18] = (10).to_bytes(2, "big")  # IP total length < IHL
+        offers = [interleaved_workload(8, 2), [bytes(lying)]]
+        baseline = run_fabric(1, 8, offers, batch=8)
+        sharded = run_fabric(4, 8, offers, batch=8)
+        assert baseline.finish().ledger.count("malformed") == 1
+        assert_fabrics_agree(baseline, sharded)
+
+
 class TestRebalanceParity:
     def test_rebalanced_flow_stream_unchanged(self):
         key = flow_key_frame(udp_frame(3, 0))

@@ -1,130 +1,10 @@
-"""Merged books are algebraically honest (DESIGN.md §17).
+"""Merged books are honest (DESIGN.md §17).
 
-``MetricsRegistry.merge`` must be associative and commutative — the
-fabric merges shards in whatever order they close their books, and a
-merge of merges (per-rack, then fabric-wide) must equal the flat merge.
-Hypothesis generates random per-shard registries and checks the
-algebra; explicit tests pin the totals-equal-sums and namespacing
-contracts the reconciliation gate relies on.
+``DropLedger.merge`` namespaces every serial by shard, so merged totals
+are the per-shard sums and leaks and double counts survive the merge.
 """
 
-from hypothesis import given, settings, strategies as st
-
 from repro.faults.adversary import DELIVERED, DropLedger
-from repro.observe.metrics import MetricsRegistry
-
-NAMES = ("rx_frames", "drops", "queue_depth", "service_us")
-LABELS = ({}, {"shard": 0}, {"shard": 1}, {"path": "UDPSINK"})
-BOUNDS = (1.0, 10.0, 100.0)
-
-
-# One registry = a handful of instrument operations.  Values are
-# integer-valued floats: float addition is only associative when every
-# partial sum is exactly representable, and the algebra laws below are
-# about merge structure, not about IEEE rounding.
-_counter_op = st.tuples(st.just("counter"), st.sampled_from(NAMES),
-                        st.sampled_from(LABELS),
-                        st.integers(0, 10**6).map(float))
-_gauge_op = st.tuples(st.just("gauge"), st.sampled_from(NAMES),
-                      st.sampled_from(LABELS),
-                      st.integers(-(10**6), 10**6).map(float))
-_hist_op = st.tuples(st.just("hist"), st.sampled_from(NAMES),
-                     st.sampled_from(LABELS),
-                     st.integers(0, 10**4).map(float))
-
-
-def _build(ops):
-    registry = MetricsRegistry()
-    for kind, name, labels, value in ops:
-        # One name-kind pairing per registry: suffix the name by kind so
-        # random draws never collide a Counter with a Gauge.
-        if kind == "counter":
-            registry.counter(name + "_c", **labels).inc(value)
-        elif kind == "gauge":
-            registry.gauge(name + "_g", **labels).set(value)
-        else:
-            registry.histogram(name + "_h", bounds=BOUNDS,
-                               **labels).observe(value)
-    return registry
-
-
-registries = st.lists(
-    st.one_of(_counter_op, _gauge_op, _hist_op), max_size=8).map(_build)
-
-
-def canon(registry):
-    """Canonical state of every series — exact, not rendered."""
-    out = {}
-    for key in sorted(registry._series):
-        series = registry._series[key]
-        state = [type(series).__name__]
-        for attr in ("value", "max_value", "min_value", "count", "sum",
-                     "min", "max", "buckets", "bounds"):
-            if hasattr(series, attr):
-                value = getattr(series, attr)
-                state.append(tuple(value) if isinstance(value, list)
-                             else value)
-        out[key] = tuple(state)
-    return out
-
-
-@settings(max_examples=60, deadline=None)
-@given(registries, registries)
-def test_merge_commutative(ops_a, ops_b):
-    ab = MetricsRegistry().merge(ops_a, ops_b)
-    ba = MetricsRegistry().merge(ops_b, ops_a)
-    assert canon(ab) == canon(ba)
-
-
-@settings(max_examples=60, deadline=None)
-@given(registries, registries, registries)
-def test_merge_associative(a, b, c):
-    left = MetricsRegistry().merge(MetricsRegistry().merge(a, b), c)
-    right = MetricsRegistry().merge(a, MetricsRegistry().merge(b, c))
-    flat = MetricsRegistry().merge(a, b, c)
-    assert canon(left) == canon(right) == canon(flat)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 100).map(float), max_size=10),
-       st.lists(st.integers(0, 100).map(float), max_size=10))
-def test_counter_totals_equal_per_shard_sums(increments_a, increments_b):
-    shards = []
-    for shard_id, increments in ((0, increments_a), (1, increments_b)):
-        registry = MetricsRegistry()
-        counter = registry.counter("rx", shard=shard_id)
-        for amount in increments:
-            counter.inc(amount)
-        shards.append(registry)
-    merged = MetricsRegistry().merge(*shards)
-    assert merged.total("rx") == sum(increments_a) + sum(increments_b)
-
-
-def test_merge_into_self_view_does_not_mutate_sources():
-    source = MetricsRegistry()
-    source.counter("c").inc(5)
-    MetricsRegistry().merge(source, source)
-    assert source.counter("c").value == 5
-
-
-def test_histogram_bounds_mismatch_raises():
-    import pytest
-    a = MetricsRegistry()
-    a.histogram("h", bounds=(1, 2)).observe(1)
-    b = MetricsRegistry()
-    b.histogram("h", bounds=(1, 3)).observe(1)
-    with pytest.raises(ValueError, match="bounds"):
-        MetricsRegistry().merge(a, b)
-
-
-def test_type_conflict_raises():
-    import pytest
-    a = MetricsRegistry()
-    a.counter("x").inc()
-    b = MetricsRegistry()
-    b.gauge("x").set(1)
-    with pytest.raises(TypeError):
-        MetricsRegistry().merge(a, b)
 
 
 class TestLedgerMerge:

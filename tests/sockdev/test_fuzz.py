@@ -17,6 +17,7 @@ sockets are unavailable.
 import asyncio
 import random
 import socket
+from collections import Counter
 
 import pytest
 
@@ -93,6 +94,8 @@ def test_mutation_corpus_every_datagram_has_one_fate(specialize, monkeypatch):
             lambda loop, context: errors.append(context))
         async with Scout(seed=11, backend="socket") as scout:
             kernel, device = scout.kernel, scout.device
+            heard = Counter()
+            kernel.drop_hook = lambda obj, category: heard.update((category,))
             sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sender.bind(("127.0.0.1", 0))
             scout.add_peer(REMOTE_IP, REMOTE_MAC, sender.getsockname())
@@ -143,6 +146,7 @@ def test_mutation_corpus_every_datagram_has_one_fate(specialize, monkeypatch):
                           kernel.frag_path.stages[0]._buffers.values())
             dropped = sum(kernel.drop_ledger().values())
             assert device.rx_frames == len(received) + dropped + waiting
+            assert heard == Counter(kernel.drop_ledger())
             assert dropped > MUTANTS // 10 and len(received) > MUTANTS // 2
             assert len(received) == before + 1
             assert received[-1].to_bytes() == last[42:]
