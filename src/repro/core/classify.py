@@ -61,44 +61,17 @@ class ClassifyResult(NamedTuple):
     run_length: int = 1
 
 
-class _Respread:
-    """Sentinel: a sticky group's pins were just invalidated; re-classify."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<respread>"
-
-
-_RESPREAD = _Respread()
-
-
-def _dispatch_group(group, cached, msg, cache, stats):
-    """Resolve a flow-cache hit whose path belongs to a path group.
-
-    Returns the member to use, ``None`` for a discard, or
-    :data:`_RESPREAD` when the policy asked for its pins to be dropped
-    (the caller re-walks the refinement chain).
-    """
-    if group.policy.sticky:
-        if group.take_respread():
-            cache.invalidate_group(group.gid)
-            return _RESPREAD
-        member = cached  # the pin itself is the policy's placement
-    else:
-        member = group.dispatch(msg)
-        if member is None:
-            msg.meta["drop_reason"] = (
-                f"path group #{group.gid} has no live member")
-            group.note_dispatch_failure()
-            if stats is not None:
-                stats.dropped += 1
-            return None
-    if stats is not None:
-        stats.classified += 1
-        stats.cache_hits += 1
-    msg.meta["path"] = member
-    observer = member.observer
-    if observer is not None:
-        observer.on_demux(msg, 1)
+def _group_dispatch(group, msg: Msg,
+                    stats: Optional[ClassifierStats]) -> Optional[Path]:
+    """The group's selection policy picks the member serving *msg*;
+    ``None``, recorded as a discard, when no member is live."""
+    member = group.dispatch(msg)
+    if member is None:
+        msg.meta["drop_reason"] = (
+            f"path group #{group.gid} has no live member")
+        group.note_dispatch_failure()
+        if stats is not None:
+            stats.dropped += 1
     return member
 
 
@@ -128,8 +101,8 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
     When a *cache* (:class:`~repro.core.flowcache.FlowCache`) is
     supplied it is consulted before the refinement chain — an established
     flow classifies in one probe — and successful chain classifications
-    populate it.  The cache itself guarantees it never returns a path
-    that is not ESTABLISHED.
+    populate it.  The message is keyed once, for both.  The cache itself
+    guarantees it never returns a path that is not ESTABLISHED.
 
     **Multipath dispatch happens here, at the demux boundary.**  When the
     classified path belongs to a :class:`~repro.multipath.PathGroup`, the
@@ -144,27 +117,42 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
     The chain runs at interrupt time in Scout; callers that model CPU cost
     account for it separately (see :mod:`repro.sim.cpu`).
     """
-    if cache is not None:
-        cached = cache.lookup(msg)
-        if cached is not None:
-            group = cached.group
-            if group is not None:
-                resolved = _dispatch_group(group, cached, msg, cache, stats)
-                if resolved is not _RESPREAD:
-                    source = (SOURCE_CACHE if group.policy.sticky
-                              else SOURCE_GROUP)
-                    return ClassifyResult(resolved, source)
-                # fall through: the pins were just invalidated; re-walk
-                # the chain so the flow is re-placed by the policy.
-            else:
-                if stats is not None:
-                    stats.classified += 1
-                    stats.cache_hits += 1
-                msg.meta["path"] = cached
-                observer = cached.observer
-                if observer is not None:
-                    observer.on_demux(msg, 1)
-                return ClassifyResult(cached, SOURCE_CACHE)
+    key = cache.key_of(msg) if cache is not None else None
+    return _classify_keyed(router, msg, key, service, stats, cache)
+
+
+def _classify_keyed(router: Router, msg: Msg, key: Optional[bytes],
+                    service: Optional[Service],
+                    stats: Optional[ClassifierStats],
+                    cache) -> ClassifyResult:
+    """:func:`classify_ex` with *msg*'s flow-cache *key* already computed
+    (``None``: no cache, or a message the cache does not key)."""
+    if key is not None:
+        path = cache.lookup_key(key, msg)
+        source = SOURCE_CACHE
+        if path is not None and path.group is not None:
+            group = path.group
+            if not group.policy.sticky:
+                # A cached group anchor: the policy re-dispatches every
+                # message.
+                source = SOURCE_GROUP
+                path = _group_dispatch(group, msg, stats)
+                if path is None:
+                    return ClassifyResult(None, SOURCE_GROUP)
+            elif group.take_respread():
+                # The policy asked for its pins to be dropped: re-walk
+                # the chain so the flow is re-placed.
+                cache.invalidate_group(group.gid)
+                path = None
+        if path is not None:
+            if stats is not None:
+                stats.classified += 1
+                stats.cache_hits += 1
+            msg.meta["path"] = path
+            observer = path.observer
+            if observer is not None:
+                observer.on_demux(msg, 1)
+            return ClassifyResult(path, source)
     offset = 0
     current: Router = router
     current_service = service
@@ -178,20 +166,15 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
                 # Demux landed on a group member (typically the anchor
                 # holding the port/flow binding): the selection policy
                 # decides which member actually serves the message.
-                member = group.dispatch(msg)
+                member = _group_dispatch(group, msg, stats)
                 if member is None:
-                    msg.meta["drop_reason"] = (
-                        f"path group #{group.gid} has no live member")
-                    group.note_dispatch_failure()
-                    if stats is not None:
-                        stats.dropped += 1
                     return ClassifyResult(None, SOURCE_DEMUX)
-                if cache is not None:
+                if key is not None:
                     # Sticky policies pin the flow to the chosen member;
                     # others cache the demux anchor so later packets hit
                     # in one probe but are still re-dispatched above.
-                    cache.insert(msg, member if group.policy.sticky
-                                 else chosen)
+                    cache.insert_key(key, msg, member if group.policy.sticky
+                                     else chosen)
                 chosen = member
             elif getattr(chosen, "state", None) == DELETED:
                 # Liveness guard: a demux map entry can outlive its path
@@ -209,8 +192,8 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
             observer = getattr(chosen, "observer", None)
             if observer is not None:
                 observer.on_demux(msg, hops)
-            if cache is not None and group is None:
-                cache.insert(msg, chosen)
+            if key is not None and group is None:
+                cache.insert_key(key, msg, chosen)
             return ClassifyResult(chosen, SOURCE_DEMUX)
         if result.forward is not None:
             offset += result.consumed
@@ -256,77 +239,41 @@ def classify_batch(router: Router, msgs: Iterable[Msg],
                    service: Optional[Service] = None,
                    stats: Optional[ClassifierStats] = None,
                    cache=None) -> List[ClassifyResult]:
-    """Classify a batch of arrivals, amortizing decisions over runs.
+    """Classify a batch of arrivals, keying each message exactly once.
 
-    Consecutive messages sharing a flow-cache key form a *run*: each
-    message's key is computed exactly once (to find run boundaries), the
-    run head takes the ordinary :func:`classify_ex` walk, and followers
-    resolve through :meth:`FlowCache.lookup_key
-    <repro.core.flowcache.FlowCache.lookup_key>` with the precomputed
-    key — one demux decision covers the whole run.
-
-    **Accounting is exact per message.**  Followers bump the same
-    counters a per-message :func:`classify` would (``stats.classified``,
-    ``stats.cache_hits``, the cache's hit counter and metric mirror, the
-    ``annotate`` hook, and each path observer's ``on_demux``), and
-    non-sticky group anchors re-dispatch *every* message through the
-    selection policy, so round-robin spreads and drop ledgers are
-    indistinguishable from classifying the batch one message at a time.
-    A follower that cannot ride the head's decision (no cache, the head
-    was discarded, the entry vanished, or a sticky re-spread fired
-    mid-run) falls back to its own full walk.
+    Every message takes the same routine :func:`classify_ex` runs — one
+    flow-cache probe with its key and, on a miss, the refinement chain
+    and an insert under that same key — so the result, every counter
+    (``stats``, the cache's hits and misses, metric mirrors), each path
+    observer's ``on_demux`` and every group dispatch are exactly what
+    classifying the batch one message at a time would give.  Consecutive
+    messages sharing a key form a *run*: the first classification of a
+    new flow inserts the entry its followers then hit.
 
     Returns one :class:`ClassifyResult` per message, in arrival order,
     each carrying the length of the run it belonged to.
     """
     arrivals = list(msgs)
-    results: List[ClassifyResult] = []
     n = len(arrivals)
-    keys = None
-    if cache is not None:
+    if cache is None:
+        keys = [None] * n
+    else:
         key_of = cache.key_of
         keys = [key_of(m) for m in arrivals]
+    results: List[ClassifyResult] = []
     i = 0
     while i < n:
-        key = keys[i] if keys is not None else None
+        key = keys[i]
         j = i + 1
         if key is not None:
             while j < n and keys[j] == key:
                 j += 1
         run = j - i
-        head_result = classify_ex(router, arrivals[i], service, stats, cache)
-        if run > 1:
-            head_result = head_result._replace(run_length=run)
-        results.append(head_result)
-        for k in range(i + 1, j):
-            follower = arrivals[k]
-            cached = (cache.lookup_key(key, follower)
-                      if head_result.path is not None else None)
-            if cached is None:
-                # No decision to share (head discarded, entry evicted, or
-                # the path died mid-run): full per-message walk.
-                results.append(classify_ex(router, follower, service, stats,
-                                           cache)._replace(run_length=run))
-                continue
-            group = cached.group
-            if group is not None:
-                resolved = _dispatch_group(group, cached, follower, cache,
-                                           stats)
-                if resolved is _RESPREAD:
-                    results.append(classify_ex(
-                        router, follower, service, stats,
-                        cache)._replace(run_length=run))
-                    continue
-                source = SOURCE_CACHE if group.policy.sticky else SOURCE_GROUP
-                results.append(ClassifyResult(resolved, source, run))
-                continue
-            if stats is not None:
-                stats.classified += 1
-                stats.cache_hits += 1
-            follower.meta["path"] = cached
-            observer = cached.observer
-            if observer is not None:
-                observer.on_demux(follower, 1)
-            results.append(ClassifyResult(cached, SOURCE_CACHE, run))
+        for k in range(i, j):
+            result = _classify_keyed(router, arrivals[k], key, service,
+                                     stats, cache)
+            if run > 1:
+                result = ClassifyResult(result.path, result.source, run)
+            results.append(result)
         i = j
     return results

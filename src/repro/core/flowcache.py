@@ -27,6 +27,16 @@ traffic, which bypasses the cache entirely) and an optional
 ``annotate(msg, key)`` hook that reproduces whatever ``msg.meta``
 annotations the demux chain would have stashed (the SHELL's reply path
 reads ``meta["ip_src"]``, so a cache hit must not lose it).
+
+A hit costs one key, one dictionary probe and one ``dict.update``: the
+hook runs once per entry, when the entry is inserted, against a blank
+``meta``, and what it writes is kept on the entry — bounded by
+``capacity``, evicted and invalidated with it.  Every hit copies those
+annotations into the message's own ``meta``, so a stage that pops a
+stamp pops its message's copy and never the entry's.  The hook may
+therefore write only what the key bytes determine; a field that varies
+between frames of one flow (ETH's source MAC) is the owner's to read
+per frame.
 """
 
 from __future__ import annotations
@@ -53,6 +63,17 @@ VALIDATED_STAMPS = ("eth_validated", "ip_validated", "udp_validated")
 
 
 def flow_key(msg: Any) -> Optional[bytes]:
+    """:func:`flow_key_frame` over a :class:`Msg`'s first 42 bytes.
+
+    ``None`` for a message too short to carry a keyable flow.  This is
+    the :class:`FlowCache`'s default ``key_of``.
+    """
+    if len(msg) < _FLOW_KEY_BYTES:
+        return None
+    return flow_key_frame(msg.peek(_FLOW_KEY_BYTES))
+
+
+def flow_key_frame(frame: bytes) -> Optional[bytes]:
     """Exact-match flow key for non-fragmented IPv4/UDP frames.
 
     The key covers every header byte the demux chain's routing decision
@@ -64,42 +85,21 @@ def flow_key(msg: Any) -> Optional[bytes]:
     cache understanding a protocol.
 
     This is the single source of truth for "what is a flow": the
-    :class:`FlowCache` keys its entries on it, and the shard fabric's
-    dispatcher (:mod:`repro.shard.dispatch`) hashes exactly the same
-    bytes to pin a flow to a shard — so a flow-cache entry and a shard
+    :class:`FlowCache` keys its entries on it (through :func:`flow_key`),
+    and the shard fabric's dispatcher (:mod:`repro.shard.dispatch`)
+    hashes exactly the same bytes of the raw frame, before any ``Msg``
+    exists, to pin a flow to a shard — so a flow-cache entry and a shard
     pinning can never disagree about flow identity.
-    """
-    if len(msg) < _FLOW_KEY_BYTES:
-        return None
-    head = msg.peek(_FLOW_KEY_BYTES)
-    if head[12:14] != _ETHERTYPE_IPV4:
-        return None
-    if head[14] != 0x45:  # IPv4 with no options (IHL == 5)
-        return None
-    if head[23] != _IPPROTO_UDP:
-        return None
-    if (head[20] & 0x3F) or head[21]:  # MF flag or nonzero fragment offset
-        return None
-    return head[0:6] + head[23:24] + head[26:38]
-
-
-def flow_key_frame(frame: bytes) -> Optional[bytes]:
-    """:func:`flow_key` over raw wire bytes (no :class:`Msg` wrapper).
-
-    The shard dispatcher classifies at the RX boundary, before any
-    ``Msg`` exists; slicing the frame directly keeps that peek free of
-    per-frame object construction.  Returns exactly what
-    :func:`flow_key` would return for ``Msg(frame)``.
     """
     if len(frame) < _FLOW_KEY_BYTES:
         return None
     if frame[12:14] != _ETHERTYPE_IPV4:
         return None
-    if frame[14] != 0x45:
+    if frame[14] != 0x45:  # IPv4 with no options (IHL == 5)
         return None
     if frame[23] != _IPPROTO_UDP:
         return None
-    if (frame[20] & 0x3F) or frame[21]:
+    if (frame[20] & 0x3F) or frame[21]:  # MF flag or nonzero fragment offset
         return None
     return frame[0:6] + frame[23:24] + frame[26:38]
 
@@ -117,8 +117,11 @@ class FlowCache:
         ineligible (the lookup is a miss and the classification result is
         not inserted).  Defaults to :func:`flow_key`.
     annotate:
-        Optional ``annotate(msg, key)`` run on every hit to reproduce the
-        ``msg.meta`` annotations the skipped demux chain would have made.
+        Optional ``annotate(msg, key)`` that writes into ``msg.meta`` the
+        annotations the skipped demux chain would have made.  It runs
+        once per inserted entry, with ``msg.meta`` swapped for a blank
+        dict; what it wrote is kept on the entry and copied into every
+        hit's ``meta``.  It must write only values *key* determines.
     """
 
     def __init__(self, capacity: int = 128,
@@ -129,7 +132,9 @@ class FlowCache:
         self.capacity = capacity
         self.key_of = key_of if key_of is not None else flow_key
         self.annotate = annotate
-        self._entries: "OrderedDict[bytes, Path]" = OrderedDict()
+        #: key -> (path, annotations); annotations is ``None`` without a
+        #: hook.
+        self._entries: "OrderedDict[bytes, tuple]" = OrderedDict()
         self._keys_of_path: Dict[int, Set[bytes]] = {}
         #: group id -> {pid: path} for entries whose path belongs to a
         #: :class:`~repro.multipath.PathGroup`, so a group re-spread or a
@@ -156,9 +161,10 @@ class FlowCache:
     def lookup(self, msg: Any) -> Optional[Path]:
         """Return the established path for *msg*, or ``None`` on a miss.
 
-        A hit refreshes the entry's recency and runs the ``annotate``
-        hook.  An entry whose path is no longer ESTABLISHED is evicted
-        and reported as a miss — the cache never returns a dead path.
+        A hit refreshes the entry's recency and copies the entry's
+        annotations into ``msg.meta``.  An entry whose path is no longer
+        ESTABLISHED is evicted and reported as a miss — the cache never
+        returns a dead path.
         """
         key = self.key_of(msg)
         if key is None:
@@ -168,20 +174,18 @@ class FlowCache:
     def lookup_key(self, key: bytes, msg: Any) -> Optional[Path]:
         """:meth:`lookup` with a precomputed *key*.
 
-        Batch classification (:func:`repro.core.classify.classify_batch`)
-        computes every message's key once to group arrivals into runs;
-        run followers probe with that key instead of re-slicing the
-        header.  Accounting (hits/misses/stale evictions, metric mirrors,
-        the ``annotate`` hook, LRU recency) is identical to
-        :meth:`lookup`, so batched and per-message counters reconcile
-        exactly.
+        Every probe the classifier makes comes through here: it keys
+        each message once (:func:`repro.core.classify.classify_ex` and
+        :func:`~repro.core.classify.classify_batch` alike) and hands the
+        same key to :meth:`insert_key` on a miss.
         """
-        path = self._entries.get(key)
-        if path is None:
+        entry = self._entries.get(key)
+        if entry is None:
             self.misses += 1
             if self._metric_misses is not None:
                 self._metric_misses.inc()
             return None
+        path, annotations = entry
         if path.state != ESTABLISHED:
             # Stale: the path died without invalidating (defense in depth;
             # Path.delete normally purges its keys synchronously).
@@ -195,8 +199,8 @@ class FlowCache:
         self.hits += 1
         if self._metric_hits is not None:
             self._metric_hits.inc()
-        if self.annotate is not None:
-            self.annotate(msg, key)
+        if annotations is not None:
+            msg.meta.update(annotations)
         return path
 
     # -- population ---------------------------------------------------------
@@ -207,15 +211,23 @@ class FlowCache:
         Only ESTABLISHED paths are admitted.  Returns True when an entry
         was installed (or refreshed).
         """
-        if path.state != ESTABLISHED:
-            return False
         key = self.key_of(msg)
         if key is None:
             return False
+        return self.insert_key(key, msg, path)
+
+    def insert_key(self, key: bytes, msg: Any, path: Path) -> bool:
+        """:meth:`insert` with *msg*'s precomputed *key*.
+
+        The entry's annotations are derived here, once: the ``annotate``
+        hook runs against *msg* with a blank ``meta``.
+        """
+        if path.state != ESTABLISHED:
+            return False
         previous = self._entries.get(key)
-        if previous is not None and previous is not path:
+        if previous is not None and previous[0] is not path:
             self._discard_key(key)
-        self._entries[key] = path
+        self._entries[key] = (path, self._annotations(msg, key))
         self._entries.move_to_end(key)
         self._keys_of_path.setdefault(path.pid, set()).add(key)
         gid = getattr(path, "group_id", None)
@@ -223,12 +235,24 @@ class FlowCache:
             self._group_members.setdefault(gid, {})[path.pid] = path
         path.register_flow_cache(self)
         while len(self._entries) > self.capacity:
-            old_key, old_path = self._entries.popitem(last=False)
+            old_key, (old_path, _) = self._entries.popitem(last=False)
             self._keys_of_path.get(old_path.pid, set()).discard(old_key)
             self.evictions += 1
             if self._metric_evictions is not None:
                 self._metric_evictions.inc()
         return True
+
+    def _annotations(self, msg: Any, key: bytes) -> Optional[dict]:
+        """What ``annotate`` writes for *key*, captured in a fresh dict."""
+        if self.annotate is None:
+            return None
+        saved, msg.meta = msg.meta, {}
+        try:
+            self.annotate(msg, key)
+            annotations = msg.meta
+        finally:
+            msg.meta = saved
+        return annotations
 
     # -- invalidation -------------------------------------------------------
 
@@ -297,9 +321,9 @@ class FlowCache:
         return removed
 
     def _discard_key(self, key: bytes) -> None:
-        path = self._entries.pop(key, None)
-        if path is not None:
-            self._keys_of_path.get(path.pid, set()).discard(key)
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._keys_of_path.get(entry[0].pid, set()).discard(key)
 
     # -- observability ------------------------------------------------------
 

@@ -127,10 +127,15 @@ class Msg:
         """Return *nbytes* bytes starting at offset *at* without consuming.
 
         Classifiers use this: demux must inspect headers but leave the
-        message intact for the path that will actually process it.
+        message intact for the path that will actually process it.  A
+        range inside the first chunk (every received frame's headers) is
+        one slice of it; only a range spanning chunks is gathered.
         """
         if nbytes < 0 or at < 0:
             raise ValueError("peek offsets must be non-negative")
+        begin = self._offset + at
+        if self._chunks and begin + nbytes <= len(self._chunks[0]):
+            return self._chunks[0][begin : begin + nbytes]
         if at + nbytes > self._length:
             raise ValueError(
                 f"cannot peek [{at}:{at + nbytes}] of a {self._length}-byte message"

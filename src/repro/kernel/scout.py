@@ -223,7 +223,7 @@ class ScoutKernel(PathRuntime):
         #: The annotate hook reproduces the meta the skipped demux hops
         #: would have stashed (SHELL reads ``ip_src`` for replies).
         self.flow_cache = FlowCache(capacity=flow_cache_capacity,
-                                    annotate=self._annotate_flow_hit)
+                                    annotate=self._annotate_flow)
         self.flow_cache.bind_metrics(self.observatory.metrics)
         self.sessions: List[VideoSession] = []
         self.shell_path: Optional[Path] = None
@@ -266,11 +266,11 @@ class ScoutKernel(PathRuntime):
         """Interrupt-time receive for a burst of frames (DESIGN.md §13).
 
         Classification runs through
-        :func:`~repro.core.classify.classify_batch`, so consecutive
-        frames of one flow share a single demux decision; each frame then
-        takes the same admission step (early discard, input-queue
-        deposit, memory charge, drop ledger) it would take through
-        :meth:`_rx` one at a time.  The modeled interrupt cost is the
+        :func:`~repro.core.classify.classify_batch`, which keys each
+        frame once for its flow-cache probe and, on a miss, its insert;
+        each frame then takes the same admission step (early discard,
+        input-queue deposit, memory charge, drop ledger) it would take
+        through :meth:`_rx` one at a time.  The modeled interrupt cost is the
         exact sum of the per-frame costs — one probe per cache-riding
         frame, per-hop cost for chain walks — charged in one
         ``extend_interrupt`` call.  Returns how many frames were
@@ -302,7 +302,8 @@ class ScoutKernel(PathRuntime):
 
     def _admit(self, path: Optional[Path], msg: Msg) -> bool:
         """The end host's steps around the shared admission: early
-        discard, the arrival EWMA, and the ``inline_icmp`` ablation."""
+        discard, a cache hit's source MAC, the arrival EWMA, and the
+        ``inline_icmp`` ablation."""
         if path is None:
             if self.observatory.armed:
                 self.observatory.metrics.counter(
@@ -314,6 +315,10 @@ class ScoutKernel(PathRuntime):
             self._shed()
             return False
         else:
+            if "eth_src" not in msg.meta:
+                # A flow-cache hit skipped ETH's demux, which records the
+                # source MAC, and the flow key does not fix it.
+                msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
             self._note_arrival(path)
             if self.inline_icmp and path is self.icmp_path:
                 # Ablation: no early segregation for ICMP — serve the
@@ -324,16 +329,17 @@ class ScoutKernel(PathRuntime):
                 return False
         return super()._admit(path, msg)
 
-    def _annotate_flow_hit(self, msg: Msg, key: bytes) -> None:
-        """Reproduce the ``msg.meta`` annotations the skipped demux chain
-        would have made (ETH, IP and UDP each stash the fields later
-        stages and SHELL command handling read).  The key guarantees a
-        well-formed non-fragmented IPv4/UDP frame, so fixed offsets are
-        safe: ETH src at 6, IP proto at 23, IP src at 26, UDP ports at 34.
+    def _annotate_flow(self, msg: Msg, key: bytes) -> None:
+        """The ``msg.meta`` annotations the skipped demux chain would have
+        made that the flow key fixes (IP and UDP stash the fields later
+        stages and SHELL command handling read); the flow cache runs this
+        once per entry and copies the result into every hit.  The key
+        guarantees a well-formed non-fragmented IPv4/UDP frame, so fixed
+        offsets are safe: IP proto at 23, IP src at 26, UDP ports at 34.
+        ETH's source MAC is not in the key; :meth:`_admit` reads it.
         """
         head = msg.peek(38)
         meta = msg.meta
-        meta["eth_src"] = EthAddr(head[6:12])
         meta["ip_src"] = IpAddr(head[26:30])
         meta["ip_proto"] = head[23]
         meta["udp_ports"] = (int.from_bytes(head[34:36], "big"),

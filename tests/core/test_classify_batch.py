@@ -2,6 +2,8 @@
 and exact per-message counter parity with the per-message classifier.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -9,6 +11,7 @@ from repro.core import (
     ClassifyResult,
     FlowCache,
     Msg,
+    Path,
     SOURCE_CACHE,
     SOURCE_DEMUX,
     SOURCE_GROUP,
@@ -18,6 +21,7 @@ from repro.core import (
 )
 from repro.core.classify import classify_or_raise
 from repro.multipath import PathGroup
+from repro.multipath.policies import WeightedAccountingPolicy
 from .test_classify import bound_chain
 
 
@@ -131,30 +135,102 @@ class TestClassifyBatchRuns:
         assert [r.source for r in results] == [SOURCE_DEMUX] * 2
 
 
+def classify_all(router, msgs, cache, batched, stats=None):
+    if batched:
+        return classify_batch(router, msgs, stats=stats, cache=cache)
+    return [classify_ex(router, m, stats=stats, cache=cache) for m in msgs]
+
+
+class CountingKey:
+    """``first_byte_key`` (or no key at all) that counts how often each
+    message is keyed."""
+
+    def __init__(self, keyless=False):
+        self.keyless = keyless
+        self.calls = Counter()
+
+    def __call__(self, msg):
+        self.calls[id(msg)] += 1
+        return None if self.keyless else first_byte_key(msg)
+
+
+class AlwaysRespread(WeightedAccountingPolicy):
+    """Sticky, and asks for its pins to be dropped on every hit."""
+
+    def should_respread(self, members):
+        return True
+
+
+def grouped_router(policy, **group_kwargs):
+    _, routers, anchor = bound_chain("A", bind_at="A")
+    group = PathGroup(policy, **group_kwargs)
+    group.add(anchor)
+    group.add(bound_chain("S", bind_at="S")[2])
+    return routers[0]
+
+
+ROUTERS = {
+    "plain": lambda: bound_chain("A", bind_at="A")[1][0],
+    "non-sticky-group": lambda: grouped_router("round_robin"),
+    "sticky-group": lambda: grouped_router("weighted_accounting"),
+    "sticky-respread": lambda: grouped_router(AlwaysRespread(),
+                                              min_respread_interval=0),
+}
+
+
+class TestOneKeyPerMessage:
+    """The first message misses and is inserted, the rest hit (or, for a
+    re-spreading sticky group, hit and are re-placed): each is keyed
+    exactly once, by whichever entry point classified it."""
+
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["classify_ex", "classify_batch"])
+    @pytest.mark.parametrize("setup", list(ROUTERS))
+    def test_each_message_is_keyed_once(self, setup, batched):
+        key_of = CountingKey()
+        cache = FlowCache(capacity=8, key_of=key_of)
+        msgs = [Msg(b"A%d" % i) for i in range(3)]
+        results = classify_all(ROUTERS[setup](), msgs, cache, batched)
+        assert all(r.path is not None for r in results)
+        assert key_of.calls == {id(m): 1 for m in msgs}
+        assert (cache.misses, cache.hits) == (1, 2)
+        assert len(cache) == 1
+
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["classify_ex", "classify_batch"])
+    def test_a_keyless_message_is_keyed_once(self, batched):
+        key_of = CountingKey(keyless=True)
+        cache = FlowCache(capacity=8, key_of=key_of)
+        msgs = [Msg(b"A%d" % i) for i in range(3)]
+        classify_all(ROUTERS["plain"](), msgs, cache, batched)
+        assert key_of.calls == {id(m): 1 for m in msgs}
+        assert (cache.misses, cache.hits, len(cache)) == (0, 0, 0)
+
+
 class TestCounterParity:
-    def counters(self, batched):
-        """Classify six arrivals (two flows interleaved in runs) and
-        return every observable counter."""
+    INTERLEAVED = [b"A1", b"A2", b"A3", b"zB1", b"zB2", b"A4"]
+
+    def counters(self, batched, payloads=INTERLEAVED, creating=False):
+        """Classify *payloads* (by default two flows interleaved in runs)
+        and return every observable counter.  With *creating*, A's bound
+        path is still CREATING, so demux returns it and the cache refuses
+        to insert it."""
         graph, routers, path = bound_chain("A", "B", bind_at="A")
         graph.router("B").bound_path = bound_chain("B")[2]
+        if creating:
+            graph.router("A").bound_path = Path()
         cache = cache_of()
         stats = ClassifierStats()
-        payloads = [b"A1", b"A2", b"A3", b"zB1", b"zB2", b"A4"]
         msgs = [Msg(p) for p in payloads]
-        if batched:
-            results = classify_batch(routers[0], msgs, stats=stats,
-                                     cache=cache)
-            paths = [r.path for r in results]
-        else:
-            paths = [classify_ex(routers[0], m, stats=stats, cache=cache).path
-                     for m in msgs]
+        paths = [r.path for r in classify_all(routers[0], msgs, cache,
+                                              batched, stats)]
         # Normalize pids (globally allocated) to first-appearance order so
         # the two fresh graphs compare structurally.
         order = {}
         for p in paths:
-            order.setdefault(p.pid if p else None, len(order))
+            order.setdefault(p.pid if p is not None else None, len(order))
         return {
-            "paths": [order[p.pid if p else None] for p in paths],
+            "paths": [order[p.pid if p is not None else None] for p in paths],
             "classified": stats.classified,
             "dropped": stats.dropped,
             "refinements": stats.refinements,
@@ -166,6 +242,14 @@ class TestCounterParity:
 
     def test_batch_counters_equal_per_message_counters(self):
         assert self.counters(batched=True) == self.counters(batched=False)
+
+    def test_refused_insert_counts_one_miss_per_message(self):
+        """A run whose decision the cache will not hold: every message
+        walks the chain and is probed, and missed, exactly once."""
+        payloads = [b"A1", b"A2", b"A3"]
+        batched = self.counters(True, payloads, creating=True)
+        assert batched == self.counters(False, payloads, creating=True)
+        assert batched["cache_misses"] == 3
 
 
 class TestGroupDispatch:

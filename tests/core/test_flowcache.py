@@ -4,6 +4,7 @@ and the classify() integration (cache consulted before the chain)."""
 import pytest
 
 from repro.core import (
+    BWD,
     ClassifierStats,
     DELETED,
     FlowCache,
@@ -12,7 +13,11 @@ from repro.core import (
     classify,
     flow_key,
 )
+from repro.core.flowcache import VALIDATED_STAMPS
 from repro.experiments.micro import Fig7Stack
+from repro.kernel import ScoutKernel
+from repro.net import EthAddr, IpAddr, build_udp_frame
+from repro.sim import SimWorld
 
 
 def established_path() -> Path:
@@ -203,16 +208,110 @@ class TestGroupInvalidation:
         assert len(cache) == 0
 
 
+def msg_key(msg):
+    return msg.peek(1) if len(msg) else None
+
+
 class TestAnnotate:
-    def test_annotate_runs_on_hits_only(self):
-        seen = []
-        cache = FlowCache(capacity=4, key_of=first_byte_key,
-                          annotate=lambda msg, key: seen.append(key))
+    """The hook runs once per entry, at insert, against a blank ``meta``;
+    every hit copies what it wrote into the hit's own ``meta``."""
+
+    def annotated_cache(self, capacity=4):
+        runs = []
+
+        def annotate(msg, key):
+            runs.append(key)
+            msg.meta["flow"] = key
+            msg.meta["generation"] = len(runs)
+            msg.meta["eth_validated"] = True
+
+        return FlowCache(capacity=capacity, key_of=msg_key,
+                         annotate=annotate), runs
+
+    def test_annotate_runs_once_per_entry_at_insert(self):
+        cache, runs = self.annotated_cache()
         path = established_path()
-        cache.lookup(b"a")  # miss: no annotation
-        cache.insert(b"a", path)
-        cache.lookup(b"a")  # hit
-        assert seen == [b"a"]
+        first = Msg(b"a0", meta={"rx_time": 1.0})
+        assert cache.lookup(first) is None  # miss: no annotation
+        assert runs == []
+        cache.insert(first, path)
+        assert runs == [b"a"]
+        # The hook wrote a blank meta, not the message that walked the
+        # chain: it takes no stamp it did not earn.
+        assert first.meta == {"rx_time": 1.0}
+        hits = [Msg(b"a%d" % i, meta={"rx_time": 2.0}) for i in range(1, 4)]
+        assert all(cache.lookup(m) is path for m in hits)
+        assert runs == [b"a"]
+        assert all(m.meta == {"rx_time": 2.0, "flow": b"a", "generation": 1,
+                              "eth_validated": True} for m in hits)
+
+    def test_popping_a_stamp_leaves_the_next_hit_intact(self):
+        cache, runs = self.annotated_cache()
+        path = established_path()
+        cache.insert(Msg(b"a0"), path)
+        first, second = Msg(b"a1"), Msg(b"a2")
+        cache.lookup(first)
+        assert first.meta.pop("eth_validated") is True
+        cache.lookup(second)
+        assert second.meta["eth_validated"] is True
+        assert "eth_validated" not in first.meta
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("drop", ["evict", "invalidate"])
+    def test_a_dropped_key_rederives_its_annotations(self, drop):
+        cache, runs = self.annotated_cache(capacity=1)
+        path = established_path()
+        cache.insert(Msg(b"a0"), path)
+        warm = Msg(b"a1")
+        assert cache.lookup(warm) is path
+        if drop == "evict":
+            cache.insert(Msg(b"b0"), established_path())
+            assert cache.evictions == 1
+            expected = [b"a", b"b", b"a"]
+        else:
+            path.delete()
+            path = established_path()
+            expected = [b"a", b"a"]
+        assert cache.lookup(Msg(b"a2")) is None
+        cache.insert(Msg(b"a3"), path)
+        assert runs == expected
+        hit = Msg(b"a4")
+        assert cache.lookup(hit) is path
+        assert (warm.meta["generation"], hit.meta["generation"]) \
+            == (1, len(expected))
+
+
+class TestKernelAnnotations:
+    """The Scout kernel's hook fixes what the flow key determines; ETH's
+    source MAC, which the key does not cover, is read per frame."""
+
+    def test_source_mac_change_on_a_warm_key_reports_the_new_mac(self):
+        world = SimWorld(seed=1)
+        kernel = ScoutKernel(world, world.new_segment(), udp_sink=True,
+                             display=False)
+        kernel.arp.add_entry("10.0.0.2", "02:00:00:00:00:02")
+        path = kernel.start_udp_sink(6000, remote=("10.0.0.2", 7000))
+        hook, runs = kernel.flow_cache.annotate, []
+
+        def counting(msg, key):
+            runs.append(key)
+            hook(msg, key)
+
+        kernel.flow_cache.annotate = counting
+        macs = [EthAddr("02:00:00:00:00:%02x" % i) for i in (2, 3, 4)]
+        frames = [build_udp_frame(mac, kernel.device.mac, IpAddr("10.0.0.2"),
+                                  IpAddr("10.0.0.1"), 7000, 6000, b"x")
+                  for mac in macs]
+        kernel.rx_burst(frames[:1])  # miss: ETH's demux records the MAC
+        kernel.rx_burst(frames[1:2])  # hit, burst receive
+        kernel._rx(frames[2])  # hit, per-frame receive
+        assert kernel.flow_cache.hits == 2 and len(runs) == 1
+        queued = list(path.input_queue(BWD))
+        assert [m.meta["eth_src"] for m in queued] == macs
+        for msg in queued[1:]:
+            assert msg.meta["ip_src"] == IpAddr("10.0.0.2")
+            assert msg.meta["udp_ports"] == (7000, 6000)
+            assert all(msg.meta[stamp] for stamp in VALIDATED_STAMPS)
 
 
 class TestFlowKey:

@@ -49,15 +49,16 @@ class TestChaosFastPath:
         # Spy on every cache decision: a hit handing out a path in any
         # state but ESTABLISHED would be a stale fast-path delivery.
         served_states = []
-        inner_lookup = kernel.flow_cache.lookup
+        inner_lookup = kernel.flow_cache.lookup_key
 
-        def spying_lookup(msg):
-            path = inner_lookup(msg)
+        def spying_lookup(key, msg):
+            path = inner_lookup(key, msg)
             if path is not None:
                 served_states.append(path.state)
             return path
 
-        kernel.flow_cache.lookup = spying_lookup
+        # Every probe, per-message or batched, goes through lookup_key.
+        kernel.flow_cache.lookup_key = spying_lookup
 
         # Governor-style early-discard flips on whatever path is live at
         # fire time (the watchdog swaps paths mid-run).

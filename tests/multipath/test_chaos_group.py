@@ -57,15 +57,16 @@ class TestChaosGroup:
                                 group=group, pool=pool).start()
 
         served_states = []
-        inner_lookup = kernel.flow_cache.lookup
+        inner_lookup = kernel.flow_cache.lookup_key
 
-        def spying_lookup(msg):
-            path = inner_lookup(msg)
+        def spying_lookup(key, msg):
+            path = inner_lookup(key, msg)
             if path is not None:
                 served_states.append(path.state)
             return path
 
-        kernel.flow_cache.lookup = spying_lookup
+        # Every probe, per-message or batched, goes through lookup_key.
+        kernel.flow_cache.lookup_key = spying_lookup
 
         testbed.start_all()
         testbed.run_until_sources_done(max_seconds=30.0)
