@@ -58,13 +58,11 @@ from .core import (
     flow_key,
     flow_key_frame,
     Msg,
-    MsgBatch,
     Path,
     PathQueue,
     RouterGraph,
     ScoutError,
     build_graph,
-    classify_batch,
     classify_ex,
     classify_or_raise,
     path_create,
@@ -546,10 +544,10 @@ __all__ = [
     "RouterKernel", "ForwardRouter", "Route", "RouteTable",
     # path architecture
     "path_create", "path_delete", "build_graph", "RouterGraph",
-    "Attrs", "Msg", "MsgBatch", "Path", "PathQueue", "FlowCache",
+    "Attrs", "Msg", "Path", "PathQueue", "FlowCache",
     "FWD", "BWD", "FWD_IN", "FWD_OUT", "BWD_IN", "BWD_OUT",
     # classification
-    "classify", "classify_ex", "classify_batch", "classify_or_raise",
+    "classify", "classify_ex", "classify_or_raise",
     "ClassifyResult", "ClassifierStats",
     "SOURCE_DEMUX", "SOURCE_CACHE", "SOURCE_GROUP",
     # multipath

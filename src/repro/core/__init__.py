@@ -32,7 +32,6 @@ from .classify import (
     ClassifierStats,
     ClassifyResult,
     classify,
-    classify_batch,
     classify_ex,
     classify_or_raise,
 )
@@ -61,7 +60,7 @@ from .interfaces import (
     WinIface,
     iface_satisfies,
 )
-from .message import Msg, MsgBatch
+from .message import Msg
 from .path import CREATING, DELETED, ESTABLISHED, Path, PathStats
 from .path_create import MAX_PATH_LENGTH, path_create, path_delete
 from .queues import (
@@ -91,7 +90,7 @@ __all__ = [
     "PA_SCHED_PRIORITY", "PA_FRAME_RATE", "PA_INQ_LEN", "PA_OUTQ_LEN",
     "PA_MEM_BUDGET", "PA_AVG_PROC_TIME", "PA_AVG_RTT", "PA_TRACE",
     "PA_BATCH", "PA_SPECIALIZE",
-    "Msg", "MsgBatch",
+    "Msg",
     "Iface", "NetIface", "RtNetIface", "NsIface", "WinIface", "FsIface",
     "ServiceType", "iface_satisfies",
     "Router", "Service", "ServiceDecl", "RouterLink", "NextHop",
@@ -104,7 +103,7 @@ __all__ = [
     "PathQueue", "LifoPathQueue", "DeadlineOrderedQueue",
     "FWD_IN", "FWD_OUT", "BWD_IN", "BWD_OUT",
     "TransformRegistry", "TransformRule", "traverses", "has_attr", "all_of",
-    "classify", "classify_ex", "classify_batch", "classify_or_raise",
+    "classify", "classify_ex", "classify_or_raise",
     "ClassifierStats", "ClassifyResult",
     "SOURCE_DEMUX", "SOURCE_CACHE", "SOURCE_GROUP",
     "FlowCache", "flow_key", "flow_key_frame",

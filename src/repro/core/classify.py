@@ -24,7 +24,7 @@ The Scout classifier's requirements (both honored here):
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import ClassificationError
 from .message import Msg
@@ -48,17 +48,14 @@ class ClassifyResult(NamedTuple):
     :data:`SOURCE_DEMUX` (the refinement chain ran), :data:`SOURCE_CACHE`
     (a flow-cache probe, including sticky group pins), or
     :data:`SOURCE_GROUP` (a cached group anchor whose selection policy
-    re-dispatched the message).  ``run_length`` is 1 for per-message
-    classification; :func:`classify_batch` sets it to the length of the
-    same-flow run the message belonged to.
+    re-dispatched the message).
 
-    Being a ``NamedTuple``, it unpacks like the plain tuple older
-    call sites expect: ``path, source, run = classify_ex(...)``.
+    Being a ``NamedTuple``, it unpacks like a plain pair:
+    ``path, source = classify_ex(...)``.
     """
 
     path: Optional[Path]
     source: str = SOURCE_DEMUX
-    run_length: int = 1
 
 
 def _group_dispatch(group, msg: Msg,
@@ -102,7 +99,10 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
     supplied it is consulted before the refinement chain — an established
     flow classifies in one probe — and successful chain classifications
     populate it.  The message is keyed once, for both.  The cache itself
-    guarantees it never returns a path that is not ESTABLISHED.
+    guarantees it never returns a path that is not ESTABLISHED.  A burst
+    of arrivals is this call once per message, in arrival order (see
+    ``PathRuntime.rx_burst``): the first message of a new flow inserts
+    the entry the flow's later messages hit.
 
     **Multipath dispatch happens here, at the demux boundary.**  When the
     classified path belongs to a :class:`~repro.multipath.PathGroup`, the
@@ -118,15 +118,6 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
     account for it separately (see :mod:`repro.sim.cpu`).
     """
     key = cache.key_of(msg) if cache is not None else None
-    return _classify_keyed(router, msg, key, service, stats, cache)
-
-
-def _classify_keyed(router: Router, msg: Msg, key: Optional[bytes],
-                    service: Optional[Service],
-                    stats: Optional[ClassifierStats],
-                    cache) -> ClassifyResult:
-    """:func:`classify_ex` with *msg*'s flow-cache *key* already computed
-    (``None``: no cache, or a message the cache does not key)."""
     if key is not None:
         path = cache.lookup_key(key, msg)
         source = SOURCE_CACHE
@@ -233,47 +224,3 @@ def classify_or_raise(router: Router, msg: Msg,
     if path is None:
         raise ClassificationError(msg.meta.get("drop_reason", "no path"))
     return path
-
-
-def classify_batch(router: Router, msgs: Iterable[Msg],
-                   service: Optional[Service] = None,
-                   stats: Optional[ClassifierStats] = None,
-                   cache=None) -> List[ClassifyResult]:
-    """Classify a batch of arrivals, keying each message exactly once.
-
-    Every message takes the same routine :func:`classify_ex` runs — one
-    flow-cache probe with its key and, on a miss, the refinement chain
-    and an insert under that same key — so the result, every counter
-    (``stats``, the cache's hits and misses, metric mirrors), each path
-    observer's ``on_demux`` and every group dispatch are exactly what
-    classifying the batch one message at a time would give.  Consecutive
-    messages sharing a key form a *run*: the first classification of a
-    new flow inserts the entry its followers then hit.
-
-    Returns one :class:`ClassifyResult` per message, in arrival order,
-    each carrying the length of the run it belonged to.
-    """
-    arrivals = list(msgs)
-    n = len(arrivals)
-    if cache is None:
-        keys = [None] * n
-    else:
-        key_of = cache.key_of
-        keys = [key_of(m) for m in arrivals]
-    results: List[ClassifyResult] = []
-    i = 0
-    while i < n:
-        key = keys[i]
-        j = i + 1
-        if key is not None:
-            while j < n and keys[j] == key:
-                j += 1
-        run = j - i
-        for k in range(i, j):
-            result = _classify_keyed(router, arrivals[k], key, service,
-                                     stats, cache)
-            if run > 1:
-                result = ClassifyResult(result.path, result.source, run)
-            results.append(result)
-        i = j
-    return results

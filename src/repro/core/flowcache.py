@@ -174,10 +174,9 @@ class FlowCache:
     def lookup_key(self, key: bytes, msg: Any) -> Optional[Path]:
         """:meth:`lookup` with a precomputed *key*.
 
-        Every probe the classifier makes comes through here: it keys
-        each message once (:func:`repro.core.classify.classify_ex` and
-        :func:`~repro.core.classify.classify_batch` alike) and hands the
-        same key to :meth:`insert_key` on a miss.
+        Every probe the classifier makes comes through here:
+        :func:`repro.core.classify.classify_ex` keys each message once
+        and hands the same key to :meth:`insert_key` on a miss.
         """
         entry = self._entries.get(key)
         if entry is None:

@@ -214,98 +214,3 @@ class Msg:
         preview = self.to_bytes()[:16]
         suffix = "..." if self._length > 16 else ""
         return f"Msg(len={self._length}, head={preview!r}{suffix})"
-
-
-class MsgBatch:
-    """An ordered run of messages processed as one unit.
-
-    Fast programmable routers amortize per-packet dispatch costs —
-    scheduler wakeups, queue operations, classification — across packet
-    batches; ``MsgBatch`` is the container that carries such a run along
-    a path.  It deliberately does *not* merge the messages: each ``Msg``
-    keeps its own chunks and its own ``meta`` (headers, cost accounting
-    and drop reasons stay exact per message), while :attr:`meta` carries
-    bookkeeping shared by the whole run (the classified path, the
-    decision source, arrival timestamps).
-
-    A batch is ordered: traversing a batch must deliver the same bytes
-    in the same order as traversing its messages one by one (the
-    property suite in ``tests/core/test_batch_properties.py`` enforces
-    this against the compiled batch executor).
-    """
-
-    __slots__ = ("msgs", "meta")
-
-    def __init__(self, msgs: Optional[Iterable[Msg]] = None,
-                 meta: Optional[Dict[str, Any]] = None):
-        self.msgs: List[Msg] = list(msgs) if msgs is not None else []
-        self.meta: Dict[str, Any] = dict(meta) if meta else {}
-
-    # -- container protocol --------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.msgs)
-
-    def __iter__(self):
-        return iter(self.msgs)
-
-    def __getitem__(self, index):
-        return self.msgs[index]
-
-    def __bool__(self) -> bool:
-        return True  # an empty batch is still a batch, like an empty Msg
-
-    def append(self, msg: Msg) -> None:
-        self.msgs.append(msg)
-
-    def extend(self, msgs: Iterable[Msg]) -> None:
-        self.msgs.extend(msgs)
-
-    # -- batch restructuring -------------------------------------------------
-
-    def split(self, count: int) -> "MsgBatch":
-        """Remove and return the first *count* messages as a new batch.
-
-        The shared meta is copied to the head batch (both halves describe
-        the same flow decision).  Splitting more than the batch holds is
-        an error, mirroring :meth:`Msg.pop`.
-        """
-        if count < 0:
-            raise ValueError("cannot split a negative number of messages")
-        if count > len(self.msgs):
-            raise ValueError(
-                f"cannot split {count} messages from a "
-                f"{len(self.msgs)}-message batch")
-        head = MsgBatch(self.msgs[:count], meta=self.meta)
-        del self.msgs[:count]
-        return head
-
-    @classmethod
-    def merge(cls, batches: Iterable["MsgBatch"],
-              meta: Optional[Dict[str, Any]] = None) -> "MsgBatch":
-        """Concatenate *batches* into one, preserving message order.
-
-        Shared meta is merged first-batch-wins unless an explicit *meta*
-        is supplied — merging runs from different flows would otherwise
-        silently pick one flow's annotations.
-        """
-        out = cls(meta=meta)
-        for batch in batches:
-            if meta is None and not out.meta:
-                out.meta = dict(batch.meta)
-            out.msgs.extend(batch.msgs)
-        return out
-
-    # -- whole-batch accounting ----------------------------------------------
-
-    def total_bytes(self) -> int:
-        """Sum of live message lengths (what a wire would carry)."""
-        return sum(len(msg) for msg in self.msgs)
-
-    def footprint(self) -> int:
-        """Aggregate buffer footprint, for per-path memory accounting."""
-        return sum(msg.footprint() for msg in self.msgs)
-
-    def __repr__(self) -> str:
-        return (f"MsgBatch(n={len(self.msgs)}, "
-                f"bytes={self.total_bytes()})")

@@ -261,48 +261,15 @@ class Path:
         This is the straight-line evaluation of g(m, d): each stage's
         deliver function processes and explicitly forwards.  Generalized
         processing (absorb / turn around / spontaneous messages) happens
-        naturally because stages control forwarding themselves.
+        naturally because stages control forwarding themselves.  A lone
+        message is a batch of one: it takes :meth:`deliver_batch`'s body.
         """
-        if self.state == DELETED:
-            raise PathStateError(f"path {self.pid} has been deleted")
-        if direction == FWD:
-            self.stats.messages_fwd += 1
-        else:
-            self.stats.messages_bwd += 1
-        probes = self._probes[direction]
-        if probes:
-            before = msg.meta.get(_COST_KEY, 0.0)
-            result = self._traverse_one(msg, direction, kwargs)
-            elapsed = msg.meta.get(_COST_KEY, 0.0) - before
-            for probe in probes:
-                probe(msg, elapsed)
-            return result
-        return self._traverse_one(msg, direction, kwargs)
-
-    def _traverse_one(self, msg: Any, direction: int, kwargs: dict) -> Any:
-        observer = self.observer
-        if observer is None:
-            if self._specialized_gen != self.chain_generation:
-                self.specialize_chains()
-            spec = self._specialized[direction]
-            if spec is not None:
-                out = spec((msg,), kwargs)
-                if out is not None:
-                    return out[0]
-            iface = self.entry_iface(direction)
-            return iface.deliver(iface, msg, direction, **kwargs)
-        # Observed paths keep the reference walk so stage spans nest.
-        iface = self.entry_iface(direction)
-        token = observer.begin_traversal(msg, direction)
-        try:
-            return iface.deliver(iface, msg, direction, **kwargs)
-        finally:
-            observer.end_traversal(token)
+        return self._deliver((msg,), 1, direction, kwargs)[0]
 
     def deliver_batch(self, msgs: Any, direction: int = FWD,
                       **kwargs: Any) -> List[Any]:
-        """Deliver a whole run of messages (a ``MsgBatch`` or any
-        iterable of messages) through the path in *direction*.
+        """Deliver a run of messages (any iterable) through the path in
+        *direction*; returns the per-message traversal results in order.
 
         The per-path books stay exact per message — the message counters
         advance by the batch length, every stage still charges and drops
@@ -312,12 +279,18 @@ class Path:
         one (or when it declines the run) every message takes the
         reference walk in order; an *observed* path (``PA_TRACE``) does
         so with its spans nesting exactly as they would unbatched.
-        Returns the per-message traversal results in order.
+        :meth:`deliver` is this body at a batch of one.
         """
+        batch = list(msgs)
+        return self._deliver(batch, len(batch), direction, kwargs)
+
+    def _deliver(self, batch: Any, count: int, direction: int,
+                 kwargs: dict) -> List[Any]:
+        """The one traversal body behind :meth:`deliver` and
+        :meth:`deliver_batch`.  Neither public entry calls the other, so
+        a wrapper on either sees each message exactly once."""
         if self.state == DELETED:
             raise PathStateError(f"path {self.pid} has been deleted")
-        batch = list(msgs)
-        count = len(batch)
         if direction == FWD:
             self.stats.messages_fwd += count
         else:
@@ -327,39 +300,35 @@ class Path:
         probes = self._probes[direction]
         if probes:
             befores = [msg.meta.get(_COST_KEY, 0.0) for msg in batch]
-            results = self._traverse_batch(batch, direction, kwargs)
-            for msg, before in zip(batch, befores):
-                elapsed = msg.meta.get(_COST_KEY, 0.0) - before
-                for probe in probes:
-                    probe(msg, elapsed)
-            return results
-        return self._traverse_batch(batch, direction, kwargs)
-
-    def _traverse_batch(self, batch: List[Any], direction: int,
-                        kwargs: dict) -> List[Any]:
         observer = self.observer
         if observer is None:
             if self._specialized_gen != self.chain_generation:
                 self.specialize_chains()
             spec = self._specialized[direction]
-            if spec is not None:
-                out = spec(batch, kwargs)
-                if out is not None:
-                    return out
+            results = spec(batch, kwargs) if spec is not None else None
+            if results is None:
+                iface = self.entry_iface(direction)
+                results = []
+                for msg in batch:
+                    results.append(iface.deliver(iface, msg, direction,
+                                                 **kwargs))
+        else:
+            # Observed paths keep the per-message reference walk so stage
+            # spans nest exactly per message — batching never blurs them.
             iface = self.entry_iface(direction)
-            return [iface.deliver(iface, msg, direction, **kwargs)
-                    for msg in batch]
-        # Observed paths keep the per-message reference walk so stage
-        # spans stay exact per message — batching never blurs the trace.
-        iface = self.entry_iface(direction)
-        results = []
-        for msg in batch:
-            token = observer.begin_traversal(msg, direction)
-            try:
-                results.append(iface.deliver(iface, msg, direction,
-                                             **kwargs))
-            finally:
-                observer.end_traversal(token)
+            results = []
+            for msg in batch:
+                token = observer.begin_traversal(msg, direction)
+                try:
+                    results.append(iface.deliver(iface, msg, direction,
+                                                 **kwargs))
+                finally:
+                    observer.end_traversal(token)
+        if probes:
+            for msg, before in zip(batch, befores):
+                elapsed = msg.meta.get(_COST_KEY, 0.0) - before
+                for probe in probes:
+                    probe(msg, elapsed)
         return results
 
     def add_traversal_probe(self, direction: int,

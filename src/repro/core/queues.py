@@ -16,7 +16,7 @@ depending on the simulator.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Deque, Iterator, List, Optional
 
 from .errors import QueueFullError
 
@@ -141,19 +141,6 @@ class PathQueue:
         return self._items[0]
 
     # -- batch operations ---------------------------------------------------
-
-    def try_enqueue_batch(self, items: Iterable[Any]) -> int:
-        """Enqueue every item in *items*; returns how many were accepted.
-
-        Rejected items count as drops and fire the drop listeners exactly
-        as individual :meth:`try_enqueue` rejections would — batching
-        amortizes dispatch, never accounting.
-        """
-        accepted = 0
-        for item in items:
-            if self.try_enqueue(item):
-                accepted += 1
-        return accepted
 
     def dequeue_batch(self, limit: Optional[int] = None) -> List[Any]:
         """Remove and return up to *limit* items (all queued when ``None``).

@@ -5,7 +5,9 @@
   ("since each video path has its own input queue and since the packet
   classifier is run at interrupt time, newly arriving packets are
   immediately placed in the correct queue"), or dropped right there,
-  ledgered, when no path wants it or the queue is full;
+  ledgered, when no path wants it or the queue is full.  There is one
+  receive route, :meth:`PathRuntime.rx_burst`; a lone frame from a
+  simulated NIC is a burst of one;
 * **per-path threads under per-path scheduling** — each path's thread
   dequeues, traverses the path, and pays the accumulated CPU cost.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .. import params
-from ..core.classify import ClassifierStats, classify
+from ..core.classify import ClassifierStats, classify, classify_ex
 from ..core.message import Msg
 from ..core.path import DELETED, Path
 from ..core.stage import BWD
@@ -42,14 +44,17 @@ class PathRuntime:
 
     A subclass boots a router graph and creates paths.  It sets
     ``self.eth`` (where a received frame enters the demux chain; a
-    multi-port kernel passes the port's router to :meth:`_rx` instead)
-    and, when its IP router reassembles, ``self.ip`` and
+    multi-port kernel passes the port's router to :meth:`rx_burst`
+    instead) and, when its IP router reassembles, ``self.ip`` and
     ``self.frag_path`` for :meth:`_reclassify`.
     """
 
     #: Established-flow cache probed before the demux chain; ``None``
     #: walks the chain for every frame.
     flow_cache = None
+    #: Tracing + metrics substrate whose ``kernel_unclassified_drops``
+    #: series counts pathless drops while armed; ``None`` keeps none.
+    observatory = None
 
     def __init__(self, world: SimWorld):
         self.world = world
@@ -72,24 +77,57 @@ class PathRuntime:
     # Interrupt-time receive: classify early, segregate early.
     # ------------------------------------------------------------------
 
+    def rx_burst(self, frames, metas=None, entry=None) -> int:
+        """Interrupt-time receive for a burst of frames (DESIGN.md §13);
+        a lone frame is a burst of one.
+
+        Every frame is classified first — :func:`classify_ex` from
+        *entry* (default ``self.eth``; a router port passes its own ETH
+        router) through the kernel's flow cache — and then each takes
+        admission in arrival order (early discard, input-queue deposit,
+        memory charge, drop ledger).  The modeled interrupt cost is the
+        exact sum of the per-frame costs — one probe per frame plus one
+        hop per refinement a chain walk took, so a cache hit costs a
+        single probe — charged in one ``extend_interrupt`` call.
+        Returns how many frames were deposited on a path input queue.
+
+        *metas*, when given, is a per-frame sequence of extra ``meta``
+        entries stamped onto each message before classification — the
+        shard fabric's handoff serials ride in through here so every
+        frame's fate can be accounted to the ledger that injected it.
+        """
+        router = self.eth if entry is None else entry
+        stats = self.classifier_stats
+        cache = self.flow_cache
+        now = self.world.now
+        arrivals = []
+        # Classifier hops: one probe per frame plus every refinement the
+        # burst's chain walks add to ``stats``.
+        hops = -stats.refinements
+        for i, frame in enumerate(frames):
+            msg = Msg(frame, meta={"rx_time": now})
+            if metas is not None and metas[i]:
+                msg.meta.update(metas[i])
+            arrivals.append((msg, classify_ex(router, msg, stats=stats,
+                                              cache=cache).path))
+            hops += 1
+        self.world.cpu.extend_interrupt(
+            (hops + stats.refinements) * params.CLASSIFY_PER_HOP_US)
+        deposited = 0
+        for msg, path in arrivals:
+            if self._admit(path, msg):
+                deposited += 1
+        return deposited
+
     def _rx(self, frame: bytes, entry=None) -> None:
-        msg = Msg(frame, meta={"rx_time": self.world.now})
-        refinements_before = self.classifier_stats.refinements
-        path = classify(self.eth if entry is None else entry, msg,
-                        stats=self.classifier_stats, cache=self.flow_cache)
-        # A cache hit adds no refinements, so its modeled interrupt cost
-        # is a single probe — the speedup the flow cache exists to buy.
-        hops = self.classifier_stats.refinements - refinements_before + 1
-        self.world.cpu.extend_interrupt(hops * params.CLASSIFY_PER_HOP_US)
-        self._admit(path, msg)
+        """A simulated NIC's per-frame ``rx_handler``: a burst of one."""
+        self.rx_burst((frame,), None, entry)
 
     def _admit(self, path: Optional[Path], msg: Msg) -> bool:
-        """Post-classification admission, identical for single frames and
-        bursts; returns True when the message reached an input queue."""
+        """Post-classification admission of one received message; returns
+        True when the message reached an input queue."""
         if path is None:
-            self.unclassified_drops += 1
-            msg.meta.setdefault("drop_reason", "no path wants this frame")
-            self._report_drop(msg, "unclassified")
+            self._drop_unclassified(msg, "no path wants this frame")
             self._shed()
             return False
         if not path.input_queue(BWD).try_enqueue(msg):
@@ -107,10 +145,21 @@ class PathRuntime:
     def _report_drop(self, msg, category: str) -> None:
         """The one place this kernel's fates reach :attr:`drop_hook`:
         every path it serves reports here from ``Path.note_drop``, and
-        the two pathless sites (unclassified at admission and after
-        reassembly) call it directly."""
+        :meth:`_drop_unclassified` reports the pathless ones."""
         if self.drop_hook is not None:
             self.drop_hook(msg, category)
+
+    def _drop_unclassified(self, msg: Msg, reason: str) -> None:
+        """Ledger *msg*, which no path wants, as ``unclassified``: the one
+        book for both pathless sites — admission and a reassembled
+        datagram's reclassification.  While the kernel's observatory is
+        armed the ``kernel_unclassified_drops`` series counts it too."""
+        self.unclassified_drops += 1
+        msg.meta.setdefault("drop_reason", reason)
+        observatory = self.observatory
+        if observatory is not None and observatory.armed:
+            observatory.metrics.counter("kernel_unclassified_drops").inc()
+        self._report_drop(msg, "unclassified")
 
     # ------------------------------------------------------------------
     # Reassembled datagrams: rerun the classifier (Section 3.5)
@@ -128,10 +177,8 @@ class PathRuntime:
         hops = self.classifier_stats.refinements - refinements_before + 1
         charge(whole, hops * params.CLASSIFY_PER_HOP_US)
         if path is None or path is self.frag_path:
-            self.unclassified_drops += 1
-            whole.meta.setdefault("drop_reason",
-                                  "no path wants the reassembled datagram")
-            self._report_drop(whole, "unclassified")
+            self._drop_unclassified(whole,
+                                    "no path wants the reassembled datagram")
             return
         whole.meta["entry_router"] = "IP"
         if not path.input_queue(BWD).try_enqueue(whole):
@@ -177,28 +224,19 @@ class PathRuntime:
             yield YIELD
 
     @staticmethod
-    def _traverse(path: Path, msg: Msg) -> None:
-        entry = msg.meta.pop("entry_router", None)
-        if entry is not None:
-            path.inject_at(path.stage_of(entry), msg, BWD)
-        else:
-            path.deliver(msg, BWD)
-
-    @classmethod
-    def _traverse_batch(cls, path: Path, msgs: List[Msg]) -> None:
+    def _traverse_batch(path: Path, msgs: List[Msg]) -> None:
         """Run a dequeued batch through the path.
 
-        The whole batch rides :meth:`~repro.core.path.Path.deliver_batch`
-        (one call into the path's generated function) unless some message
-        needs a mid-path injection (a reassembled datagram entering at
-        IP) — then the batch falls back to per-message traversal to
-        preserve arrival order exactly.  A batch of one has no followers
-        to mark and takes the same per-message route.
+        The whole batch — a batch of one included — rides
+        :meth:`~repro.core.path.Path.deliver_batch` (one call into the
+        path's generated function) unless some message needs a mid-path
+        injection (a reassembled datagram entering at IP); then the
+        batch falls back to per-message traversal to preserve arrival
+        order exactly.
         """
-        if len(msgs) == 1 or \
-                any("entry_router" in msg.meta for msg in msgs):
-            for msg in msgs:
-                cls._traverse(path, msg)
+        for msg in msgs:
+            if "entry_router" in msg.meta:
+                break
         else:
             # Mark everything but the tail so stages that turn per-packet
             # feedback around (MFLOW window advs, TCP cumulative ACKs) can
@@ -206,6 +244,13 @@ class PathRuntime:
             for msg in msgs[:-1]:
                 msg.meta["batch_followup"] = True
             path.deliver_batch(msgs, BWD)
+            return
+        for msg in msgs:
+            entry = msg.meta.pop("entry_router", None)
+            if entry is not None:
+                path.inject_at(path.stage_of(entry), msg, BWD)
+            else:
+                path.deliver(msg, BWD)
 
     def _spawn_path_thread(self, path: Path, name: str, policy: str,
                            priority: int, batch_limit: int = 1,

@@ -3,7 +3,7 @@
 Wires the router graph (DISPLAY / MPEG / MFLOW / SHELL / UDP / IP / ETH
 plus ARP and ICMP) and attaches the NIC and framebuffer, on the shared
 :class:`~repro.kernel.runtime.PathRuntime`.  Around it the end host adds
-burst receive through the flow cache, early discard of skipped video
+the flow cache its receive probes, early discard of skipped video
 frames (Section 4.4), the arrival EWMA the EDF deadline estimate
 consumes, and the ``inline_icmp`` ablation.  Each path's ``wakeup``
 callback imposes EDF deadlines (or RR priority) on every wakeup.
@@ -27,7 +27,6 @@ from ..core.attributes import (
     PA_TRACE,
     Attrs,
 )
-from ..core.classify import classify_batch
 from ..core.flowcache import VALIDATED_STAMPS, FlowCache
 from ..core.graph import RouterGraph
 from ..core.message import Msg
@@ -173,6 +172,7 @@ class ScoutKernel(PathRuntime):
                     "ScoutKernel needs either a segment (simulated "
                     "device) or an explicit device=")
             self.device = NetDevice(local_mac, world.cpu, name="eth0")
+            self.device.rx_handler = self._rx
             segment.attach(self.device)
         self.framebuffer = Framebuffer(world.engine, world.cpu,
                                        vsync_hz=vsync_hz,
@@ -233,7 +233,6 @@ class ScoutKernel(PathRuntime):
         self._skip_filters: Dict[int, int] = {}
         self.icmp_inline_served = 0
 
-        self.device.rx_handler = self._rx
         #: With ``display=False`` the framebuffer exists but its vsync
         #: interrupt never starts: the engine can then go fully idle
         #: between bursts, which is what lets a shard worker run its
@@ -259,62 +258,20 @@ class ScoutKernel(PathRuntime):
                                     self._mpeg_decode_post)
 
     # ------------------------------------------------------------------
-    # Interrupt-time receive, burst form
+    # Interrupt-time admission extras
     # ------------------------------------------------------------------
-
-    def rx_burst(self, frames, metas=None) -> int:
-        """Interrupt-time receive for a burst of frames (DESIGN.md §13).
-
-        Classification runs through
-        :func:`~repro.core.classify.classify_batch`, which keys each
-        frame once for its flow-cache probe and, on a miss, its insert;
-        each frame then takes the same admission step (early discard,
-        input-queue deposit, memory charge, drop ledger) it would take
-        through :meth:`_rx` one at a time.  The modeled interrupt cost is the
-        exact sum of the per-frame costs — one probe per cache-riding
-        frame, per-hop cost for chain walks — charged in one
-        ``extend_interrupt`` call.  Returns how many frames were
-        deposited on a path input queue.
-
-        *metas*, when given, is a per-frame sequence of extra ``meta``
-        entries stamped onto each message before classification — the
-        shard fabric's handoff serials ride in through here so every
-        frame's fate can be accounted to the ledger that injected it.
-        """
-        now = self.world.now
-        msgs = [Msg(frame, meta={"rx_time": now}) for frame in frames]
-        if metas is not None:
-            for msg, extra in zip(msgs, metas):
-                if extra:
-                    msg.meta.update(extra)
-        refinements_before = self.classifier_stats.refinements
-        results = classify_batch(self.eth, msgs, stats=self.classifier_stats,
-                                 cache=self.flow_cache)
-        hops_total = (self.classifier_stats.refinements - refinements_before
-                      + len(msgs))
-        self.world.cpu.extend_interrupt(
-            hops_total * params.CLASSIFY_PER_HOP_US)
-        deposited = 0
-        for msg, result in zip(msgs, results):
-            if self._admit(result.path, msg):
-                deposited += 1
-        return deposited
 
     def _admit(self, path: Optional[Path], msg: Msg) -> bool:
         """The end host's steps around the shared admission: early
         discard, a cache hit's source MAC, the arrival EWMA, and the
         ``inline_icmp`` ablation."""
-        if path is None:
-            if self.observatory.armed:
-                self.observatory.metrics.counter(
-                    "kernel_unclassified_drops").inc()
-        elif self._should_early_drop(path, msg):
-            self.early_drops += 1
-            path.note_drop(msg, "early discard of skipped frame",
-                           "early_discard")
-            self._shed()
-            return False
-        else:
+        if path is not None:
+            if self._should_early_drop(path, msg):
+                self.early_drops += 1
+                path.note_drop(msg, "early discard of skipped frame",
+                               "early_discard")
+                self._shed()
+                return False
             if "eth_src" not in msg.meta:
                 # A flow-cache hit skipped ETH's demux, which records the
                 # source MAC, and the flow key does not fix it.

@@ -179,30 +179,6 @@ class PathGroup:
             self._affinity.popitem(last=False)
         return member
 
-    def dispatch_batch(self, msgs: Any) -> List[Any]:
-        """Dispatch every message in *msgs*, splitting the batch by member.
-
-        Each message takes the same per-message :meth:`dispatch` decision
-        it would take alone (so round-robin advancement, affinity pins,
-        and the dispatch counters are identical to N individual calls),
-        and the batch is split into maximal *consecutive* runs placed on
-        the same member: the return value is an ordered list of
-        ``(member, run)`` pairs whose concatenated runs reproduce the
-        input order exactly.  Frame affinity therefore keeps a frame's
-        packets in one run, while arrival order across members is
-        preserved for the caller to enqueue run by run.  Messages that
-        found no live member land in runs whose member is ``None`` (the
-        caller records those drops, as with :meth:`dispatch`).
-        """
-        splits: List[Any] = []
-        for msg in msgs:
-            member = self.dispatch(msg)
-            if splits and splits[-1][0] is member:
-                splits[-1][1].append(msg)
-            else:
-                splits.append((member, [msg]))
-        return splits
-
     def take_respread(self) -> bool:
         """Consulted by the classifier on sticky cache hits: True means
         "drop this group's pins now" (and resets the debounce)."""

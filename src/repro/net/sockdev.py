@@ -79,7 +79,6 @@ class SocketNetDevice:
         self.port = port
         self.rx_ring = rx_ring
         self.address: Optional[Tuple[str, int]] = None
-        self.rx_handler = None  # kept for NetDevice shape; unused here
         # counters, mirroring net.segment.NetDevice
         self.rx_frames = 0
         self.tx_frames = 0

@@ -1,11 +1,9 @@
 """Property tests for message fragmentation and batched traversal.
 
-Three invariant families (DESIGN.md §13):
+Two invariant families (DESIGN.md §13):
 
 * ``Msg.split``/``join``/``peek`` edge cases — zero-length pieces and
   peeks that span fragment (chunk) boundaries;
-* ``MsgBatch`` split/merge invariants — restructuring a batch never
-  reorders, drops, or duplicates a message;
 * batch-traversal exactness — delivering a batch produces the same bytes
   in the same order as delivering its messages one at a time.
 """
@@ -13,7 +11,7 @@ Three invariant families (DESIGN.md §13):
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Attrs, BWD, FWD, Msg, MsgBatch, path_create
+from repro.core import Attrs, BWD, FWD, Msg, path_create
 from ..helpers import make_chain
 
 
@@ -110,73 +108,6 @@ class TestMsgSplitJoinEdges:
     def test_peek_beyond_end_raises(self):
         with pytest.raises(ValueError):
             Msg(b"abc").peek(2, at=2)
-
-
-# ---------------------------------------------------------------------------
-# MsgBatch split / merge invariants
-# ---------------------------------------------------------------------------
-
-def payload_batch(payloads, **meta):
-    return MsgBatch([Msg(p) for p in payloads], meta=meta or None)
-
-
-class TestMsgBatchInvariants:
-    def test_split_head_preserves_order_and_identity(self):
-        msgs = [Msg(bytes([i])) for i in range(5)]
-        batch = MsgBatch(msgs)
-        head = batch.split(2)
-        assert head.msgs == msgs[:2]
-        assert batch.msgs == msgs[2:]
-
-    def test_split_zero_and_all(self):
-        batch = payload_batch([b"a", b"b"])
-        assert len(batch.split(0)) == 0
-        head = batch.split(2)
-        assert len(head) == 2 and len(batch) == 0
-
-    def test_split_too_many_raises(self):
-        with pytest.raises(ValueError):
-            payload_batch([b"a"]).split(2)
-
-    def test_split_negative_raises(self):
-        with pytest.raises(ValueError):
-            payload_batch([b"a"]).split(-1)
-
-    def test_split_copies_shared_meta(self):
-        batch = payload_batch([b"a", b"b"], source="cache")
-        head = batch.split(1)
-        assert head.meta == {"source": "cache"}
-        head.meta["source"] = "demux"
-        assert batch.meta["source"] == "cache"
-
-    def test_merge_meta_first_batch_wins(self):
-        merged = MsgBatch.merge([payload_batch([b"a"], flow=1),
-                                 payload_batch([b"b"], flow=2)])
-        assert merged.meta == {"flow": 1}
-
-    def test_merge_explicit_meta_overrides(self):
-        merged = MsgBatch.merge([payload_batch([b"a"], flow=1)],
-                                meta={"flow": 9})
-        assert merged.meta == {"flow": 9}
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.binary(max_size=4), max_size=12), st.data())
-    def test_split_merge_roundtrips(self, payloads, data):
-        """split() then merge() restores the exact message sequence."""
-        batch = payload_batch(payloads)
-        original = list(batch.msgs)
-        cut = data.draw(st.integers(min_value=0, max_value=len(payloads)))
-        head = batch.split(cut)
-        merged = MsgBatch.merge([head, batch])
-        assert merged.msgs == original
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.binary(max_size=6), max_size=10))
-    def test_accounting_sums_per_message(self, payloads):
-        batch = payload_batch(payloads)
-        assert batch.total_bytes() == sum(len(p) for p in payloads)
-        assert batch.footprint() == sum(Msg(p).footprint()
-                                        for p in payloads)
 
 
 # ---------------------------------------------------------------------------

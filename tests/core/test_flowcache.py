@@ -304,7 +304,7 @@ class TestKernelAnnotations:
                   for mac in macs]
         kernel.rx_burst(frames[:1])  # miss: ETH's demux records the MAC
         kernel.rx_burst(frames[1:2])  # hit, burst receive
-        kernel._rx(frames[2])  # hit, per-frame receive
+        kernel.device.rx_handler(frames[2])  # hit, per-frame receive
         assert kernel.flow_cache.hits == 2 and len(runs) == 1
         queued = list(path.input_queue(BWD))
         assert [m.meta["eth_src"] for m in queued] == macs

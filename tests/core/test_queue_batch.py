@@ -1,38 +1,7 @@
-"""Tests for batched queue operations (DESIGN.md §13): one call moves a
-run of items while statistics, listeners, and drop accounting stay exact
-per item."""
-
-import pytest
+"""Tests for batched dequeue (DESIGN.md §13): one call moves a run of
+items while statistics and listeners stay exact per item."""
 
 from repro.core import DeadlineOrderedQueue, PathQueue
-
-
-class TestTryEnqueueBatch:
-    def test_all_fit(self):
-        q = PathQueue(maxlen=4)
-        assert q.try_enqueue_batch(["a", "b", "c"]) == 3
-        assert [q.dequeue() for _ in range(3)] == ["a", "b", "c"]
-
-    def test_partial_fit_drops_tail(self):
-        q = PathQueue(maxlen=2)
-        assert q.try_enqueue_batch(["a", "b", "c", "d"]) == 2
-        assert q.dropped == 2
-        assert len(q) == 2
-
-    def test_per_item_listeners_fire(self):
-        q = PathQueue(maxlen=2)
-        enq, dropped = [], []
-        q.on_enqueue(lambda queue: enq.append(queue.last_enqueued))
-        q.on_drop(lambda queue, item, why: dropped.append((item,
-                                                                    why)))
-        q.try_enqueue_batch(["a", "b", "c"])
-        assert enq == ["a", "b"]
-        assert dropped == [("c", "overflow")]
-
-    def test_empty_batch_is_noop(self):
-        q = PathQueue(maxlen=1)
-        assert q.try_enqueue_batch([]) == 0
-        assert q.enqueued == 0
 
 
 class TestDequeueBatch:

@@ -84,7 +84,7 @@ class TestRxBurstParity:
         _, burst_kernel, burst_session, burst_frame = rx_fixture()
         payloads = [b"pkt%02d" % i for i in range(10)] + [b"stray"]
         for p in payloads:
-            solo_kernel._rx(solo_frame(p))
+            solo_kernel.device.rx_handler(solo_frame(p))
         deposited = burst_kernel.rx_burst([burst_frame(p) for p in payloads])
         assert deposited == len(payloads)
         assert self.observe(burst_kernel, burst_session) \

@@ -4,7 +4,11 @@ import pytest
 
 from repro.core import PA_TRACE
 from repro.experiments import Testbed
+from repro.kernel import ScoutKernel
 from repro.mpeg.clips import clip_by_name
+from repro.net import EthAddr, IpAddr, build_udp_frame
+from repro.sim import SimWorld
+from ..test_runtime_contract import fragments
 
 PORT_TRACED = 6000
 PORT_PLAIN = 6010
@@ -104,8 +108,29 @@ def test_armed_observatory_counts_unclassified_frames(dual_session_world):
     _testbed, kernel, _traced, _plain = dual_session_world
     registry = kernel.observatory.metrics
     before = registry.total("kernel_unclassified_drops")
-    kernel._rx(b"\x00" * 64)  # garbage no router claims
+    kernel.device.rx_handler(b"\x00" * 64)  # garbage no router claims
     assert registry.total("kernel_unclassified_drops") == before + 1
+
+
+def test_unclassified_series_counts_every_pathless_drop():
+    """Garbage refused at admission and a reassembled datagram no path
+    wants are both ledgered ``unclassified``; the armed series counts
+    exactly what the ledger does."""
+    world = SimWorld(seed=1)
+    kernel = ScoutKernel(world, world.new_segment(), udp_sink=True,
+                         display=False)
+    kernel.arp.add_entry("10.0.0.2", "02:00:00:00:00:02")
+    kernel.observatory.instrument(
+        kernel.start_udp_sink(6000, remote=("10.0.0.2", 7000)))
+    kernel.device.rx_handler(b"\x00" * 64)
+    unbound = build_udp_frame(EthAddr("02:00:00:00:00:02"),
+                              kernel.device.mac, IpAddr("10.0.0.2"),
+                              IpAddr("10.0.0.1"), 7000, 6001, b"r" * 1400)
+    for fragment in fragments(unbound):
+        kernel.device.rx_handler(fragment)
+    world.run_until_idle()
+    assert kernel.drop_ledger() == {"unclassified": 2}
+    assert kernel.observatory.metrics.total("kernel_unclassified_drops") == 2
 
 
 def test_trace_experiment_is_registered():

@@ -230,7 +230,8 @@ class TestSchedulingReachesTheEdge:
                 scout.add_peer(REMOTE_IP, REMOTE_MAC, sender.getsockname())
                 path = scout.kernel.start_udp_sink(
                     SINK_PORT, (str(REMOTE_IP), 7000), specialize=False)
-                path.deliver = broken
+                # A path thread hands even a batch of one to deliver_batch.
+                path.deliver_batch = broken
                 sender.sendto(udp_frame(0), scout.device.address)
                 sender.close()
                 with pytest.raises(RuntimeError, match="sink broke"):

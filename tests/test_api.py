@@ -71,9 +71,9 @@ class TestSurface:
         assert isinstance(result, ClassifyResult)
         assert result.path is path
         assert result.source == SOURCE_DEMUX
-        # The tuple-unpacking shim older call sites rely on:
-        found, source, run = result
-        assert found is path and run == 1
+        # It unpacks like a plain (path, source) pair:
+        found, source = result
+        assert found is path and source == SOURCE_DEMUX
 
 
 class TestPathBuilder:

@@ -4,8 +4,9 @@
 ``repro.kernel.runtime.PathRuntime``: no frame raises out of the
 interrupt-time receive, every frame gets exactly one fate (delivered, or
 ledgered under a category with a ``drop_reason``), and a path is charged
-for exactly the bytes queued on it.  ``ScoutKernel`` is driven through
-both of its receive forms, per frame and burst.
+for exactly the bytes queued on it.  Every kernel is driven through both
+receive forms: per frame, through its simulated NIC's ``rx_handler``,
+and as one ``rx_burst``.
 """
 
 from collections import Counter
@@ -45,6 +46,22 @@ class Rig:
         return sum(p.stats.mem_bytes for p in self.kernel.paths())
 
 
+def offering(kernel, device, path, burst, entry=None):
+    """The receive interrupt in one of its two forms: *device*'s per-frame
+    ``rx_handler``, or one ``rx_burst`` (entered at *entry*) that reports
+    how many frames it queued."""
+    def offer(frames):
+        if burst:
+            inq = path.input_queue(BWD)
+            before = len(inq)
+            assert kernel.rx_burst(frames, entry=entry) \
+                == len(inq) - before
+        else:
+            for frame in frames:
+                device.rx_handler(frame)
+    return offer
+
+
 def scout_rig(burst):
     world = SimWorld(seed=1)
     kernel = ScoutKernel(world, world.new_segment(), local_ip=str(LOCAL_IP),
@@ -53,42 +70,29 @@ def scout_rig(burst):
     path = kernel.start_udp_sink(PORT, remote=(str(REMOTE_IP), 7000),
                                  inq_len=INQ)
 
-    def offer(frames):
-        if burst:
-            inq = path.input_queue(BWD)
-            before = len(inq)
-            # The burst form reports how many frames it queued.
-            assert kernel.rx_burst(frames) == len(inq) - before
-        else:
-            for frame in frames:
-                kernel._rx(frame)
-
     def frame(payload, port=PORT):
         return build_udp_frame(REMOTE_MAC, kernel.device.mac, REMOTE_IP,
                                LOCAL_IP, 7000, port, payload)
 
-    return Rig(kernel, path, offer, frame,
-               lambda: len(kernel.test.received))
+    return Rig(kernel, path, offering(kernel, kernel.device, path, burst),
+               frame, lambda: len(kernel.test.received))
 
 
-def host_rig():
+def host_rig(burst):
     world = SimWorld(seed=1)
     host = HostNode(world, world.new_segment(), "h", LOCAL_IP)
     host.arp.add_entry(REMOTE_IP, REMOTE_MAC)
     path = host.open(str(REMOTE_IP), 7000, local_port=PORT, inq_len=INQ)
 
-    def offer(frames):
-        for frame in frames:
-            host.device.rx_handler(frame)
-
     def frame(payload, port=PORT):
         return build_udp_frame(REMOTE_MAC, host.device.mac, REMOTE_IP,
                                LOCAL_IP, 7000, port, payload)
 
-    return Rig(host, path, offer, frame, lambda: len(host.test.received))
+    return Rig(host, path, offering(host, host.device, path, burst), frame,
+               lambda: len(host.test.received))
 
 
-def router_rig():
+def router_rig(burst):
     world = SimWorld(seed=1)
     near, far = world.new_segment(), world.new_segment()
     sink = RecordingRemote(world.engine, ip=FAR_IP)
@@ -99,22 +103,23 @@ def router_rig():
     router.add_route("10.0.9.0", 24, "b")
     router.boot()
 
-    def offer(frames):
-        for frame in frames:
-            port.device.rx_handler(frame)
-
     def frame(payload):
         return build_udp_frame(REMOTE_MAC, port.device.mac, REMOTE_IP,
                                FAR_IP, 7000, PORT, payload)
 
-    return Rig(router, port.path, offer, frame, lambda: len(sink.frames))
+    return Rig(router, port.path,
+               offering(router, port.device, port.path, burst,
+                        entry=port.eth),
+               frame, lambda: len(sink.frames))
 
 
 RIGS = {
     "scout": lambda: scout_rig(burst=False),
     "scout-burst": lambda: scout_rig(burst=True),
-    "host": host_rig,
-    "router": router_rig,
+    "host": lambda: host_rig(burst=False),
+    "host-burst": lambda: host_rig(burst=True),
+    "router": lambda: router_rig(burst=False),
+    "router-burst": lambda: router_rig(burst=True),
 }
 
 
