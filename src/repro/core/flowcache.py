@@ -147,11 +147,6 @@ class FlowCache:
         self.evictions = 0
         self.invalidations = 0
         self.stale_hits = 0
-        # optional metric mirrors (pre-created Counter objects)
-        self._metric_hits = None
-        self._metric_misses = None
-        self._metric_evictions = None
-        self._metric_invalidations = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -181,8 +176,6 @@ class FlowCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            if self._metric_misses is not None:
-                self._metric_misses.inc()
             return None
         path, annotations = entry
         if path.state != ESTABLISHED:
@@ -191,13 +184,9 @@ class FlowCache:
             self._discard_key(key)
             self.stale_hits += 1
             self.misses += 1
-            if self._metric_misses is not None:
-                self._metric_misses.inc()
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        if self._metric_hits is not None:
-            self._metric_hits.inc()
         if annotations is not None:
             msg.meta.update(annotations)
         return path
@@ -237,8 +226,6 @@ class FlowCache:
             old_key, (old_path, _) = self._entries.popitem(last=False)
             self._keys_of_path.get(old_path.pid, set()).discard(old_key)
             self.evictions += 1
-            if self._metric_evictions is not None:
-                self._metric_evictions.inc()
         return True
 
     def _annotations(self, msg: Any, key: bytes) -> Optional[dict]:
@@ -272,8 +259,6 @@ class FlowCache:
             if self._entries.pop(key, None) is not None:
                 removed += 1
         self.invalidations += removed
-        if removed and self._metric_invalidations is not None:
-            self._metric_invalidations.inc(removed)
         return removed
 
     def invalidate_key(self, key: bytes) -> bool:
@@ -288,8 +273,6 @@ class FlowCache:
             return False
         self._discard_key(key)
         self.invalidations += 1
-        if self._metric_invalidations is not None:
-            self._metric_invalidations.inc()
         return True
 
     def invalidate_group(self, gid: int) -> int:
@@ -315,8 +298,6 @@ class FlowCache:
         self._keys_of_path.clear()
         self._group_members.clear()
         self.invalidations += removed
-        if removed and self._metric_invalidations is not None:
-            self._metric_invalidations.inc(removed)
         return removed
 
     def _discard_key(self, key: bytes) -> None:
@@ -327,16 +308,11 @@ class FlowCache:
     # -- observability ------------------------------------------------------
 
     def bind_metrics(self, registry: Any, name: str = "flow_cache") -> None:
-        """Mirror the counters into a metrics registry (``repro.observe``).
-
-        Pre-creates the counter series so the per-packet cost of the
-        mirror is a single bound-method call.
-        """
-        self._metric_hits = registry.counter(f"{name}_hits_total")
-        self._metric_misses = registry.counter(f"{name}_misses_total")
-        self._metric_evictions = registry.counter(f"{name}_evictions_total")
-        self._metric_invalidations = registry.counter(
-            f"{name}_invalidations_total")
+        """Expose the counters as ``<name>_*_total`` series that a metrics
+        registry reads on every lookup: a probe pays nothing for it."""
+        registry.collect(lambda: [
+            (f"{name}_{field}_total", {}, getattr(self, field))
+            for field in ("hits", "misses", "evictions", "invalidations")])
 
     def stats(self) -> Dict[str, int]:
         return {

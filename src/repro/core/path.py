@@ -384,13 +384,6 @@ class Path:
         if self.drop_report is not None:
             self.drop_report(msg, category)
 
-    def charge_cycles(self, cycles: float) -> None:
-        """Charge CPU cycles to this path's account (the scheduler's
-        compute hook), mirrored into the metrics layer when observed."""
-        self.stats.charge_cycles(cycles)
-        if self.observer is not None:
-            self.observer.on_cycles(cycles)
-
     def register_flow_cache(self, cache: Any) -> None:
         """Record that *cache* holds entries mapping to this path, so
         :meth:`delete` can purge them synchronously (a flow cache must

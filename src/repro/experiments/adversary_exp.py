@@ -81,8 +81,8 @@ SCHEDULERS = {
 RHO_PER_US = 0.04
 W = 24
 
-#: Counter every terminal accounting site bumps; the run reconciles its
-#: per-category totals against the ledger.
+#: Series read from ``ledger.counts()``, one per terminal category; the
+#: run reconciles its per-category totals against the ledger.
 OUTCOME_METRIC = "adversary_outcomes_total"
 
 
@@ -155,6 +155,9 @@ def run_adversary(strategy: str = "deadline_cliff", scheduler: str = "edf",
 
     cache = FlowCache(capacity=cache_capacity)
     ledger = DropLedger()
+    metrics.collect(lambda: [
+        (OUTCOME_METRIC, {"category": category}, count)
+        for category, count in ledger.counts().items()])
     starvation = StarvationDetector(world.engine, horizon_us,
                                     observatory=observatory).start()
     shedder = BackpressureShedder(inqs) if shed else None
@@ -170,7 +173,6 @@ def run_adversary(strategy: str = "deadline_cliff", scheduler: str = "edf",
             if serial is None:
                 return
             ledger.account(serial, reason)
-            metrics.counter(OUTCOME_METRIC, category=reason).inc()
             if reason in (ADVERSARY_OVERFLOW, END_OF_RUN):
                 # Teardown drains already route through path.note_drop;
                 # these two reasons are noted by nobody else.
@@ -192,7 +194,6 @@ def run_adversary(strategy: str = "deadline_cliff", scheduler: str = "edf",
             for msg in msgs:
                 yield Compute(service_us)
                 ledger.account(msg.meta["adv_serial"], DELIVERED)
-                metrics.counter(OUTCOME_METRIC, category=DELIVERED).inc()
                 starvation.on_deliver(msg.meta["adv_flow"])
                 path.note_progress()
             yield YIELD
@@ -251,13 +252,10 @@ def run_adversary(strategy: str = "deadline_cliff", scheduler: str = "edf",
             msg.meta["adv_deadline"] = event.deadline_us
         if shedder is not None and not shedder.admit():
             ledger.account(event.serial, BACKPRESSURE_SHED)
-            metrics.counter(OUTCOME_METRIC,
-                            category=BACKPRESSURE_SHED).inc()
             return
         path = classify(stack.eth, msg, cache=cache)
         if path is None:
             ledger.account(event.serial, "unclassified")
-            metrics.counter(OUTCOME_METRIC, category="unclassified").inc()
             return
         if path.input_queue(BWD).try_enqueue(msg):
             flow_on_member[path.pid] = event.flow

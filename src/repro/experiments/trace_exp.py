@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..mpeg.clips import ClipProfile, clip_by_name
-from ..observe import Observatory
 from .testbed import Testbed, frames_budget
 
 #: Port the traced video session listens on (fixed for determinism).
@@ -56,8 +55,7 @@ class TraceReport:
 
 
 def run_trace(clip_name: str = "Neptune", seed: int = 0,
-              nframes: Optional[int] = None, top: int = 12,
-              capacity: int = 65536) -> TraceReport:
+              nframes: Optional[int] = None, top: int = 12) -> TraceReport:
     """Stream *clip_name* through a traced path and account for it."""
     profile: ClipProfile = clip_by_name(clip_name)
     frames = nframes if nframes is not None \
@@ -65,7 +63,6 @@ def run_trace(clip_name: str = "Neptune", seed: int = 0,
 
     testbed = Testbed(seed=seed)
     kernel = testbed.build_scout()
-    kernel.observatory = Observatory(testbed.world.engine, capacity=capacity)
     source = testbed.add_video_source(profile, dst_port=TRACE_PORT,
                                       seed=seed, nframes=frames)
     session = kernel.start_video(profile, (source.ip, source.src_port),
@@ -84,6 +81,7 @@ def run_trace(clip_name: str = "Neptune", seed: int = 0,
         "drops": registry.total("path_drops_total"),
         "queue_drops": registry.total("queue_drops_total"),
         "traversals": registry.total("stage_traversals_total"),
+        "cache_hits": registry.total("flow_cache_hits_total"),
     }
     return TraceReport(
         clip=profile.name,
@@ -123,7 +121,9 @@ def format_trace(report: TraceReport) -> str:
 
 
 def check_trace(report: TraceReport) -> None:
-    """Tracing recorded the playback and leaked nothing at quiescence."""
+    """Tracing recorded the playback, the report reads the flow cache
+    that classified it, and nothing leaked at quiescence."""
     assert report.frames_presented > 0
     assert report.spans > 0
     assert report.open_spans == 0
+    assert report.metrics["cache_hits"] > 0

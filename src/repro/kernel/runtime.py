@@ -52,9 +52,6 @@ class PathRuntime:
     #: Established-flow cache probed before the demux chain; ``None``
     #: walks the chain for every frame.
     flow_cache = None
-    #: Tracing + metrics substrate whose ``kernel_unclassified_drops``
-    #: series counts pathless drops while armed; ``None`` keeps none.
-    observatory = None
 
     def __init__(self, world: SimWorld):
         self.world = world
@@ -152,13 +149,9 @@ class PathRuntime:
     def _drop_unclassified(self, msg: Msg, reason: str) -> None:
         """Ledger *msg*, which no path wants, as ``unclassified``: the one
         book for both pathless sites — admission and a reassembled
-        datagram's reclassification.  While the kernel's observatory is
-        armed the ``kernel_unclassified_drops`` series counts it too."""
+        datagram's reclassification."""
         self.unclassified_drops += 1
         msg.meta.setdefault("drop_reason", reason)
-        observatory = self.observatory
-        if observatory is not None and observatory.armed:
-            observatory.metrics.counter("kernel_unclassified_drops").inc()
         self._report_drop(msg, "unclassified")
 
     # ------------------------------------------------------------------

@@ -225,6 +225,8 @@ class ScoutKernel(PathRuntime):
         self.flow_cache = FlowCache(capacity=flow_cache_capacity,
                                     annotate=self._annotate_flow)
         self.flow_cache.bind_metrics(self.observatory.metrics)
+        self.observatory.metrics.collect(lambda: [
+            ("kernel_unclassified_drops", {}, self.unclassified_drops)])
         self.sessions: List[VideoSession] = []
         self.shell_path: Optional[Path] = None
         #: port -> established sink path (see :meth:`start_udp_sink`).
@@ -461,8 +463,7 @@ class ScoutKernel(PathRuntime):
         group = PathGroup(group_policy,
                           name=f"video-{profile.name}-p{port}",
                           affinity_of=self.frame_affinity)
-        if self.observatory.armed:
-            group.bind_metrics(self.observatory.metrics)
+        group.bind_metrics(self.observatory.metrics)
         sessions: List[VideoSession] = []
         for _ in range(members):
             # Fresh attrs per member: path machinery stamps bookkeeping

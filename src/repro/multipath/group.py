@@ -82,10 +82,6 @@ class PathGroup:
         self.respreads = 0
         self.members_added = 0
         self.members_removed = 0
-        # optional metric mirrors
-        self._metric_dispatches = None
-        self._metric_failures = None
-        self._metric_respreads = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -158,8 +154,6 @@ class PathGroup:
             return None
         self.dispatches += 1
         self._dispatches_since_respread += 1
-        if self._metric_dispatches is not None:
-            self._metric_dispatches.inc()
         if self.affinity_of is not None:
             key = self.affinity_of(msg)
             if key is not None:
@@ -190,14 +184,10 @@ class PathGroup:
             return False
         self._dispatches_since_respread = 0
         self.respreads += 1
-        if self._metric_respreads is not None:
-            self._metric_respreads.inc()
         return True
 
     def note_dispatch_failure(self) -> None:
         self.dispatch_failures += 1
-        if self._metric_failures is not None:
-            self._metric_failures.inc()
 
     def _drop_affinities(self, path: Path) -> None:
         stale = [k for k, p in self._affinity.items() if p is path]
@@ -207,13 +197,12 @@ class PathGroup:
     # -- observability ------------------------------------------------------
 
     def bind_metrics(self, registry: Any, name: str = "multipath") -> None:
+        """Expose the counters as ``<name>_*_total{group,policy}`` series
+        that a metrics registry reads on every lookup."""
         labels = {"group": self.name, "policy": self.policy.name}
-        self._metric_dispatches = registry.counter(
-            f"{name}_dispatches_total", **labels)
-        self._metric_failures = registry.counter(
-            f"{name}_dispatch_failures_total", **labels)
-        self._metric_respreads = registry.counter(
-            f"{name}_respreads_total", **labels)
+        registry.collect(lambda: [
+            (f"{name}_{field}_total", labels, getattr(self, field))
+            for field in ("dispatches", "dispatch_failures", "respreads")])
 
     def stats(self) -> Dict[str, Any]:
         live = self.live_members()

@@ -103,9 +103,6 @@ class PathPool:
         self.refills = 0
         self.parked = 0
         self.discards = 0
-        # optional metric mirrors
-        self._metric_hits = None
-        self._metric_misses = None
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._idle.values())
@@ -159,13 +156,9 @@ class PathPool:
             if path.state != ESTABLISHED:
                 continue  # died while parked and the hook missed it
             self.hits += 1
-            if self._metric_hits is not None:
-                self._metric_hits.inc()
             self._refill(sig, attrs)
             return path
         self.misses += 1
-        if self._metric_misses is not None:
-            self._metric_misses.inc()
         return self._create(attrs, sig)
 
     def release(self, path: Path) -> bool:
@@ -250,8 +243,8 @@ class PathPool:
     # -- observability ------------------------------------------------------
 
     def bind_metrics(self, registry: Any, name: str = "path_pool") -> None:
-        self._metric_hits = registry.counter(f"{name}_hits_total")
-        self._metric_misses = registry.counter(f"{name}_misses_total")
+        registry.collect(lambda: [(f"{name}_hits_total", {}, self.hits),
+                                  (f"{name}_misses_total", {}, self.misses)])
 
     def stats(self) -> Dict[str, Any]:
         return {

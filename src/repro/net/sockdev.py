@@ -94,7 +94,6 @@ class SocketNetDevice:
         self._learned: Dict[bytes, None] = {}
         self._sock: Optional[socket.socket] = None
         self._loop: Optional["asyncio.AbstractEventLoop"] = None
-        self._registry = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -262,22 +261,17 @@ class SocketNetDevice:
 
     def _drop(self, reason: str) -> None:
         self.drops[reason] = self.drops.get(reason, 0) + 1
-        if self._registry is not None:
-            self._registry.counter(
-                "sockdev_drops", device=self.name, reason=reason).inc()
 
     def drop_ledger(self) -> Dict[str, int]:
         """Socket-level drops by reason (a copy)."""
         return dict(self.drops)
 
     def bind_metrics(self, registry) -> None:
-        """Publish drops as ``sockdev_drops{device,reason}`` counters."""
-        self._registry = registry
-        for reason, count in self.drops.items():
-            counter = registry.counter(
-                "sockdev_drops", device=self.name, reason=reason)
-            if counter.value < count:
-                counter.inc(count - counter.value)
+        """Expose the drop ledger as ``sockdev_drops{device,reason}``
+        series, read from :attr:`drops` on every lookup."""
+        registry.collect(lambda: [
+            ("sockdev_drops", {"device": self.name, "reason": reason}, count)
+            for reason, count in self.drops.items()])
 
     def stats(self) -> Dict[str, Any]:
         return {

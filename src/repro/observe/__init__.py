@@ -5,7 +5,9 @@ unit of scheduling *and accounting*.  This package turns the write-only
 counters of :class:`~repro.core.path.PathStats` into an inspectable
 record: per-message spans in virtual time (:mod:`.trace`), labeled
 counters/gauges/histograms (:mod:`.metrics`), and the per-path probes
-that wire both onto live paths (:mod:`.probe`).
+that wire both onto live paths (:mod:`.probe`).  The registry reads
+``PathStats`` and the other books the code keeps rather than copying
+them, so a series and its book cannot disagree.
 
 Tracing is off by default and enabled per path via the ``PA_TRACE``
 creation attribute, so instrumentation itself follows the paper's

@@ -3,11 +3,11 @@
 The registry is the numeric face of the observability layer: queue
 occupancy (fed by the queues' ``on_enqueue``/``on_dequeue`` listeners),
 per-path CPU cycles, deadline slack, and drop reasons all land here as
-named, labeled series.  The design goal is *reconcilability*: every
-counter is bumped at the same event site that updates the corresponding
-:class:`~repro.core.path.PathStats` field, so at any quiescent point
-``metrics == PathAccount`` exactly — the regression test that catches
-silent double-counting.
+named, labeled series.  A count some object already keeps
+(:class:`~repro.core.path.PathStats`, a queue's ``dropped``, the flow
+cache's ``hits``) is *collected* — read from that book on every lookup
+(:meth:`MetricsRegistry.collect`) — so ``metrics == PathAccount`` holds
+by construction; only what nobody else keeps is stored here.
 
 Series are identified by ``(name, sorted labels)``; ``counter()`` /
 ``gauge()`` / ``histogram()`` are get-or-create, so instrumentation sites
@@ -16,7 +16,7 @@ can look series up cheaply and hold the instrument object.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Default histogram bucket upper bounds, in microseconds.
 DEFAULT_BOUNDS: Tuple[float, ...] = (
@@ -130,10 +130,11 @@ class Histogram(_Instrument):
 
 
 class MetricsRegistry:
-    """Get-or-create registry of labeled metric series."""
+    """Labeled metric series: stored get-or-create, or collected."""
 
     def __init__(self) -> None:
         self._series: Dict[_Key, _Instrument] = {}
+        self._sources: List[Callable[[], Iterable[tuple]]] = []
 
     # -- creation -----------------------------------------------------------
 
@@ -167,16 +168,34 @@ class MetricsRegistry:
                             f"{type(series).__name__}")
         return series
 
+    def collect(self, source: Callable[[], Iterable[tuple]]) -> None:
+        """Read ``source()``'s ``(name, labels, value)`` readings afresh on
+        every lookup, each as a :class:`Counter`.  Readings of one key
+        from two sources add; a key also stored raises ``TypeError``."""
+        self._sources.append(source)
+
     # -- lookup / aggregation ------------------------------------------------
 
+    def _all(self) -> Dict[_Key, _Instrument]:
+        """Stored series plus a fresh reading of every source."""
+        merged: Dict[_Key, _Instrument] = {}
+        for source in self._sources:
+            for name, labels, value in source():
+                key = _key(name, labels)
+                if key in self._series:
+                    raise TypeError(f"{name} is both collected and stored")
+                merged.setdefault(key, Counter(name, key[1])).value += value
+        merged.update(self._series)
+        return merged
+
     def get(self, name: str, **labels: Any) -> Optional[_Instrument]:
-        return self._series.get(_key(name, labels))
+        return self._all().get(_key(name, labels))
 
     def series(self, name: Optional[str] = None,
                **labels: Any) -> Iterable[_Instrument]:
         """All series, optionally filtered by name and a label subset."""
         wanted = {(k, str(v)) for k, v in labels.items()}
-        for (series_name, _series_labels), series in self._series.items():
+        for (series_name, _series_labels), series in self._all().items():
             if name is not None and series_name != name:
                 continue
             if wanted and not wanted.issubset(set(series.labels)):
@@ -192,16 +211,16 @@ class MetricsRegistry:
 
     def render(self, title: str = "metrics snapshot") -> str:
         """Plain-text snapshot: one sorted line per series."""
-        lines = [f"# {title} ({len(self._series)} series)"]
-        for key in sorted(self._series):
-            lines.extend(self._series[key].render())
+        every = sorted(self._all().items())
+        lines = [f"# {title} ({len(every)} series)"]
+        for _, series in every:
+            lines.extend(series.render())
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, float]:
         """Flat ``name{labels} -> value`` map (histograms report counts)."""
         flat: Dict[str, float] = {}
-        for key in sorted(self._series):
-            series = self._series[key]
+        for _, series in sorted(self._all().items()):
             value = getattr(series, "value", None)
             if value is None:
                 value = getattr(series, "count", 0)
@@ -209,10 +228,10 @@ class MetricsRegistry:
         return flat
 
     def __len__(self) -> int:
-        return len(self._series)
+        return len(self._all())
 
     def __repr__(self) -> str:
-        return f"<MetricsRegistry {len(self._series)} series>"
+        return f"<MetricsRegistry {len(self)} series>"
 
 
 def _key(name: str, labels: Dict[str, Any]) -> _Key:

@@ -13,7 +13,9 @@ observed is decided *at path-create time* by the ``PA_TRACE`` attribute
   span whose weight is the CPU cost that stage declared;
 * subscribes to all four path queues' enqueue/dequeue/drop listeners so
   every queued message gets a queue-wait span and the occupancy gauges
-  and histograms stay current.
+  and histograms stay current;
+* collects its message, cycle and drop series from ``path.stats`` and
+  each queue's ``dropped`` — the books the path already keeps.
 
 Everything is per-path: untraced paths sharing the same kernel keep their
 bare hot path.
@@ -66,9 +68,6 @@ class Observatory:
         self.recorder = TraceRecorder(clock, capacity=capacity)
         self.metrics = MetricsRegistry()
         self.observers: Dict[int, "PathObserver"] = {}
-        #: True once any path has been instrumented; cheap guard for
-        #: kernel-level counters that should stay free when unused.
-        self.armed = False
 
     def instrument(self, path: Any) -> "PathObserver":
         """Attach tracing + metrics to *path* (idempotent)."""
@@ -78,7 +77,6 @@ class Observatory:
         observer = PathObserver(self, path)
         observer.attach()
         self.observers[path.pid] = observer
-        self.armed = True
         return observer
 
     def incident(self, kind_label: str, path: Any = None,
@@ -109,16 +107,28 @@ class PathObserver:
         metrics = self.metrics
         alias = self.alias
         # Pre-created series so hot-path hooks never pay the registry probe.
-        self._msg_counters = (
-            metrics.counter("path_messages_total", path=alias, direction="FWD"),
-            metrics.counter("path_messages_total", path=alias, direction="BWD"),
-        )
         self._injection_counter = metrics.counter("path_injections_total",
                                                   path=alias)
-        self._cycles_counter = metrics.counter("path_cycles_total", path=alias)
         self._demux_counter = metrics.counter("path_demux_total", path=alias)
         self._demux_hops = metrics.histogram(
             "path_demux_hops", bounds=(1, 2, 3, 4, 6, 8), path=alias)
+        metrics.collect(self._books)
+
+    def _books(self):
+        """Messages, cycles and drops as the path and its queues count."""
+        stats, alias = self.path.stats, self.alias
+        yield ("path_messages_total", {"path": alias, "direction": "FWD"},
+               stats.messages_fwd)
+        yield ("path_messages_total", {"path": alias, "direction": "BWD"},
+               stats.messages_bwd)
+        yield "path_cycles_total", {"path": alias}, stats.cycles
+        for category, count in stats.drop_reasons.items():
+            yield ("path_drops_total", {"path": alias, "category": category},
+                   count)
+        for role, queue in enumerate(self.path.q):
+            yield ("queue_drops_total",
+                   {"path": alias, "queue": QUEUE_ROLE_NAMES[role]},
+                   queue.dropped)
 
     # ------------------------------------------------------------------
     # Attachment
@@ -171,8 +181,6 @@ class PathObserver:
                                             queue=role_name)
         wait_hist = self.metrics.histogram("queue_wait_us", path=alias,
                                            queue=role_name)
-        drop_counter = self.metrics.counter("queue_drops_total", path=alias,
-                                            queue=role_name)
 
         def on_enqueue(q: PathQueue) -> None:
             depth = len(q)
@@ -192,7 +200,6 @@ class PathObserver:
 
         def on_drop(q: PathQueue, item: Any, reason: str) -> None:
             depth_gauge.set(len(q))
-            drop_counter.inc()
             recorder.close((id(q), id(item)), detail=f"dropped:{reason}")
 
         queue.on_enqueue(on_enqueue)
@@ -223,7 +230,6 @@ class PathObserver:
 
     def begin_traversal(self, msg: Any, direction: int):
         """Open the whole-traversal span (``Path.deliver``)."""
-        self._msg_counters[direction].inc()
         return self._begin(f"deliver.{DIRECTION_NAMES[direction]}",
                            direction, msg)
 
@@ -246,14 +252,8 @@ class PathObserver:
         after = meta.get(COST_KEY, 0.0) if meta is not None else 0.0
         self.recorder.end(span, total_cost_us=after - before)
 
-    def on_cycles(self, cycles: float) -> None:
-        """Mirror ``PathStats.charge_cycles`` (scheduler compute hook)."""
-        self._cycles_counter.inc(cycles)
-
     def on_drop(self, msg: Any, reason: str, category: str) -> None:
-        """Mirror ``PathStats.record_drop`` (``Path.note_drop`` hook)."""
-        self.metrics.counter("path_drops_total", path=self.alias,
-                             category=category).inc()
+        """Record a DROP span (``Path.note_drop`` hook)."""
         self.recorder.point(DROP, f"drop:{category}", self.alias,
                             detail=reason)
 
@@ -264,10 +264,6 @@ class PathObserver:
         self.recorder.point(DEMUX, "demux", self.alias,
                             detail=f"hops={hops}",
                             cost_us=hops * params.CLASSIFY_PER_HOP_US)
-
-    def incident(self, label: str, detail: Optional[str] = None) -> None:
-        self.recorder.point(INCIDENT, label, self.alias, detail=detail)
-        self.metrics.counter("incidents_total", type=label).inc()
 
     def __repr__(self) -> str:
         return f"<PathObserver {self.alias} path#{self.path.pid}>"

@@ -1,7 +1,7 @@
 """Bridge between virtual cycle accounting and wall-clock time.
 
 The kernel keeps its books in *virtual* microseconds on every backend:
-``Compute`` charges paths via ``Path.charge_cycles`` and advances
+``Compute`` charges paths via ``PathStats.charge_cycles`` and advances
 ``cpu.compute_us`` and the virtual clock.  When ``Scout.serve()`` pumps
 that scheduler with real socket traffic the books still fill, but
 nothing relates them to the seconds actually elapsing on the machine.
@@ -42,7 +42,6 @@ class WallClockBridge:
         self.cpu = cpu
         self.started_at: Optional[float] = None
         self._virtual_at_start = 0.0
-        self._registry: Optional[MetricsRegistry] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -77,27 +76,24 @@ class WallClockBridge:
         """
         wall = self.wall_s()
         virtual = self.virtual_cpu_s()
-        snap = {
+        return {
             "wall_s": wall,
             "virtual_cpu_s": virtual,
             "compute_us": self.cpu.compute_us,
             "interrupt_us": self.cpu.interrupt_us,
             "speedup": (virtual / wall) if wall > 0 else 0.0,
         }
-        self._publish(snap)
-        return snap
 
     # -- metrics -----------------------------------------------------------
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Publish snapshots as gauges in *registry* (on each snapshot)."""
-        self._registry = registry
-
-    def _publish(self, snap: Dict[str, float]) -> None:
-        if self._registry is None:
-            return
-        for name in ("wall_s", "virtual_cpu_s", "speedup"):
-            self._registry.gauge(f"wallclock_{name}").set(snap[name])
+        """Expose ``wallclock_{wall_s,virtual_cpu_s,speedup}``, which
+        *registry* reads live from a fresh :meth:`snapshot`."""
+        def readings():
+            snap = self.snapshot()
+            return [(f"wallclock_{name}", {}, snap[name])
+                    for name in ("wall_s", "virtual_cpu_s", "speedup")]
+        registry.collect(readings)
 
     def __repr__(self) -> str:
         return (f"<WallClockBridge wall={self.wall_s():.3f}s "

@@ -292,7 +292,7 @@ class Scheduler:
         slot.vtime += op.us / slot.share
         thread.cpu_us += op.us
         if thread.path is not None:
-            thread.path.charge_cycles(op.us * self.cpu.mhz)
+            thread.path.stats.charge_cycles(op.us * self.cpu.mhz)
 
         def done() -> None:
             if thread.state == RUNNING:

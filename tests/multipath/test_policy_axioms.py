@@ -75,7 +75,7 @@ class TestStabilityUnderConstantLoad:
     def test_weighted_accounting_is_constant(self):
         members = [established_path() for _ in range(3)]
         for path, cycles in zip(members, (900.0, 100.0, 400.0)):
-            path.charge_cycles(cycles)
+            path.stats.charge_cycles(cycles)
         policy = WeightedAccountingPolicy()
         picks = {policy.select(members, None) for _ in range(20)}
         assert picks == {members[1]}  # fewest cycles charged
@@ -115,13 +115,13 @@ class TestMonotonicityWhenLoadDrops:
 
     def test_weighted_accounting_adopts_cheaper_member(self):
         cheap, dear = established_path(), established_path()
-        cheap.charge_cycles(100.0)
-        dear.charge_cycles(500.0)
+        cheap.stats.charge_cycles(100.0)
+        dear.stats.charge_cycles(500.0)
         policy = WeightedAccountingPolicy()
         assert policy.select([cheap, dear], None) is cheap
         # The dear member idles while cheap works: ordering flips only
         # when the signal actually crosses.
-        cheap.charge_cycles(600.0)
+        cheap.stats.charge_cycles(600.0)
         assert policy.select([cheap, dear], None) is dear
 
 

@@ -113,13 +113,14 @@ def test_armed_observatory_counts_unclassified_frames(dual_session_world):
 
 
 def test_unclassified_series_counts_every_pathless_drop():
-    """Garbage refused at admission and a reassembled datagram no path
-    wants are both ledgered ``unclassified``; the armed series counts
-    exactly what the ledger does."""
+    """Garbage refused at admission — before any path is traced and
+    after — and a reassembled datagram no path wants are all ledgered
+    ``unclassified``; the series reads exactly what the ledger counts."""
     world = SimWorld(seed=1)
     kernel = ScoutKernel(world, world.new_segment(), udp_sink=True,
                          display=False)
     kernel.arp.add_entry("10.0.0.2", "02:00:00:00:00:02")
+    kernel.device.rx_handler(b"\x00" * 64)  # no path traced yet
     kernel.observatory.instrument(
         kernel.start_udp_sink(6000, remote=("10.0.0.2", 7000)))
     kernel.device.rx_handler(b"\x00" * 64)
@@ -129,8 +130,8 @@ def test_unclassified_series_counts_every_pathless_drop():
     for fragment in fragments(unbound):
         kernel.device.rx_handler(fragment)
     world.run_until_idle()
-    assert kernel.drop_ledger() == {"unclassified": 2}
-    assert kernel.observatory.metrics.total("kernel_unclassified_drops") == 2
+    assert kernel.drop_ledger() == {"unclassified": 3}
+    assert kernel.observatory.metrics.total("kernel_unclassified_drops") == 3
 
 
 def test_trace_experiment_is_registered():

@@ -123,3 +123,45 @@ class TestRegistry:
         flat = reg.as_dict()
         assert flat["msgs{path=P0}"] == 7
         assert flat["wait"] == 1  # histograms report their counts
+
+
+class TestCollect:
+    def test_source_is_read_afresh_on_every_lookup_and_render(self):
+        book = {"hits": 0}
+        reg = MetricsRegistry()
+        reg.collect(lambda: [("hits_total", {"cache": "c0"}, book["hits"])])
+        assert reg.get("hits_total", cache="c0").value == 0
+        book["hits"] = 3
+        assert reg.get("hits_total", cache="c0").value == 3
+        assert reg.total("hits_total") == 3
+        assert "hits_total{cache=c0} 3" in reg.render()
+        book["hits"] = 5
+        assert reg.as_dict() == {"hits_total{cache=c0}": 5}
+        assert "hits_total{cache=c0} 5" in reg.render()
+        assert len(reg) == 1
+
+    def test_sources_yielding_one_key_add(self):
+        reg = MetricsRegistry()
+        reg.collect(lambda: [("drops", {"reason": "full"}, 2)])
+        reg.collect(lambda: [("drops", {"reason": "full"}, 3),
+                             ("drops", {"reason": "closed"}, 1)])
+        assert reg.get("drops", reason="full").value == 5
+        assert reg.total("drops") == 6
+        assert len(reg) == 2
+
+    def test_collected_and_stored_series_render_together(self):
+        reg = MetricsRegistry()
+        reg.counter("b_stored").inc()
+        reg.collect(lambda: [("a_collected", {}, 4)])
+        lines = reg.render().splitlines()
+        assert lines == ["# metrics snapshot (2 series)",
+                         "a_collected 4", "b_stored 1"]
+
+    def test_stored_and_collected_key_clash_raises(self):
+        reg = MetricsRegistry()
+        reg.counter("hits_total", cache="c0").inc()
+        reg.collect(lambda: [("hits_total", {"cache": "c0"}, 1)])
+        with pytest.raises(TypeError):
+            reg.get("hits_total", cache="c0")
+        with pytest.raises(TypeError):
+            reg.render()

@@ -1,16 +1,27 @@
-"""Reconciliation: the metrics registry must agree with PathStats exactly.
+"""Reconciliation: every metric series reads the book its owner keeps.
 
-Every counter in the registry is bumped at the same event site that
-updates the corresponding :class:`~repro.core.path.PathStats` field, so
-after any workload the two accounts must match to the last message,
-cycle, and drop.  A mismatch means an event site updates one ledger but
-not the other — the silent double-counting this test exists to catch.
+A count that another object already keeps — ``PathStats``, a queue's
+``dropped``, the flow cache's ``hits`` — is a series the registry
+collects on demand, so the two agree by construction.  These tests pin
+that each collected family reads the *right* book, after a workload that
+moved it, and that the spans and histograms the registry does store
+reconcile with the same books.
 """
 
 import pytest
 
+from repro.core import Attrs
+from repro.core.attributes import PA_NET_PARTICIPANTS
+from repro.core.queues import QUEUE_ROLE_NAMES
 from repro.experiments import Testbed
+from repro.experiments.micro import REMOTE_IP, Fig7Stack
+from repro.kernel import ScoutKernel
 from repro.mpeg.clips import clip_by_name
+from repro.multipath import PathPool
+from repro.net.common import PA_LOCAL_PORT
+from repro.net.sockdev import SocketNetDevice
+from repro.observe import MetricsRegistry
+from repro.sim import SimWorld
 
 PORT = 6000
 
@@ -80,6 +91,119 @@ def test_drops_reconcile_in_total_and_per_category(loaded):
                               category=category) == count, category
 
 
+def _queue_books(request):
+    kernel, session = request.getfixturevalue("loaded")
+    alias = kernel.observatory.recorder.alias_for(session.path)
+    return kernel.observatory.metrics, [
+        ("queue_drops_total", {"path": alias, "queue": QUEUE_ROLE_NAMES[role]},
+         queue.dropped) for role, queue in enumerate(session.path.q)]
+
+
+def _flow_cache_books(request):
+    kernel, _session = request.getfixturevalue("loaded")
+    cache = kernel.flow_cache
+    return kernel.observatory.metrics, [
+        (f"flow_cache_{field}_total", {}, getattr(cache, field))
+        for field in ("hits", "misses", "evictions", "invalidations")]
+
+
+def _fresh_kernel():
+    world = SimWorld(seed=1)
+    kernel = ScoutKernel(world, world.new_segment(), udp_sink=True)
+    kernel.arp.add_entry("10.0.0.2", "02:00:00:00:00:02")
+    return kernel
+
+
+def _group_books(request):
+    """An untraced kernel binds every video group it starts."""
+    kernel = _fresh_kernel()
+    group = kernel.start_video_group(clip_by_name("Neptune"),
+                                     ("10.0.0.2", 7000)).group
+    group.note_dispatch_failure()
+    labels = {"group": group.name, "policy": group.policy.name}
+    return kernel.observatory.metrics, [
+        (f"multipath_{field}_total", labels, getattr(group, field))
+        for field in ("dispatches", "dispatch_failures", "respreads")]
+
+
+def _pool_books(request):
+    stack = Fig7Stack()
+    pool = PathPool(stack.test)
+    registry = MetricsRegistry()
+    pool.bind_metrics(registry)
+    attrs = Attrs({PA_NET_PARTICIPANTS: (REMOTE_IP, 7000),
+                   PA_LOCAL_PORT: PORT})
+    pool.release(pool.acquire(attrs))
+    pool.acquire(attrs)
+    return registry, [("path_pool_hits_total", {}, pool.hits),
+                      ("path_pool_misses_total", {}, pool.misses)]
+
+
+def _sockdev_books(request):
+    device = SocketNetDevice("02:00:00:00:00:01", name="m0")
+    registry = MetricsRegistry()
+    device.send(b"\xff" * 64)  # before the binding: still on the books
+    device.bind_metrics(registry)
+    device.send(b"\xff" * 64)
+    return registry, [
+        ("sockdev_drops", {"device": "m0", "reason": reason}, count)
+        for reason, count in device.drop_ledger().items()]
+
+
+def _unclassified_books(request):
+    kernel = _fresh_kernel()
+    kernel.device.rx_handler(b"\x00" * 64)  # garbage no router claims
+    return kernel.observatory.metrics, [
+        ("kernel_unclassified_drops", {}, kernel.unclassified_drops)]
+
+
+def _adversary_books(request):
+    from repro.experiments import adversary_exp
+
+    made = {}
+
+    class Capturing(adversary_exp.DropLedger):
+        def __init__(self):
+            super().__init__()
+            made["ledger"] = self
+
+    class Observing(adversary_exp.Observatory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made["observatory"] = self
+
+    monkeypatch = request.getfixturevalue("monkeypatch")
+    monkeypatch.setattr(adversary_exp, "DropLedger", Capturing)
+    monkeypatch.setattr(adversary_exp, "Observatory", Observing)
+    result = adversary_exp.run_adversary(
+        strategy="queue_storm", duration_us=30_000.0, horizon_us=20_000.0)
+    assert result.metrics_reconciled
+    return made["observatory"].metrics, [
+        (adversary_exp.OUTCOME_METRIC, {"category": category}, count)
+        for category, count in made["ledger"].counts().items()]
+
+
+BOOKS = {
+    "queues": _queue_books,
+    "flow_cache": _flow_cache_books,
+    "groups": _group_books,
+    "pools": _pool_books,
+    "sockdev": _sockdev_books,
+    "unclassified": _unclassified_books,
+    "adversary": _adversary_books,
+}
+
+
+@pytest.mark.parametrize("family", list(BOOKS))
+def test_collected_series_read_their_book(family, request):
+    registry, books = BOOKS[family](request)
+    assert any(count for _name, _labels, count in books), \
+        "the workload must move the book it checks"
+    for name, labels, count in books:
+        assert registry.total(name, **labels) == pytest.approx(count), \
+            (name, labels)
+
+
 def test_drop_spans_match_drop_counts(loaded):
     kernel, session = loaded
     recorder = kernel.observatory.recorder
@@ -92,8 +216,6 @@ def test_queue_listener_totals_reconcile_with_queues(loaded):
     kernel, session = loaded
     registry = kernel.observatory.metrics
     alias = kernel.observatory.recorder.alias_for(session.path)
-    from repro.core.queues import QUEUE_ROLE_NAMES
-
     for role, queue in enumerate(session.path.q):
         name = QUEUE_ROLE_NAMES[role]
         hist = registry.get("queue_depth_at_enqueue", path=alias, queue=name)

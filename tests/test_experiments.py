@@ -280,7 +280,11 @@ class TestChecksCanFail:
 
         good = run_trace(seed=3, nframes=5)
         EXPERIMENTS["trace"].check(good)
+        assert good.metrics["cache_hits"] > 0
         good.open_spans = 2
+        assert fails("trace", good)
+        good.open_spans = 0
+        good.metrics["cache_hits"] = 0  # the report lost the flow cache
         assert fails("trace", good)
 
     def test_multipath(self, fast_results):
