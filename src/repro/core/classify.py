@@ -109,8 +109,8 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
     group's selection policy picks the member that actually processes the
     message.  A *sticky* policy pins the flow by inserting the selected
     member into the cache (subsequent packets hit the pin directly, until
-    the policy asks for a re-spread and the group's pins are bulk
-    invalidated); a non-sticky policy caches the demuxed anchor instead,
+    the policy asks for a re-spread and :meth:`PathGroup.purge_pins`
+    drops them); a non-sticky policy caches the demuxed anchor instead,
     so every packet still classifies in one probe but is re-dispatched
     through the policy.
 
@@ -131,9 +131,8 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
                 if path is None:
                     return ClassifyResult(None, SOURCE_GROUP)
             elif group.take_respread():
-                # The policy asked for its pins to be dropped: re-walk
-                # the chain so the flow is re-placed.
-                cache.invalidate_group(group.gid)
+                # The policy dropped its pins: re-walk the chain so the
+                # flow is re-placed.
                 path = None
         if path is not None:
             if stats is not None:

@@ -14,12 +14,17 @@ Correctness rules (enforced here, exercised by the chaos test):
 * the cache **never** returns a path whose state is not ESTABLISHED: a
   stale entry (the path was deleted behind the cache's back) is treated
   as a miss and evicted on the spot;
-* inserting a path registers the cache with the path, so
-  :meth:`~repro.core.path.Path.delete` invalidates every key pointing at
-  it *synchronously* — a watchdog rebuild or ``stop_video`` can never
-  leave a dangling entry;
+* inserting a path registers the cache with the path, and
+  :meth:`~repro.core.path.Path.purge_flow_caches` — which
+  :meth:`~repro.core.path.Path.delete` runs first — drops every entry
+  pointing at it *synchronously*, so no teardown can leave a dangling
+  entry and no owner of a cache needs teardown code of its own;
 * capacity is bounded; insertion beyond capacity evicts the
   least-recently-used entry (lookups refresh recency).
+
+The cache is one map: a hit is one probe, a miss one insert.  Purging
+a path scans the ``capacity`` entries, a cost paid at teardown, pool
+park, early-discard change or re-spread — never per frame.
 
 The cache is policy-free about what constitutes a flow: the owner supplies
 ``key_of(msg) -> Optional[bytes]`` (return ``None`` for ineligible
@@ -42,7 +47,7 @@ per frame.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional
 
 from .path import ESTABLISHED, Path
 
@@ -135,12 +140,6 @@ class FlowCache:
         #: key -> (path, annotations); annotations is ``None`` without a
         #: hook.
         self._entries: "OrderedDict[bytes, tuple]" = OrderedDict()
-        self._keys_of_path: Dict[int, Set[bytes]] = {}
-        #: group id -> {pid: path} for entries whose path belongs to a
-        #: :class:`~repro.multipath.PathGroup`, so a group re-spread or a
-        #: pool drain can drop every pinned member in one call instead of
-        #: looping over members it may not even know about.
-        self._group_members: Dict[int, Dict[int, Path]] = {}
         # counters
         self.hits = 0
         self.misses = 0
@@ -181,7 +180,7 @@ class FlowCache:
         if path.state != ESTABLISHED:
             # Stale: the path died without invalidating (defense in depth;
             # Path.delete normally purges its keys synchronously).
-            self._discard_key(key)
+            del self._entries[key]
             self.stale_hits += 1
             self.misses += 1
             return None
@@ -212,19 +211,11 @@ class FlowCache:
         """
         if path.state != ESTABLISHED:
             return False
-        previous = self._entries.get(key)
-        if previous is not None and previous[0] is not path:
-            self._discard_key(key)
         self._entries[key] = (path, self._annotations(msg, key))
         self._entries.move_to_end(key)
-        self._keys_of_path.setdefault(path.pid, set()).add(key)
-        gid = getattr(path, "group_id", None)
-        if gid is not None:
-            self._group_members.setdefault(gid, {})[path.pid] = path
         path.register_flow_cache(self)
         while len(self._entries) > self.capacity:
-            old_key, (old_path, _) = self._entries.popitem(last=False)
-            self._keys_of_path.get(old_path.pid, set()).discard(old_key)
+            self._entries.popitem(last=False)
             self.evictions += 1
         return True
 
@@ -243,23 +234,14 @@ class FlowCache:
     # -- invalidation -------------------------------------------------------
 
     def invalidate_path(self, path: Path) -> int:
-        """Remove every entry pointing at *path*; returns how many."""
-        gid = getattr(path, "group_id", None)
-        if gid is not None:
-            members = self._group_members.get(gid)
-            if members is not None:
-                members.pop(path.pid, None)
-                if not members:
-                    self._group_members.pop(gid, None)
-        keys = self._keys_of_path.pop(path.pid, None)
-        if not keys:
-            return 0
-        removed = 0
+        """Remove every entry pointing at *path*; returns how many.
+        :meth:`~repro.core.path.Path.purge_flow_caches` is the caller."""
+        entries = self._entries
+        keys = [key for key, entry in entries.items() if entry[0] is path]
         for key in keys:
-            if self._entries.pop(key, None) is not None:
-                removed += 1
-        self.invalidations += removed
-        return removed
+            del entries[key]
+        self.invalidations += len(keys)
+        return len(keys)
 
     def invalidate_key(self, key: bytes) -> bool:
         """Remove the single entry for *key*, if present.
@@ -269,41 +251,10 @@ class FlowCache:
         its next packet re-walks the refinement chain there, without
         disturbing other flows that happen to share the same path.
         """
-        if key not in self._entries:
+        if self._entries.pop(key, None) is None:
             return False
-        self._discard_key(key)
         self.invalidations += 1
         return True
-
-    def invalidate_group(self, gid: int) -> int:
-        """Bulk-drop every entry pinned to a member of path group *gid*.
-
-        This is the re-spread primitive: one call unpins every flow the
-        group's selection policy placed, so the next packet of each flow
-        re-walks the refinement chain and is re-dispatched.  Pool drains
-        use it the same way.  Returns how many entries were removed.
-        """
-        members = self._group_members.pop(gid, None)
-        if not members:
-            return 0
-        removed = 0
-        for path in members.values():
-            removed += self.invalidate_path(path)
-        return removed
-
-    def clear(self) -> int:
-        """Drop every entry (watchdog rebuild / reconfiguration sledge)."""
-        removed = len(self._entries)
-        self._entries.clear()
-        self._keys_of_path.clear()
-        self._group_members.clear()
-        self.invalidations += removed
-        return removed
-
-    def _discard_key(self, key: bytes) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._keys_of_path.get(entry[0].pid, set()).discard(key)
 
     # -- observability ------------------------------------------------------
 

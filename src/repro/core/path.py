@@ -143,18 +143,16 @@ class Path:
         #: off the generated function.
         self._probes: List[List[Callable[[Any, float], None]]] = [[], []]
         #: Flow caches holding entries that point at this path; populated
-        #: by :meth:`register_flow_cache`, purged synchronously by
-        #: :meth:`delete` so no cache can ever return a deleted path.
+        #: by :meth:`register_flow_cache`, emptied by
+        #: :meth:`purge_flow_caches` (which :meth:`delete` runs first) so
+        #: no cache can ever return a deleted path.
         self._flow_caches: List[Any] = []
         #: Multipath membership (a :class:`~repro.multipath.PathGroup`),
         #: or ``None`` for the common single-path case.  The classifier
         #: consults this at the demux boundary: a demux decision landing
         #: on any group member is re-dispatched through the group's
-        #: selection policy.  ``group_id`` survives long enough for flow
-        #: caches to index pinned entries by group even while membership
-        #: is being torn down.
+        #: selection policy.
         self.group: Optional[Any] = None
-        self.group_id: Optional[int] = None
         #: Teardown callbacks, run (once, in registration order) at the
         #: end of :meth:`delete` — after stages are destroyed and queues
         #: drained, so a hook that re-binds a demux port or returns an
@@ -392,11 +390,14 @@ class Path:
             self._flow_caches.append(cache)
 
     def purge_flow_caches(self) -> int:
-        """Drop every flow-cache entry pointing at this path *without*
-        deleting it.  Path pools call this when parking a path: an idle
-        pooled path is still ESTABLISHED, so only an explicit purge stops
-        the caches from classifying live traffic onto it.  Returns how
-        many entries were removed."""
+        """Drop every flow-cache entry pointing at this path; returns how
+        many were removed.
+
+        The one way a path's entries leave the caches that hold them:
+        :meth:`delete` runs it first, a pool parking an idle spare, an
+        early-discard change and a group re-spread
+        (:meth:`~repro.multipath.PathGroup.purge_pins`) run it on a path
+        that stays ESTABLISHED."""
         removed = 0
         for cache in self._flow_caches:
             removed += cache.invalidate_path(self)
@@ -409,8 +410,10 @@ class Path:
         Hooks fire exactly once, at the end of :meth:`delete`, in
         registration order.  They are how the layers that *hold* paths —
         admission control (grant reclaim), path pools (drop the pooled
-        entry), path groups (membership removal + demux re-binding) —
-        observe teardown without the core importing any of them.
+        entry), path groups (membership removal + demux re-binding), the
+        kernel (sink ports, early-discard filters) — observe teardown
+        without the core importing any of them, so ``delete()`` is the
+        whole teardown and no holder needs a second notification.
         """
         if hook not in self._delete_hooks:
             self._delete_hooks.append(hook)
@@ -450,9 +453,7 @@ class Path:
             return
         # Purge flow-cache entries first: nothing may classify onto a
         # path whose stages are mid-teardown.
-        for cache in self._flow_caches:
-            cache.invalidate_path(self)
-        self._flow_caches.clear()
+        self.purge_flow_caches()
         for stage in reversed(self.stages):
             stage.destroy()
         for queue in self.q:

@@ -232,7 +232,7 @@ def run_adversary(strategy: str = "deadline_cliff", scheduler: str = "edf",
     watchdog = PathWatchdog(
         world.engine, paths[0],
         rebuild=lambda: stack.create_udp_path(PORT),
-        observatory=observatory, flow_cache=cache, group=group,
+        observatory=observatory, group=group,
         overload_check=(lambda: shedder.shedding) if shedder else None,
     ).start()
 

@@ -13,8 +13,9 @@ loop:
   Work arriving while output stays flat for longer than the stall budget
   is the signature of a hung stage — drops do not count as progress, so a
   path shedding everything it receives is also flagged;
-* **repair** — the stalled path is deleted (freeing its queues and port
-  bindings) and the caller-supplied ``rebuild`` callback creates its
+* **repair** — the stalled path is deleted (``delete()`` is the whole
+  teardown: every holder — flow cache, group, pool, kernel — hears it
+  from the path) and the caller-supplied ``rebuild`` callback creates its
   replacement, after an exponential backoff that doubles on every
   consecutive repair that fails to restore progress;
 * **accounting** — every detection and repair is appended to
@@ -57,7 +58,7 @@ class PathWatchdog:
                  stall_budget_us: float = params.WATCHDOG_STALL_BUDGET_US,
                  backoff_base_us: float = params.WATCHDOG_BACKOFF_BASE_US,
                  backoff_max_us: float = params.WATCHDOG_BACKOFF_MAX_US,
-                 observatory=None, flow_cache=None, group=None, pool=None,
+                 observatory=None, group=None,
                  overload_check: Optional[Callable[[], bool]] = None,
                  min_rebuild_interval_us: Optional[float] = None):
         self.engine = engine
@@ -83,20 +84,11 @@ class PathWatchdog:
         self.min_rebuild_interval_us = (
             min_rebuild_interval_us if min_rebuild_interval_us is not None
             else params.WATCHDOG_MIN_REBUILD_FACTOR * stall_budget_us)
-        #: Optional :class:`~repro.core.flowcache.FlowCache` to purge on
-        #: every stall.  ``Path.delete`` already invalidates the caches a
-        #: path is registered with; this covers a cache the stalled path
-        #: never reached (e.g. it stalled before its first packet).
-        self.flow_cache = flow_cache
         #: Optional :class:`~repro.multipath.PathGroup` the watched path
         #: belongs to: a rebuilt replacement is enrolled automatically,
         #: so group capacity survives watchdog repairs (the stalled
         #: member removes *itself* via its delete hook).
         self.group = group
-        #: Optional :class:`~repro.multipath.PathPool`: a stalled path is
-        #: reported via ``pool.discard`` so a wedged path can never be
-        #: parked and handed out again.
-        self.pool = pool
         self.check_interval_us = check_interval_us
         self.stall_budget_us = stall_budget_us
         self.backoff_base_us = backoff_base_us
@@ -223,14 +215,7 @@ class PathWatchdog:
         # Messages still queued on the stalled path are casualties of the
         # repair, not of the original fault: account them under their own
         # category so recovery cost is visible (and reconcilable).
-        if self.flow_cache is not None:
-            self.flow_cache.invalidate_path(self.path)
         self.path.delete(drop_category="watchdog_rebuild")
-        if self.pool is not None:
-            # Already deleted above (keeping the drop category); discard
-            # just scrubs the pool's bookkeeping so the wedged path can
-            # never be re-acquired.
-            self.pool.discard(self.path)
         self.engine.schedule(backoff, self._repair)
 
     def _repair(self) -> None:

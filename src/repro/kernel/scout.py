@@ -411,6 +411,7 @@ class ScoutKernel(PathRuntime):
         skip = int(attrs.get(PA_FRAME_SKIP, 1))
         if skip > 1 and early_drop_skipped:
             self._skip_filters[path.pid] = skip
+        path.add_delete_hook(self._drop_skip_filter)
         policy = attrs.get(PA_SCHED_POLICY, POLICY_EDF)
         priority = int(attrs.get(PA_SCHED_PRIORITY, 0))
         batch = int(attrs.get(PA_BATCH, 1) or 1)
@@ -454,7 +455,7 @@ class ScoutKernel(PathRuntime):
         anchor (first-live-wins binding) and the classifier re-dispatches
         every arriving packet through the group's selection policy with
         frame-number affinity.  When the anchor dies, a membership hook
-        re-binds the port to a survivor and flushes the group's flow-cache
+        re-binds the port to a survivor and purges the group's flow-cache
         pins, so failover needs no help from the deleter.
         """
         if members < 1:
@@ -488,7 +489,7 @@ class ScoutKernel(PathRuntime):
         def rebind(group: PathGroup, path: Path, event: str) -> None:
             if event != MEMBER_REMOVED:
                 return
-            self.flow_cache.invalidate_group(group.gid)
+            group.purge_pins()
             for survivor in group.live_members():
                 # First-live-wins: a no-op while the anchor is alive,
                 # a promotion the moment it is not.
@@ -500,7 +501,6 @@ class ScoutKernel(PathRuntime):
         """Tear down every member; flow-cache pins, port bindings, group
         membership and admission grants all unwind through the delete
         hooks."""
-        self.flow_cache.invalidate_group(vgroup.group.gid)
         for session in list(vgroup.sessions):
             self.stop_video(session)
 
@@ -516,21 +516,19 @@ class ScoutKernel(PathRuntime):
         # Early-discard reconfiguration flushes the flow's fast-path
         # state: the next packet re-walks the full chain and re-caches,
         # so no reconfiguration window can be masked by a hot entry.
-        self.flow_cache.invalidate_path(path)
+        path.purge_flow_caches()
 
     def frame_skip(self, path: Path) -> int:
         """Current early-discard modulus for *path* (1 = keep everything)."""
         return self._skip_filters.get(path.pid, 1)
 
+    def _drop_skip_filter(self, path: Path) -> None:
+        self._skip_filters.pop(path.pid, None)
+
     def stop_video(self, session: VideoSession) -> None:
-        self._skip_filters.pop(session.path.pid, None)
-        # delete() purges every registered flow cache synchronously; the
-        # explicit call also covers a path that never saw an insert.
-        self.flow_cache.invalidate_path(session.path)
+        """Tear down the session's path: flow-cache purge, early-discard
+        filter, admission grant and port binding ride ``delete()``."""
         session.path.delete()
-        release = getattr(self.admission, "release", None)
-        if release is not None:
-            release(session.path)  # return the memory grant to the pool
 
     # ------------------------------------------------------------------
     # UDP sink paths (the shard fabric's flow endpoints)
@@ -578,19 +576,20 @@ class ScoutKernel(PathRuntime):
         self._spawn_path_thread(path, f"sink-path{path.pid}", policy,
                                 priority, batch)
         self.sink_paths[local_port] = path
+
+        def free_port(dead: Path) -> None:
+            if self.sink_paths.get(local_port) is dead:
+                del self.sink_paths[local_port]
+        path.add_delete_hook(free_port)
         return path
 
     def stop_udp_sink(self, local_port: int) -> None:
-        """Tear down the sink path bound to *local_port* (flow-cache
-        purge, port unbind and queue drains ride the delete hooks)."""
-        path = self.sink_paths.pop(local_port, None)
-        if path is None:
-            return
-        self.flow_cache.invalidate_path(path)
-        path.delete()
-        release = getattr(self.admission, "release", None)
-        if release is not None:
-            release(path)
+        """Tear down the sink path bound to *local_port*: flow-cache
+        purge, port release, admission grant and queue drains ride
+        ``delete()``."""
+        path = self.sink_paths.get(local_port)
+        if path is not None:
+            path.delete()
 
     # ------------------------------------------------------------------
     # SHELL

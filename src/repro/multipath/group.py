@@ -10,9 +10,8 @@ boundary (see :func:`repro.core.classify.classify`).
 
 Lifecycle integration:
 
-* membership is advertised on the path itself (``path.group`` /
-  ``path.group_id``), so the classifier needs one attribute probe on the
-  common no-group case;
+* membership is advertised on the path itself (``path.group``), so the
+  classifier needs one attribute probe on the common no-group case;
 * every member gets a delete hook: a member dying (watchdog rebuild,
   explicit teardown) removes itself from the group and fires the group's
   membership hooks, so demux anchors can be re-bound and warm spares
@@ -105,7 +104,6 @@ class PathGroup:
             raise ValueError(
                 f"path #{path.pid} already belongs to {path.group!r}")
         path.group = self
-        path.group_id = self.gid
         path.add_delete_hook(self._on_member_delete)
         self.members.append(path)
         self.members_added += 1
@@ -118,7 +116,6 @@ class PathGroup:
             return
         self.members.remove(path)
         path.group = None
-        path.group_id = None
         self._drop_affinities(path)
         self.members_removed += 1
         self._fire(path, MEMBER_REMOVED)
@@ -135,8 +132,8 @@ class PathGroup:
         return [p for p in self.members if p.state == ESTABLISHED]
 
     def _on_member_delete(self, path: Path) -> None:
-        # Runs at the end of Path.delete: flow-cache entries are already
-        # purged and the stages' demux bindings already released, so the
+        # Runs at the end of Path.delete: the member's flow-cache entries
+        # are already purged and its demux bindings released, so the
         # membership hooks observe a fully-dead member.
         self.remove(path)
 
@@ -175,7 +172,8 @@ class PathGroup:
 
     def take_respread(self) -> bool:
         """Consulted by the classifier on sticky cache hits: True means
-        "drop this group's pins now" (and resets the debounce)."""
+        the group's pins were just dropped (:meth:`purge_pins`) and the
+        debounce reset, so the message re-walks the chain."""
         if not self.policy.sticky:
             return False
         if self._dispatches_since_respread < self.min_respread_interval:
@@ -184,7 +182,14 @@ class PathGroup:
             return False
         self._dispatches_since_respread = 0
         self.respreads += 1
+        self.purge_pins()
         return True
+
+    def purge_pins(self) -> int:
+        """Drop every flow-cache entry pointing at a member, so each
+        flow's next packet re-walks the refinement chain and is placed
+        afresh (re-spread, failover).  Returns how many were removed."""
+        return sum(member.purge_flow_caches() for member in self.members)
 
     def note_dispatch_failure(self) -> None:
         self.dispatch_failures += 1

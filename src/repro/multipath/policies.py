@@ -16,7 +16,7 @@ Two dispatch disciplines, chosen by the policy's ``sticky`` flag:
 * **sticky** (per-flow): the first message of a flow is placed and the
   chosen member is pinned in the flow cache; later messages ride the pin
   with zero policy overhead.  The policy may request a *re-spread*
-  (:meth:`should_respread`), which bulk-invalidates the group's pins so
+  (:meth:`should_respread`), which drops the group's pins so
   every flow is re-placed on its next message.
 """
 

@@ -18,11 +18,11 @@ Design points:
   hook, so warm spares count against the memory budget exactly like live
   paths, and their grants auto-release on delete (the pool can never leak
   budget);
-* **self-cleaning** — every pooled path carries a delete hook that drops
-  it from the pool if something else (a watchdog, an explicit
-  ``path_delete``) destroys it behind the pool's back, and parking a path
-  purges its flow-cache entries so no cached flow keeps classifying onto
-  an idle spare;
+* **self-cleaning** — every pooled path, pool-created or donated,
+  carries a delete hook that drops it from the pool if something else (a
+  watchdog, an explicit ``path_delete``) destroys it behind the pool's
+  back, and parking a path purges its flow-cache entries so no cached
+  flow keeps classifying onto an idle spare;
 * **low-watermark refill** — ``acquire`` tops the bucket back up to
   ``low_watermark`` after a hit, so a burst of acquisitions finds warm
   paths instead of degrading to cold creates.
@@ -179,6 +179,7 @@ class PathPool:
         if sig is None:  # a foreign path donated to the pool
             sig = canonical_signature(path.attrs)
             self._birth_signature[path.pid] = sig
+            path.add_delete_hook(self._on_path_delete)
         bucket = self._idle.setdefault(sig, [])
         if len(bucket) >= self.max_idle:
             self.discards += 1
@@ -190,8 +191,7 @@ class PathPool:
         return True
 
     def discard(self, path: Path) -> None:
-        """Delete *path* and forget it (watchdogs call this on stall: a
-        wedged path must not be handed out again)."""
+        """Delete *path* and forget it."""
         self._forget(path)
         self.discards += 1
         if path.state != "deleted":

@@ -82,7 +82,6 @@ class ShardWorker:
                 self.watchdogs[port] = PathWatchdog(
                     self.world.engine, self.kernel.sink_paths[port],
                     rebuild=self._make_rebuild(port),
-                    flow_cache=self.kernel.flow_cache,
                     overload_check=lambda: self.shedder.shedding,
                 ).start()
 
@@ -96,11 +95,9 @@ class ShardWorker:
 
     def _make_rebuild(self, port: int):
         def rebuild():
-            # The watchdog deleted nothing yet: retire the wedged path's
-            # port binding, then recreate the sink so the replacement
-            # owns the port.  The watchdog adopts the returned path.
-            if port in self.kernel.sink_paths:
-                self.kernel.stop_udp_sink(port)
+            # The watchdog's delete already freed the port (the sink's
+            # delete hook); the replacement takes it and the watchdog
+            # adopts it.
             path = self.kernel.start_udp_sink(port, **self._sink)
             self.shedder.watch(path.input_queue(BWD))
             return path

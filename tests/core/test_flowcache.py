@@ -135,18 +135,10 @@ class TestInvalidation:
         assert cache.stale_hits == 1
         assert len(cache) == 0  # evicted on the spot
 
-    def test_clear_drops_everything(self):
-        cache = cache_of()
-        for tag in (b"a", b"b"):
-            cache.insert(tag, established_path())
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        assert cache.lookup(b"a") is None
-
 
 class TestGroupInvalidation:
-    """Bulk invalidation by path-group id — the multipath re-spread and
-    failover primitive."""
+    """``PathGroup.purge_pins`` — the multipath re-spread and failover
+    primitive — over the one per-path purge verb."""
 
     def grouped_paths(self, cache, count=2, keys_per_path=2):
         from repro.multipath import PathGroup
@@ -160,41 +152,44 @@ class TestGroupInvalidation:
                 tag += 1
         return group, members
 
-    def test_invalidate_group_drops_every_members_keys(self):
+    def test_purge_pins_drops_every_members_keys(self):
         cache = cache_of(capacity=8)
         group, members = self.grouped_paths(cache)
         other = established_path()
         cache.insert(b"z", other)
-        assert cache.invalidate_group(group.gid) == 4
+        assert group.purge_pins() == 4
         assert len(cache) == 1
         assert cache.lookup(b"z") is other
         assert cache.invalidations == 4
 
-    def test_unknown_gid_is_a_noop(self):
+    def test_purge_pins_without_pins_is_a_noop(self):
+        from repro.multipath import PathGroup
+
         cache = cache_of()
         cache.insert(b"a", established_path())
-        assert cache.invalidate_group(999_999) == 0
+        group = PathGroup("round_robin")
+        group.add(established_path())
+        assert group.purge_pins() == 0
         assert len(cache) == 1
+        assert cache.invalidations == 0
 
-    def test_invalidate_group_is_idempotent(self):
+    def test_purge_pins_is_idempotent(self):
         cache = cache_of(capacity=8)
         group, _members = self.grouped_paths(cache)
-        assert cache.invalidate_group(group.gid) == 4
-        assert cache.invalidate_group(group.gid) == 0
+        assert group.purge_pins() == 4
+        assert group.purge_pins() == 0
+        assert cache.invalidations == 4
 
     def test_member_delete_unindexes_it_from_the_group(self):
         cache = cache_of(capacity=8)
         group, members = self.grouped_paths(cache)
         members[0].delete()  # purges its own keys synchronously
-        # Only the survivor's keys remain for the bulk drop.
-        assert cache.invalidate_group(group.gid) == 2
+        assert cache.invalidations == 2
+        # The deleted member's keys are already gone: only the
+        # survivor's remain for the group purge.
+        assert group.purge_pins() == 2
         assert len(cache) == 0
-
-    def test_clear_also_resets_group_index(self):
-        cache = cache_of(capacity=8)
-        group, _members = self.grouped_paths(cache)
-        cache.clear()
-        assert cache.invalidate_group(group.gid) == 0
+        assert cache.invalidations == 4
 
     def test_stale_grouped_entry_counts_a_stale_hit(self):
         """A grouped member deleted behind the cache's back must be

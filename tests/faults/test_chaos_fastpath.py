@@ -43,8 +43,8 @@ class TestChaosFastPath:
             rebuilt.append(kernel._attach_video_path(path))
             return path
 
-        watchdog = PathWatchdog(testbed.world.engine, session.path, rebuild,
-                                flow_cache=kernel.flow_cache).start()
+        watchdog = PathWatchdog(testbed.world.engine, session.path,
+                                rebuild).start()
 
         # Spy on every cache decision: a hit handing out a path in any
         # state but ESTABLISHED would be a stale fast-path delivery.

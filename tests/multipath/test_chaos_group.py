@@ -53,8 +53,7 @@ class TestChaosGroup:
             return path
 
         watchdog = PathWatchdog(testbed.world.engine, victim, rebuild,
-                                flow_cache=kernel.flow_cache,
-                                group=group, pool=pool).start()
+                                group=group).start()
 
         served_states = []
         inner_lookup = kernel.flow_cache.lookup_key
@@ -89,9 +88,8 @@ class TestChaosGroup:
         assert group.members_removed >= 1
 
         # Pool invariants: the warm acquire served the rebuild, and the
-        # wedged path was discarded, never re-parked.
+        # wedged path was never re-parked.
         assert pool.hits >= 1
-        assert pool.discards >= 1
         assert all(p is not victim
                    for bucket in pool._idle.values() for p in bucket)
 

@@ -26,11 +26,9 @@ class TestMembership:
         path = established_path()
         group.add(path)
         assert path.group is group
-        assert path.group_id == group.gid
         assert len(group) == 1
         group.remove(path)
         assert path.group is None
-        assert path.group_id is None
         assert len(group) == 0
 
     def test_add_is_idempotent(self):

@@ -138,6 +138,17 @@ class TestLifecycleSafety:
         assert fresh is not path
         assert fresh.state == "established"
 
+    def test_donated_path_deleted_behind_the_pools_back_is_forgotten(self):
+        stack, pool = make_pool()
+        donated = path_create(stack.test, conn_attrs())
+        assert pool.release(donated)
+        assert len(pool) == 1
+        donated.delete()
+        assert len(pool) == 0
+        assert pool.idle_count(conn_attrs()) == 0
+        assert donated.pid not in pool._birth_signature
+        assert pool.acquire(conn_attrs()) is not donated
+
     def test_discard_deletes_and_forgets(self):
         stack, pool = make_pool()
         path = pool.acquire(conn_attrs())
