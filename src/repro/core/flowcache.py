@@ -87,7 +87,10 @@ def flow_key_frame(frame: bytes) -> Optional[bytes]:
     flow (total length, ident, TTL, checksums, UDP length).  Anything
     else (ARP, ICMP, TCP, fragments, IP options) returns ``None`` and
     takes the full refinement chain, so correctness never depends on the
-    cache understanding a protocol.
+    cache understanding a protocol.  So does a frame to a group address
+    (broadcast or multicast: bit 0 of the destination's first byte): its
+    destination bytes are the same on every NIC, so they cannot tell a
+    multi-port kernel's ingress ports apart.
 
     This is the single source of truth for "what is a flow": the
     :class:`FlowCache` keys its entries on it (through :func:`flow_key`),
@@ -97,6 +100,8 @@ def flow_key_frame(frame: bytes) -> Optional[bytes]:
     pinning can never disagree about flow identity.
     """
     if len(frame) < _FLOW_KEY_BYTES:
+        return None
+    if frame[0] & 1:  # group-addressed destination
         return None
     if frame[12:14] != _ETHERTYPE_IPV4:
         return None

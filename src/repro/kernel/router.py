@@ -6,7 +6,10 @@ On top of the shared :class:`~repro.kernel.runtime.PathRuntime` it adds
 N NICs on N segments, one :class:`~repro.net.forward.ForwardRouter`, and
 one short forwarding path per ingress port, entered at that port's ETH
 router; the TTL/route/rewrite work is the path's, so a three-hop chain
-of routers is just three more kernels in the same sim world.
+of routers is just three more kernels in the same sim world.  Every port
+classifies through the runtime's one flow cache: a whole datagram from a
+warm flow takes one probe, and a port's own MAC in the key keeps ports
+apart.
 """
 
 from __future__ import annotations
@@ -110,10 +113,9 @@ class RouterKernel(PathRuntime):
 
     # -- introspection -----------------------------------------------------
 
-    def stats(self) -> Dict[str, int]:
-        stats = dict(self.fwd.stats())
-        stats["unclassified_drops"] = self.unclassified_drops
-        stats["inq_overflow_drops"] = self.inq_overflow_drops
+    def stats(self) -> Dict[str, float]:
+        stats = super().stats()
+        stats.update(self.fwd.stats())
         return stats
 
     def __repr__(self) -> str:

@@ -11,7 +11,9 @@
 * **per-path threads under per-path scheduling** — each path's thread
   dequeues, traverses the path, and pays the accumulated CPU cost.
 
-:class:`PathRuntime` spells them once.  ``ScoutKernel``, ``HostNode`` and
+:class:`PathRuntime` spells them once, the flow cache included: every
+kernel probes its own :class:`~repro.core.flowcache.FlowCache` before the
+demux chain.  ``ScoutKernel`` (and ``HostNode``, a ``ScoutKernel``) and
 ``RouterKernel`` differ in the router graph they boot and the paths they
 create, not in how a frame reaches a path or how a path gets the CPU.
 """
@@ -22,6 +24,7 @@ from typing import Dict, List, Optional
 
 from .. import params
 from ..core.classify import ClassifierStats, classify, classify_ex
+from ..core.flowcache import VALIDATED_STAMPS, FlowCache
 from ..core.message import Msg
 from ..core.path import DELETED, Path
 from ..core.stage import BWD
@@ -49,13 +52,14 @@ class PathRuntime:
     ``self.frag_path`` for :meth:`_reclassify`.
     """
 
-    #: Established-flow cache probed before the demux chain; ``None``
-    #: walks the chain for every frame.
-    flow_cache = None
-
-    def __init__(self, world: SimWorld):
+    def __init__(self, world: SimWorld, flow_cache_capacity: int = 128):
         self.world = world
         self.classifier_stats = ClassifierStats()
+        #: Established-flow fast path for interrupt-time classification:
+        #: one exact-match probe instead of the demux chain, for every
+        #: whole IPv4/UDP datagram this kernel receives (DESIGN.md §11.1).
+        self.flow_cache = FlowCache(capacity=flow_cache_capacity,
+                                    annotate=self._annotate_flow)
         #: Optional per-message fate observer ``fn(obj, category)``: it
         #: hears exactly what :meth:`drop_ledger` counts, once per dropped
         #: object — admission drops, drops inside a path, teardown drains
@@ -65,7 +69,6 @@ class PathRuntime:
         #: shard fabric's workers use it to close each handed-off serial
         #: under an exact category; ``None`` (the default) costs nothing.
         self.drop_hook = None
-        self.early_drops = 0
         self.unclassified_drops = 0
         self.inq_overflow_drops = 0
         self._paths: List[Path] = []
@@ -96,13 +99,12 @@ class PathRuntime:
         router = self.eth if entry is None else entry
         stats = self.classifier_stats
         cache = self.flow_cache
-        now = self.world.now
         arrivals = []
         # Classifier hops: one probe per frame plus every refinement the
         # burst's chain walks add to ``stats``.
         hops = -stats.refinements
         for i, frame in enumerate(frames):
-            msg = Msg(frame, meta={"rx_time": now})
+            msg = Msg(frame)
             if metas is not None and metas[i]:
                 msg.meta.update(metas[i])
             arrivals.append((msg, classify_ex(router, msg, stats=stats,
@@ -127,6 +129,10 @@ class PathRuntime:
             self._drop_unclassified(msg, "no path wants this frame")
             self._shed()
             return False
+        if "eth_src" not in msg.meta:
+            # A flow-cache hit skipped ETH's demux, which records the
+            # source MAC, and the flow key does not fix it.
+            msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
         if not path.input_queue(BWD).try_enqueue(msg):
             self.inq_overflow_drops += 1
             path.note_drop(msg, "path input queue full", "inq_overflow")
@@ -134,6 +140,31 @@ class PathRuntime:
             return False
         path.stats.charge_memory(msg.footprint())
         return True
+
+    def _annotate_flow(self, msg: Msg, key: bytes) -> None:
+        """The ``msg.meta`` annotations the skipped demux chain would have
+        made that the flow key fixes (IP and UDP stash the fields later
+        stages and SHELL command handling read); the flow cache runs this
+        once per entry and copies the result into every hit.  The key
+        guarantees a well-formed non-fragmented IPv4/UDP frame, so fixed
+        offsets are safe: IP proto at 23, IP src at 26, UDP ports at 34.
+        ETH's source MAC is not in the key; :meth:`_admit` reads it.
+        """
+        head = msg.peek(38)
+        meta = msg.meta
+        meta["ip_src"] = IpAddr(head[26:30])
+        meta["ip_proto"] = head[23]
+        meta["udp_ports"] = (int.from_bytes(head[34:36], "big"),
+                             int.from_bytes(head[36:38], "big"))
+        # The key matched the exact framing, addressing and port bytes,
+        # so every header stage may take its validated fast receive —
+        # each stage pops its own flag (DESIGN.md §13) — and a fully
+        # stamped message is what the specialized tier's fused functions
+        # guard on (DESIGN.md §15).  A stage that reads more than the key
+        # fixes (a router's ForwardStage: length, TTL, route) still
+        # checks it itself.
+        for stamp in VALIDATED_STAMPS:
+            meta[stamp] = True
 
     def _shed(self) -> None:
         """Pay for an interrupt-time discard."""
@@ -264,6 +295,22 @@ class PathRuntime:
         Deleted paths stay listed: the frames that died on them still
         have that fate."""
         return list(self._paths)
+
+    def stats(self) -> Dict[str, float]:
+        """The counters every kernel keeps: classification, its flow
+        cache and the admission drops.  A subclass adds its own keys."""
+        classifier, cache = self.classifier_stats, self.flow_cache
+        return {
+            "classified": classifier.classified,
+            "classifier_drops": classifier.dropped,
+            "classifier_cache_hits": classifier.cache_hits,
+            "flow_cache_hits": cache.hits,
+            "flow_cache_misses": cache.misses,
+            "flow_cache_evictions": cache.evictions,
+            "flow_cache_invalidations": cache.invalidations,
+            "inq_overflow_drops": self.inq_overflow_drops,
+            "unclassified_drops": self.unclassified_drops,
+        }
 
     def drop_ledger(self) -> Dict[str, int]:
         """Drop accounting across every path of this kernel, plus the

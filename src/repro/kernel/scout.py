@@ -2,11 +2,12 @@
 
 Wires the router graph (DISPLAY / MPEG / MFLOW / SHELL / UDP / IP / ETH
 plus ARP and ICMP) and attaches the NIC and framebuffer, on the shared
-:class:`~repro.kernel.runtime.PathRuntime`.  Around it the end host adds
-the flow cache its receive probes, early discard of skipped video
-frames (Section 4.4), the arrival EWMA the EDF deadline estimate
-consumes, and the ``inline_icmp`` ablation.  Each path's ``wakeup``
-callback imposes EDF deadlines (or RR priority) on every wakeup.
+:class:`~repro.kernel.runtime.PathRuntime` (whose flow cache every
+receive probes first).  Around it the end host adds early discard of
+skipped video frames (Section 4.4), the arrival EWMA the EDF deadline
+estimate consumes, and the ``inline_icmp`` ablation.  Each path's
+``wakeup`` callback imposes EDF deadlines (or RR priority) on every
+wakeup.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from ..core.attributes import (
     PA_TRACE,
     Attrs,
 )
-from ..core.flowcache import VALIDATED_STAMPS, FlowCache
 from ..core.graph import RouterGraph
 from ..core.message import Msg
 from ..core.path import Path
@@ -39,7 +39,6 @@ from ..display.router import DisplayRouter
 from ..mpeg.clips import ClipProfile, PACKET_HEADER_SIZE
 from ..mpeg.decoder import peek_packet_header
 from ..mpeg.router import PA_FRAME_SKIP, PA_VIDEO_PROFILE, MpegRouter
-from ..net.addresses import EthAddr, IpAddr
 from ..net.arp import ArpRouter
 from ..net.common import PA_LOCAL_PORT, PA_UDP_CHECKSUM, take_cost
 from ..net.eth import EthRouter
@@ -144,7 +143,7 @@ class ScoutKernel(PathRuntime):
                  udp_sink: bool = False,
                  display: bool = True,
                  device=None):
-        super().__init__(world)
+        super().__init__(world, flow_cache_capacity)
         #: Handed to every ``path_create(specialize=)`` below
         #: (DESIGN.md §11): a per-path ``PA_SPECIALIZE`` attribute
         #: still overrides it and ``None`` takes the default (on).
@@ -218,12 +217,6 @@ class ScoutKernel(PathRuntime):
         self.arp.use_engine(world.engine)
 
         # -- runtime state ---------------------------------------------------
-        #: Established-flow fast path for interrupt-time classification:
-        #: one exact-match probe instead of the ETH->IP->UDP->... chain.
-        #: The annotate hook reproduces the meta the skipped demux hops
-        #: would have stashed (SHELL reads ``ip_src`` for replies).
-        self.flow_cache = FlowCache(capacity=flow_cache_capacity,
-                                    annotate=self._annotate_flow)
         self.flow_cache.bind_metrics(self.observatory.metrics)
         self.observatory.metrics.collect(lambda: [
             ("kernel_unclassified_drops", {}, self.unclassified_drops)])
@@ -233,6 +226,7 @@ class ScoutKernel(PathRuntime):
         self.sink_paths: Dict[int, Path] = {}
         #: path pid -> keep-every-Nth modulus for adapter-level early drop.
         self._skip_filters: Dict[int, int] = {}
+        self.early_drops = 0
         self.icmp_inline_served = 0
 
         #: With ``display=False`` the framebuffer exists but its vsync
@@ -265,8 +259,7 @@ class ScoutKernel(PathRuntime):
 
     def _admit(self, path: Optional[Path], msg: Msg) -> bool:
         """The end host's steps around the shared admission: early
-        discard, a cache hit's source MAC, the arrival EWMA, and the
-        ``inline_icmp`` ablation."""
+        discard, the arrival EWMA, and the ``inline_icmp`` ablation."""
         if path is not None:
             if self._should_early_drop(path, msg):
                 self.early_drops += 1
@@ -274,10 +267,6 @@ class ScoutKernel(PathRuntime):
                                "early_discard")
                 self._shed()
                 return False
-            if "eth_src" not in msg.meta:
-                # A flow-cache hit skipped ETH's demux, which records the
-                # source MAC, and the flow key does not fix it.
-                msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
             self._note_arrival(path)
             if self.inline_icmp and path is self.icmp_path:
                 # Ablation: no early segregation for ICMP — serve the
@@ -287,29 +276,6 @@ class ScoutKernel(PathRuntime):
                 self.icmp_inline_served += 1
                 return False
         return super()._admit(path, msg)
-
-    def _annotate_flow(self, msg: Msg, key: bytes) -> None:
-        """The ``msg.meta`` annotations the skipped demux chain would have
-        made that the flow key fixes (IP and UDP stash the fields later
-        stages and SHELL command handling read); the flow cache runs this
-        once per entry and copies the result into every hit.  The key
-        guarantees a well-formed non-fragmented IPv4/UDP frame, so fixed
-        offsets are safe: IP proto at 23, IP src at 26, UDP ports at 34.
-        ETH's source MAC is not in the key; :meth:`_admit` reads it.
-        """
-        head = msg.peek(38)
-        meta = msg.meta
-        meta["ip_src"] = IpAddr(head[26:30])
-        meta["ip_proto"] = head[23]
-        meta["udp_ports"] = (int.from_bytes(head[34:36], "big"),
-                             int.from_bytes(head[36:38], "big"))
-        # The key matched the exact framing, addressing and port bytes,
-        # so every header stage may take its validated fast receive —
-        # each stage pops its own flag (DESIGN.md §13) — and a fully
-        # stamped message is what the specialized tier's fused functions
-        # guard on (DESIGN.md §15).
-        for stamp in VALIDATED_STAMPS:
-            meta[stamp] = True
 
     def _note_arrival(self, path: Path) -> None:
         """Maintain the path's average packet inter-arrival time, which
@@ -626,21 +592,13 @@ class ScoutKernel(PathRuntime):
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, float]:
-        return {
-            "classified": self.classifier_stats.classified,
-            "classifier_drops": self.classifier_stats.dropped,
-            "classifier_cache_hits": self.classifier_stats.cache_hits,
-            "flow_cache_hits": self.flow_cache.hits,
-            "flow_cache_misses": self.flow_cache.misses,
-            "flow_cache_evictions": self.flow_cache.evictions,
-            "flow_cache_invalidations": self.flow_cache.invalidations,
-            "early_drops": self.early_drops,
-            "inq_overflow_drops": self.inq_overflow_drops,
-            "echo_requests": self.icmp.echo_requests,
-            "cpu_compute_us": self.world.cpu.compute_us,
-            "cpu_interrupt_us": self.world.cpu.interrupt_us,
-            "vsyncs": self.framebuffer.vsyncs,
-        }
+        stats = super().stats()
+        stats.update(early_drops=self.early_drops,
+                     echo_requests=self.icmp.echo_requests,
+                     cpu_compute_us=self.world.cpu.compute_us,
+                     cpu_interrupt_us=self.world.cpu.interrupt_us,
+                     vsyncs=self.framebuffer.vsyncs)
+        return stats
 
     def __repr__(self) -> str:
         return (f"<ScoutKernel {self.ip.addr} sessions={len(self.sessions)} "

@@ -18,9 +18,10 @@ any debugging tool).  Three things can override the hash:
   the live set (``live[crc32 % len(live)]``) and each rerouted flow is
   pinned to its new home, so the mapping stays stable even as further
   shards die.
-* **non-flow traffic** (ARP, ICMP, fragments — anything
-  :func:`flow_key_frame` declines) — goes to the lowest-numbered live
-  shard, keeping it deterministic without inventing a second hash.
+* **non-flow traffic** (ARP, ICMP, fragments, group-addressed frames —
+  anything :func:`flow_key_frame` declines) — goes to the
+  lowest-numbered live shard, keeping it deterministic without inventing
+  a second hash.
 """
 
 from __future__ import annotations

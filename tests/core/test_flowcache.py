@@ -345,6 +345,15 @@ class TestFlowKey:
     def test_runt_is_ineligible(self):
         assert flow_key(Msg(self.frame[:20])) is None
 
+    @pytest.mark.parametrize("dst", ["ff:ff:ff:ff:ff:ff",
+                                     "01:00:5e:00:00:01"],
+                             ids=["broadcast", "multicast"])
+    def test_group_addressed_frame_is_ineligible(self, dst):
+        """A group address is the same on every NIC, so it cannot key a
+        flow per ingress port."""
+        frame = EthAddr(dst).to_bytes() + self.frame[6:]
+        assert flow_key(Msg(frame)) is None
+
 
 class TestClassifyIntegration:
     def setup_method(self):

@@ -10,7 +10,8 @@ packets with ICMP Fragmentation Needed.
 import pytest
 
 from repro.kernel import RouterKernel
-from repro.net import IcmpHeader, IpAddr, RouteTable, build_icmp_echo, build_udp_frame, parse_frame
+from repro.core import BWD
+from repro.net import EthAddr, IcmpHeader, IpAddr, RouteTable, build_icmp_echo, build_udp_frame, parse_frame
 from repro.sim import SimWorld
 from .conftest import RecordingRemote
 
@@ -223,6 +224,19 @@ class TestKernelPlumbing:
     def test_ports_must_precede_boot(self, net):
         with pytest.raises(RuntimeError):
             net.kernel.add_port("c", net.seg_a, "10.0.1.253")
+
+    def test_ports_share_one_cache_but_not_a_broadcast_flow(self, net):
+        """One broadcast UDP frame offered on each port lands on each
+        port's own forwarding path: a group-addressed destination is the
+        same bytes on every port, so it must never key a cache entry."""
+        frame = build_udp_frame(net.host_a.mac, EthAddr.BROADCAST,
+                                net.host_a.ip, HOST_B_IP, 5000, 7000, b"all")
+        net.kernel.rx_burst([frame], entry=net.port_a.eth)
+        net.kernel.rx_burst([frame], entry=net.port_b.eth)
+        for port in (net.port_a, net.port_b):
+            assert len(port.path.input_queue(BWD)) == 1
+        assert len(net.kernel.flow_cache) == 0
+        assert net.kernel.flow_cache.hits == 0
 
     def test_stats_shape(self, net):
         stats = net.kernel.stats()

@@ -3,8 +3,9 @@
 ``ScoutKernel``, ``HostNode`` and ``RouterKernel`` share one
 ``repro.kernel.runtime.PathRuntime``: no frame raises out of the
 interrupt-time receive, every frame gets exactly one fate (delivered, or
-ledgered under a category with a ``drop_reason``), and a path is charged
-for exactly the bytes queued on it.  Every kernel is driven through both
+ledgered under a category with a ``drop_reason``), a path is charged
+for exactly the bytes queued on it, and a warm flow's frame classifies
+in one flow-cache probe.  Every kernel is driven through both
 receive forms: per frame, through its simulated NIC's ``rx_handler``,
 and as one ``rx_burst``.
 """
@@ -46,16 +47,17 @@ class Rig:
         return sum(p.stats.mem_bytes for p in self.kernel.paths())
 
 
-def offering(kernel, device, path, burst, entry=None):
+def offering(kernel, device, burst, entry=None):
     """The receive interrupt in one of its two forms: *device*'s per-frame
     ``rx_handler``, or one ``rx_burst`` (entered at *entry*) that reports
-    how many frames it queued."""
+    how many frames it queued, on whichever of the kernel's paths."""
+    def queued():
+        return sum(len(p.input_queue(BWD)) for p in kernel.paths())
+
     def offer(frames):
         if burst:
-            inq = path.input_queue(BWD)
-            before = len(inq)
-            assert kernel.rx_burst(frames, entry=entry) \
-                == len(inq) - before
+            before = queued()
+            assert kernel.rx_burst(frames, entry=entry) == queued() - before
         else:
             for frame in frames:
                 device.rx_handler(frame)
@@ -74,7 +76,7 @@ def scout_rig(burst):
         return build_udp_frame(REMOTE_MAC, kernel.device.mac, REMOTE_IP,
                                LOCAL_IP, 7000, port, payload)
 
-    return Rig(kernel, path, offering(kernel, kernel.device, path, burst),
+    return Rig(kernel, path, offering(kernel, kernel.device, burst),
                frame, lambda: len(kernel.test.received))
 
 
@@ -88,7 +90,7 @@ def host_rig(burst):
         return build_udp_frame(REMOTE_MAC, host.device.mac, REMOTE_IP,
                                LOCAL_IP, 7000, port, payload)
 
-    return Rig(host, path, offering(host, host.device, path, burst), frame,
+    return Rig(host, path, offering(host, host.device, burst), frame,
                lambda: len(host.test.received))
 
 
@@ -108,8 +110,7 @@ def router_rig(burst):
                                FAR_IP, 7000, PORT, payload)
 
     return Rig(router, port.path,
-               offering(router, port.device, port.path, burst,
-                        entry=port.eth),
+               offering(router, port.device, burst, entry=port.eth),
                frame, lambda: len(sink.frames))
 
 
@@ -186,6 +187,22 @@ def test_a_frame_that_dies_inside_the_path_is_heard(rig):
     assert rig.kernel.drop_ledger() == {"malformed": 1}
     assert rig.fates == [("malformed", True)]
     assert rig.delivered() == 2
+
+
+def test_a_warm_flow_classifies_in_one_probe_and_fragments_bypass(rig):
+    """The fast path at every hop: a flow's second frame is one flow-cache
+    probe with no refinement, and IP fragments, which carry no flow key,
+    neither hit the cache nor insert into it."""
+    kernel, cache = rig.kernel, rig.kernel.flow_cache
+    rig.offer([rig.frame(b"first")])
+    hits, refinements = cache.hits, kernel.classifier_stats.refinements
+    rig.offer([rig.frame(b"second")])
+    assert cache.hits == hits + 1
+    assert kernel.classifier_stats.refinements == refinements
+    kernel.world.run_until_idle()
+    books = (cache.hits, cache.misses, len(cache))
+    rig.offer(fragments(rig.frame(b"r" * 1400)))
+    assert (cache.hits, cache.misses, len(cache)) == books
 
 
 def test_sink_teardown_ledgers_only_what_was_never_delivered():

@@ -78,6 +78,24 @@ class TestDifferentialDelivery:
         assert results[0] == results[1] == results[2] == BLOB
 
 
+class TestFastPathPerHop:
+    def test_only_whole_datagrams_hit(self):
+        """Oblivious sender across 1500/600/1500: r1 receives whole
+        datagrams and hits its flow cache for every one after the first;
+        r2 and the receiver see only fragments, which carry no flow key,
+        so their caches never hit and never fill."""
+        world, topo = three_hop()
+        pp = topo.provision("sender", "receiver", pmtud=False)
+        data = BLOB[:14 * 1400]  # every datagram too big for the 600 link
+        sent = pp.send_stream(data, mss=1400)
+        world.run_for(5_000_000)
+        assert pp.received_bytes() == data
+        r1 = topo.routers["r1"].flow_cache
+        assert (r1.hits, r1.misses, len(r1)) == (sent - 1, 1, 1)
+        for node in (topo.routers["r2"], topo.hosts["receiver"]):
+            assert (node.flow_cache.hits, len(node.flow_cache)) == (0, 0)
+
+
 class TestPmtudConvergence:
     def test_discovers_the_min_link_mtu(self):
         world, topo = three_hop()
