@@ -37,7 +37,7 @@ A hit costs one key, one dictionary probe and one ``dict.update``: the
 hook runs once per entry, when the entry is inserted, against a blank
 ``meta``, and what it writes is kept on the entry — bounded by
 ``capacity``, evicted and invalidated with it.  Every hit copies those
-annotations into the message's own ``meta``, so a stage that pops a
+annotations into the message's own ``meta``, so a reader that pops a
 stamp pops its message's copy and never the entry's.  The hook may
 therefore write only what the key bytes determine; a field that varies
 between frames of one flow (ETH's source MAC) is the owner's to read
@@ -56,15 +56,6 @@ from .path import ESTABLISHED, Path
 _FLOW_KEY_BYTES = 42
 _ETHERTYPE_IPV4 = b"\x08\x00"
 _IPPROTO_UDP = 17
-
-#: The validated-fast-receive ``msg.meta`` stamps (DESIGN.md §13) an
-#: ``annotate`` hook installs on a flow-cache hit.  A stamp asserts the
-#: corresponding layer's checks already passed during classification, so
-#: the stage may skip validation; the specialized execution tier
-#: (DESIGN.md §15) additionally requires *all* of them per message before
-#: running a fused ETH/IP/UDP body.  Kernel and benchmarks share this
-#: tuple so the stamp names can never drift apart.
-VALIDATED_STAMPS = ("eth_validated", "ip_validated", "udp_validated")
 
 
 def flow_key(msg: Any) -> Optional[bytes]:

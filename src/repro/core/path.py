@@ -244,9 +244,10 @@ class Path:
     def specialize_chains(self) -> None:
         """(Re)generate both directions' fused functions from the deliver
         pointers as they stand now.  Either slot may come back ``None``
-        (switch off, observed path, unrecognized or interposed stages):
-        delivery in that direction is then the reference walk."""
-        if self.specialize and self.observer is None:
+        (switch off, unrecognized or interposed stages — an observed
+        path's stages are all wrapped): delivery in that direction is
+        then the reference walk."""
+        if self.specialize:
             self._specialized = [specialize_chain(self, FWD),
                                  specialize_chain(self, BWD)]
         else:

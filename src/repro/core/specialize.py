@@ -17,11 +17,13 @@ The generator exploits exactly the invariants that are fixed at
 path-create time or proven per message by the flow cache:
 
 * **validated headers** — every message in the run carries the
-  ``*_validated`` stamps a :class:`~repro.core.flowcache.FlowCache` hit
-  installed, so the per-stage length/address/port checks are dead
+  :data:`FLOW_VALIDATED` stamp a :class:`~repro.core.flowcache.FlowCache`
+  hit installed, so the per-stage length/address/port checks are dead
   branches and header *objects* are never materialized; the IP total
   length (the one per-packet field that still matters, for padding trim)
-  is read with a single prebound :class:`struct.Struct` access;
+  is read with a single prebound :class:`struct.Struct` access.  Only
+  the generated function reads the stamp: the reference walk validates
+  every frame in full, whatever classified it;
 * **absent intercepts** — each fused stage's deliver function is the
   pristine bound method (see :meth:`Stage.has_pristine_deliver`), so
   there is nothing to call between stages: header strips coalesce into
@@ -54,7 +56,7 @@ here only knows how to fuse fragments.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from .stage import DIRECTION_NAMES
 
@@ -67,6 +69,13 @@ MIN_PREFIX = 3
 #: ``path_create(specialize=)`` chose one.  Tests that want a whole
 #: process on the reference walk monkeypatch this.
 DEFAULT_SPECIALIZE = True
+
+#: The ``msg.meta`` stamp a flow-cache hit installs (see
+#: ``PathRuntime._annotate_flow``): the hit's exact-match key proved the
+#: frame a well-formed, non-fragmented IPv4/UDP frame for this host and
+#: this port pair.  A generated function requires it on every message of
+#: a run and deletes it per message; no scalar stage reads it.
+FLOW_VALIDATED = "flow_validated"
 
 _REGISTRY: Dict[Type, Callable[..., Optional["StageFragment"]]] = {}
 
@@ -90,9 +99,6 @@ class StageFragment:
 
     Parameters
     ----------
-    stamps:
-        ``msg.meta`` validation flags this stage consumes.  Guarded for
-        the whole run (missing stamp -> decline) and deleted per message.
     pop:
         Fixed header bytes this stage strips.  Consecutive fragments'
         pops coalesce into a single ``Msg.strip``.
@@ -110,30 +116,22 @@ class StageFragment:
         ``body(ctx)`` -> lines emitted at the stage's position with all
         pending strips flushed (the message front is this stage's
         payload).  For control-flow-heavy stages (MFLOW) and terminals.
-    epilogue:
-        ``epilogue(ctx)`` -> lines emitted after the loop with ``_live``
-        bound to the number of messages that took the fused body (bulk
-        counter updates).
     terminal:
         True when the stage absorbs every message (sink); must be the
         chain's last entry.
     """
 
-    __slots__ = ("stamps", "pop", "cost_expr", "bail", "body", "epilogue",
-                 "terminal")
+    __slots__ = ("pop", "cost_expr", "bail", "body", "terminal")
 
-    def __init__(self, stamps: Sequence[str] = (), pop: int = 0,
+    def __init__(self, pop: int = 0,
                  cost_expr: Optional[Callable] = None,
                  bail: Optional[Callable] = None,
                  body: Optional[Callable] = None,
-                 epilogue: Optional[Callable] = None,
                  terminal: bool = False):
-        self.stamps = tuple(stamps)
         self.pop = pop
         self.cost_expr = cost_expr
         self.bail = bail
         self.body = body
-        self.epilogue = epilogue
         self.terminal = terminal
 
 
@@ -180,10 +178,10 @@ def specialize_chain(path: Any, direction: int) -> Optional[Callable]:
     ``None`` when no worthwhile prefix is recognized.
 
     The returned callable has the contract ``spec(msgs, kwargs) ->
-    Optional[list]``: ``None`` declines the run (a message is missing a
-    validation stamp, or kwargs were passed) and the caller falls back
-    to the reference walk; otherwise the per-message results list is
-    returned exactly as delivering each message in order would.
+    Optional[list]``: ``None`` declines the run (a message is missing the
+    :data:`FLOW_VALIDATED` stamp, or kwargs were passed) and the caller
+    falls back to the reference walk; otherwise the per-message results
+    list is returned exactly as delivering each message in order would.
     """
     entry = nxt = path.entry_iface(direction)
     frags: List[StageFragment] = []
@@ -213,18 +211,14 @@ def _assemble(path: Any, direction: int, entry: Any,
     ns: Dict[str, Any] = {"_entry": entry, "_nxt": nxt, "_path": path}
     ctx = GenContext(ns, direction)
 
-    stamps = [s for f in frags for s in f.stamps]
-    min_len = sum(f.pop for f in frags)
-
-    # Per-message guard terms: every stamp present and the fixed header
-    # region actually there (a hand-stamped runt must decline, not crash
+    # Per-message guard: the stamp present and the fixed header region
+    # actually there (a hand-stamped runt must decline, not crash
     # differently from the scalar path).
-    guard = " and ".join(["_mt.get(%r)" % s for s in stamps]
-                         + (["len(m) >= %d" % min_len] if min_len else []))
+    guard = "m.meta.get(%r) and len(m) >= %d" % (
+        FLOW_VALIDATED, sum(f.pop for f in frags))
 
     batch_prologue: List[str] = []   # once per call (live cost reads)
     body: List[str] = []             # per message, indent-relative lines
-    epilogue: List[str] = []
 
     cost_vars: List[Tuple[StageFragment, str]] = []
     for i, frag in enumerate(frags):
@@ -244,8 +238,7 @@ def _assemble(path: Any, direction: int, entry: Any,
         offset += frag.pop
 
     # --- stamp consumption + cost accumulator --------------------------
-    for s in stamps:
-        body.append("del meta[%r]" % s)
+    body.append("del meta[%r]" % FLOW_VALIDATED)
     body.append("c = meta.get('cost_us', 0.0)")
 
     # --- per-stage fused bodies ----------------------------------------
@@ -272,15 +265,10 @@ def _assemble(path: Any, direction: int, entry: Any,
         body.append("meta['cost_us'] = c")
         body.append("results[_i] = _nxt.deliver(_nxt, m, %d)" % direction)
 
-    for frag in frags:
-        if frag.epilogue is not None:
-            epilogue.extend(frag.epilogue(ctx))
-
     lines = ["def _specialized(msgs, kwargs):",
              "    if kwargs:",
              "        return None",
              "    for m in msgs:",
-             "        _mt = m.meta",
              "        if not (%s):" % guard,
              "            return None",
              "    _n = len(msgs)",
@@ -292,9 +280,7 @@ def _assemble(path: Any, direction: int, entry: Any,
     if ctx._needs_raw:
         lines.append("        _raw = m.to_bytes()")
     lines += ["        " + line for line in body]
-    lines.append("    _live = _n - _bail")
-    lines.append("    _path.specialized_msgs += _live")
-    lines += ["    " + line for line in epilogue]
+    lines.append("    _path.specialized_msgs += _n - _bail")
     lines.append("    return results")
 
     source = "\n".join(lines)

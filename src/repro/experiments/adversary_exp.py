@@ -22,7 +22,9 @@ machine-checked proof artifact:
 * **ledger reconciliation** — every injected serial reaches exactly one
   terminal category (delivered / shed / adversary_overflow / end_of_run)
   with zero leaks and zero double counts, and the
-  :class:`~repro.observe.MetricsRegistry` totals agree with the ledger.
+  :class:`~repro.observe.MetricsRegistry` totals agree, category by
+  category, with a book kept apart from the ledger (see
+  :func:`outcome_books`).
 
 Two runs with the same seed produce byte-identical digests (the seed
 audit in ``tests/faults/test_seed_audit.py`` checks exactly this).
@@ -34,7 +36,7 @@ import hashlib
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..admission import BackpressureShedder
-from ..core.classify import classify
+from ..core.classify import ClassifierStats, classify
 from ..core.flowcache import FlowCache
 from ..core.message import Msg
 from ..core.path import ESTABLISHED
@@ -82,8 +84,11 @@ RHO_PER_US = 0.04
 W = 24
 
 #: Series read from ``ledger.counts()``, one per terminal category; the
-#: run reconciles its per-category totals against the ledger.
+#: run reconciles its per-category totals against :func:`outcome_books`.
 OUTCOME_METRIC = "adversary_outcomes_total"
+
+#: The ledger category of an arrival no path wants.
+UNCLASSIFIED = "unclassified"
 
 
 class AdversaryRunResult(NamedTuple):
@@ -104,7 +109,8 @@ class AdversaryRunResult(NamedTuple):
     end_of_run: int
     max_queue_depth: int
     depth_bound: int
-    #: MetricsRegistry totals match the ledger category by category.
+    #: MetricsRegistry totals match :func:`outcome_books` category by
+    #: category.
     metrics_reconciled: bool
     watchdog_rebuilds: int
     watchdog_deferrals: int
@@ -115,6 +121,24 @@ class AdversaryRunResult(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.verdict.ok and self.metrics_reconciled
+
+
+def outcome_books(paths: Sequence, shedder: Optional[BackpressureShedder],
+                  classifier_stats: ClassifierStats) -> Dict[str, int]:
+    """Every terminal category's count as a book other than the ledger
+    keeps it: deliveries are the members' progress marks, sheds the
+    shedder's count, unclassified arrivals the classifier's drops, and
+    every drop category (overflow, end-of-run scrub, teardown drains)
+    the members' per-category drop counters."""
+    books: Dict[str, int] = {
+        DELIVERED: sum(path.stats.progress for path in paths),
+        BACKPRESSURE_SHED: shedder.shed_count if shedder is not None else 0,
+        UNCLASSIFIED: classifier_stats.dropped,
+    }
+    for path in paths:
+        for category, count in path.stats.drop_reasons.items():
+            books[category] = books.get(category, 0) + count
+    return books
 
 
 def run_adversary(strategy: str = "deadline_cliff", scheduler: str = "edf",
@@ -154,6 +178,7 @@ def run_adversary(strategy: str = "deadline_cliff", scheduler: str = "edf",
         inqs.append(inq)
 
     cache = FlowCache(capacity=cache_capacity)
+    classifier_stats = ClassifierStats()
     ledger = DropLedger()
     metrics.collect(lambda: [
         (OUTCOME_METRIC, {"category": category}, count)
@@ -253,9 +278,9 @@ def run_adversary(strategy: str = "deadline_cliff", scheduler: str = "edf",
         if shedder is not None and not shedder.admit():
             ledger.account(event.serial, BACKPRESSURE_SHED)
             return
-        path = classify(stack.eth, msg, cache=cache)
+        path = classify(stack.eth, msg, stats=classifier_stats, cache=cache)
         if path is None:
-            ledger.account(event.serial, "unclassified")
+            ledger.account(event.serial, UNCLASSIFIED)
             return
         if path.input_queue(BWD).try_enqueue(msg):
             flow_on_member[path.pid] = event.flow
@@ -291,10 +316,13 @@ def run_adversary(strategy: str = "deadline_cliff", scheduler: str = "edf",
                            queue_capacity=queue_capacity)
     verdict = engine.verdict(strategy, scheduler, seed)
 
+    # A category some book counts but the series lacks, or one the
+    # series carries but no book keeps, fails the reconciliation.
     counts = ledger.counts()
+    books = outcome_books(paths, shedder, classifier_stats)
     reconciled = all(
-        metrics.total(OUTCOME_METRIC, category=category) == count
-        for category, count in counts.items())
+        metrics.total(OUTCOME_METRIC, category=category) == books.get(category)
+        for category in set(counts) | {c for c, n in books.items() if n})
 
     digest = hashlib.sha256(
         (injector.schedule_digest() + "|" + verdict.render()).encode()

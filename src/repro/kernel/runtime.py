@@ -24,9 +24,10 @@ from typing import Dict, List, Optional
 
 from .. import params
 from ..core.classify import ClassifierStats, classify, classify_ex
-from ..core.flowcache import VALIDATED_STAMPS, FlowCache
+from ..core.flowcache import FlowCache
 from ..core.message import Msg
 from ..core.path import DELETED, Path
+from ..core.specialize import FLOW_VALIDATED
 from ..core.stage import BWD
 from ..net.addresses import EthAddr, IpAddr
 from ..net.common import charge, take_cost
@@ -156,15 +157,11 @@ class PathRuntime:
         meta["ip_proto"] = head[23]
         meta["udp_ports"] = (int.from_bytes(head[34:36], "big"),
                              int.from_bytes(head[36:38], "big"))
-        # The key matched the exact framing, addressing and port bytes,
-        # so every header stage may take its validated fast receive —
-        # each stage pops its own flag (DESIGN.md §13) — and a fully
-        # stamped message is what the specialized tier's fused functions
-        # guard on (DESIGN.md §15).  A stage that reads more than the key
-        # fixes (a router's ForwardStage: length, TTL, route) still
-        # checks it itself.
-        for stamp in VALIDATED_STAMPS:
-            meta[stamp] = True
+        # The key matched the exact framing, addressing and port bytes:
+        # the proof the specialized tier's fused functions guard on
+        # (DESIGN.md §15).  The reference walk never reads it; every
+        # scalar stage validates each frame itself.
+        meta[FLOW_VALIDATED] = True
 
     def _shed(self) -> None:
         """Pay for an interrupt-time discard."""

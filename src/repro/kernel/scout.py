@@ -513,11 +513,10 @@ class ScoutKernel(PathRuntime):
         Requires the kernel to have been built with ``udp_sink=True``
         (which adds the TEST router atop UDP).  The returned path is a
         generic UDP flow endpoint: arriving frames for *local_port*
-        classify to it (flow cache, validated fast receive, and the
-        specialized tier all engage exactly as for video paths), traverse
-        ETH/IP/UDP, and land in the TEST router's ``received`` list plus
-        the path's output queue.  The shard fabric gives every flow one
-        of these per shard.
+        classify to it (flow cache and the specialized tier engage
+        exactly as for video paths), traverse ETH/IP/UDP, and land in
+        the TEST router's ``received`` list plus the path's output
+        queue.  The shard fabric gives every flow one of these per shard.
         """
         if self.test is None:
             raise RuntimeError(

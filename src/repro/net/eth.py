@@ -65,13 +65,6 @@ class EthStage(Stage):
 
     def _receive(self, iface, msg: Msg, direction: int, **kwargs):
         charge(msg, params.ETH_PROC_US)
-        if msg.meta.pop("eth_validated", False):
-            # Flow-cache hit: the exact-match key already re-validated the
-            # frame length and ethertype, and the annotate hook stashed the
-            # fields upper stages read — strip the header and go.
-            self.router.rx_validated += 1
-            msg.pop(EthHeader.SIZE)
-            return forward(iface, msg, direction, **kwargs)
         if len(msg) < EthHeader.SIZE:
             self.note_drop(msg, "runt frame", "malformed")
             return None
@@ -82,24 +75,20 @@ class EthStage(Stage):
 
 def _specialize_eth(stage: EthStage, iface, direction: int,
                     terminal: bool) -> Optional[StageFragment]:
-    """Fuse the validated receive branch of :meth:`EthStage._receive`:
-    per-stage charge, stamp consumption, header strip.  Anything else —
-    send side, an interposed function, a chain ending at ETH — declines.
+    """Fuse :meth:`EthStage._receive` for a flow-validated frame: the
+    per-stage charge and the header strip (the cache key proved the
+    runt check).  Anything else — send side, an interposed function, a
+    chain ending at ETH — declines.
     """
     if direction != BWD or terminal:
         return None
     if not stage.has_pristine_deliver(BWD, EthStage._receive):
         return None
-    router = stage.router
 
     def cost_expr(ctx):
         return "%s.ETH_PROC_US" % ctx.bind(params, "params")
 
-    def epilogue(ctx):
-        return ["%s.rx_validated += _live" % ctx.bind(router, "eth_router")]
-
-    return StageFragment(stamps=("eth_validated",), pop=EthHeader.SIZE,
-                         cost_expr=cost_expr, epilogue=epilogue)
+    return StageFragment(pop=EthHeader.SIZE, cost_expr=cost_expr)
 
 
 register_specializer(EthStage, _specialize_eth)
@@ -123,8 +112,6 @@ class EthRouter(Router):
         self.tx_frames = 0
         #: Frames refused at transmit because they exceed the link MTU.
         self.tx_oversize = 0
-        #: Frames that took the flow-validated fast receive (DESIGN.md §13).
-        self.rx_validated = 0
 
     # -- wiring -----------------------------------------------------------------
 

@@ -201,25 +201,6 @@ class IpStage(Stage):
     def _receive(self, iface, msg: Msg, direction: int, **kwargs):
         router: IpRouter = self.router  # type: ignore[assignment]
         charge(msg, params.IP_PROC_US)
-        if msg.meta.pop("ip_validated", False):
-            # Flow-cache hit: the key already re-validated IHL, protocol,
-            # non-fragment flags and both addresses (the original chain
-            # walk checked dst == ours when the entry was inserted); only
-            # the per-packet total length still matters, for trimming
-            # link-layer padding.
-            payload_len = int.from_bytes(msg.peek(2, at=2), "big") \
-                - IpHeader.SIZE
-            if payload_len < 0:
-                # A negative length would trim from the *end* below.
-                self.note_drop(msg, "IP total length below header length",
-                               "malformed")
-                router.rx_dropped += 1
-                return None
-            router.rx_validated += 1
-            msg.pop(IpHeader.SIZE)
-            if len(msg) > payload_len:
-                msg = Msg(msg.to_bytes()[:payload_len], meta=msg.meta)
-            return forward_or_deposit(iface, msg, direction, **kwargs)
         if len(msg) < IpHeader.SIZE:
             self.note_drop(msg, "short IP packet", "malformed")
             router.rx_dropped += 1
@@ -334,14 +315,16 @@ class IpStage(Stage):
             self._free_buffer(key)
 
 
-#: One prebound struct for the only per-packet IP field the validated
-#: branch still reads: the big-endian total length at header offset 2.
+#: One prebound struct for the only per-packet IP field the fused body
+#: still reads: the big-endian total length at header offset 2.
 _IP_TOTAL_LENGTH = struct.Struct("!H")
 
 
 def _specialize_ip(stage: "IpStage", iface, direction: int,
                    terminal: bool) -> Optional[StageFragment]:
-    """Fuse the validated receive branch of :meth:`IpStage._receive`.
+    """Fuse :meth:`IpStage._receive` for a flow-validated frame: the
+    cache key proved IHL, protocol, non-fragment flags and both
+    addresses, so only the per-packet total length still matters.
 
     The padding-trim case (link-layer padding beyond the IP total length)
     rebinds the message to a freshly copied ``Msg`` with a *copied* meta
@@ -353,7 +336,6 @@ def _specialize_ip(stage: "IpStage", iface, direction: int,
         return None
     if not stage.has_pristine_deliver(BWD, IpStage._receive):
         return None
-    router = stage.router
 
     def cost_expr(ctx):
         return "%s.IP_PROC_US" % ctx.bind(params, "params")
@@ -367,11 +349,7 @@ def _specialize_ip(stage: "IpStage", iface, direction: int,
         lines += ["    " + line for line in ctx.bail_action()]
         return lines
 
-    def epilogue(ctx):
-        return ["%s.rx_validated += _live" % ctx.bind(router, "ip_router")]
-
-    return StageFragment(stamps=("ip_validated",), pop=IpHeader.SIZE,
-                         cost_expr=cost_expr, bail=bail, epilogue=epilogue)
+    return StageFragment(pop=IpHeader.SIZE, cost_expr=cost_expr, bail=bail)
 
 
 register_specializer(IpStage, _specialize_ip)
@@ -409,8 +387,6 @@ class IpRouter(Router):
         self.pmtud_enabled = False
         # statistics
         self.rx_dropped = 0
-        #: Datagrams that took the flow-validated fast receive (DESIGN.md §13).
-        self.rx_validated = 0
         self.reassembly_evictions = 0
         self.reassembly_timeouts = 0
         self.pmtu_updates = 0

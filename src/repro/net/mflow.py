@@ -141,12 +141,12 @@ def _specialize_mflow(stage: MflowStage, iface, direction: int,
     """Fuse :meth:`MflowStage._receive` — including every sequencing
     branch, inline.
 
-    MFLOW has no validation stamp: nothing upstream proves anything about
-    its header, so the fused body keeps the scalar length check, drop
-    reasons, gap/stale accounting, the ``batch_followup`` advertisement
-    coalescing, and the call back into :meth:`_advertise_window` for the
-    non-coalesced case (which charges the advertisement's traversal onto
-    the data message's account — hence the cost flush/reload around it).
+    The flow-cache key does not cover MFLOW's header, so the fused body
+    keeps the scalar length check, drop reasons, gap/stale accounting,
+    the ``batch_followup`` advertisement coalescing, and the call back
+    into :meth:`_advertise_window` for the non-coalesced case (which
+    charges the advertisement's traversal onto the data message's
+    account — hence the cost flush/reload around it).
     """
     if direction != BWD or terminal:
         return None

@@ -41,7 +41,6 @@ class UdpStage(Stage):
         self.remote_port = remote_port
         self.use_checksum = use_checksum
         self.checksum_failures = 0
-        self.rx_validated = 0
         self.set_deliver(FWD, self._send)
         self.set_deliver(BWD, self._receive)
 
@@ -85,38 +84,19 @@ class UdpStage(Stage):
     def _receive(self, iface, msg: Msg, direction: int, **kwargs):
         router: UdpRouter = self.router  # type: ignore[assignment]
         charge(msg, params.UDP_PROC_US)
-        validated = msg.meta.pop("udp_validated", False)
         if len(msg) < UdpHeader.SIZE:
-            # Checked on both branches: the flow key leaves out the IP
-            # total length, so a cache hit cannot prove that what IP's
-            # trim left still holds a UDP header.
             self.note_drop(msg, "short UDP packet", "malformed")
             router.rx_dropped += 1
             return None
-        if validated:
-            # Validated-run fast receive (DESIGN.md §13): a flow-cache hit
-            # already matched the exact header bytes — well-formed
-            # non-fragmented IPv4/UDP framing, this path's port pair — so
-            # re-checking dport here would re-derive what the 42-byte key
-            # proved.  Strip the header and go; the header object itself
-            # is only materialised when a checksum pass still needs its
-            # stored sum.
-            self.rx_validated += 1
-            if not self.use_checksum or msg.meta.get("checksum_fused"):
-                msg.pop(UdpHeader.SIZE)
-                return forward_or_deposit(iface, msg, direction, **kwargs)
-            header = UdpHeader.unpack(msg.peek(UdpHeader.SIZE))
-            msg.pop(UdpHeader.SIZE)
-        else:
-            header = UdpHeader.unpack(msg.peek(UdpHeader.SIZE))
-            if header.dport != self.local_port:
-                self.note_drop(
-                    msg,
-                    f"UDP port {header.dport} does not match path port "
-                    f"{self.local_port}", "misaddressed")
-                router.rx_dropped += 1
-                return None
-            msg.pop(UdpHeader.SIZE)
+        header = UdpHeader.unpack(msg.peek(UdpHeader.SIZE))
+        if header.dport != self.local_port:
+            self.note_drop(
+                msg,
+                f"UDP port {header.dport} does not match path port "
+                f"{self.local_port}", "misaddressed")
+            router.rx_dropped += 1
+            return None
+        msg.pop(UdpHeader.SIZE)
         # Separate-pass checksum verification, unless a path transformation
         # fused it into the consumer's data read (Section 4.1's ILP case).
         if self.use_checksum and not msg.meta.get("checksum_fused"):
@@ -132,11 +112,11 @@ class UdpStage(Stage):
 
 def _specialize_udp(stage: UdpStage, iface, direction: int,
                     terminal: bool) -> Optional[StageFragment]:
-    """Fuse the validated no-checksum receive branch of
-    :meth:`UdpStage._receive`: charge, stamp consumption, header strip.
-    Checksummed paths verify per message (and materialize the header),
-    so they decline — as does a UDP-terminated chain, whose deposit
-    semantics belong to the scalar branch.
+    """Fuse :meth:`UdpStage._receive` for a flow-validated frame on a
+    path without checksum: charge and header strip (the cache key proved
+    the port pair).  Checksummed paths verify per message (and
+    materialize the header), so they decline — as does a UDP-terminated
+    chain, whose deposit semantics belong to the scalar code.
     """
     if direction != BWD or terminal or stage.use_checksum:
         return None
@@ -146,13 +126,7 @@ def _specialize_udp(stage: UdpStage, iface, direction: int,
     def cost_expr(ctx):
         return "%s.UDP_PROC_US" % ctx.bind(params, "params")
 
-    def epilogue(ctx):
-        # rx_validated lives on the stage for UDP (per-path, not per
-        # router) — mirror the scalar branch exactly.
-        return ["%s.rx_validated += _live" % ctx.bind(stage, "udp_stage")]
-
-    return StageFragment(stamps=("udp_validated",), pop=UdpHeader.SIZE,
-                         cost_expr=cost_expr, epilogue=epilogue)
+    return StageFragment(pop=UdpHeader.SIZE, cost_expr=cost_expr)
 
 
 register_specializer(UdpStage, _specialize_udp)

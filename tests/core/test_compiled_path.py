@@ -19,12 +19,15 @@ tail, so the seam between generated code and the walk is exercised too.
 import pytest
 
 from repro.core import Attrs, BWD, FWD, Msg, PA_NET_PARTICIPANTS, path_create
-from repro.core.flowcache import VALIDATED_STAMPS
+from repro.core.specialize import FLOW_VALIDATED
 from repro.core.stage import forward, turn_around
-from repro.experiments.micro import Fig7Stack, REMOTE_IP
+from repro.experiments.micro import (Fig7Stack, LOCAL_IP, LOCAL_MAC,
+                                     REMOTE_IP, REMOTE_MAC)
+from repro.net.addresses import EthAddr, IpAddr
 from repro.net.common import PA_LOCAL_PORT
+from repro.net.packets import build_udp_frame
 
-from ..helpers import make_chain
+from ..helpers import make_chain, tier_meta
 
 TIERS = ("reference", "specialized")
 PORT = 6100
@@ -68,8 +71,7 @@ class UdpSink:
         msg = Msg(self.stack.udp_frame(PORT, payload=payload)
                   + b"\xa5" * padding)
         if stamped:  # what a flow-cache hit annotates
-            for stamp in VALIDATED_STAMPS:
-                msg.meta[stamp] = True
+            msg.meta[FLOW_VALIDATED] = True
         return msg
 
     def replace_sink(self, fn):
@@ -77,10 +79,6 @@ class UdpSink:
 
     def received(self):
         return [m.to_bytes() for m in self.stack.test.received]
-
-    def rx_validated(self):
-        return (self.stack.eth.rx_validated, self.stack.ip.rx_validated,
-                self.path.stage_of("UDP").rx_validated)
 
 
 class TestCompilation:
@@ -96,8 +94,8 @@ class TestCompilation:
             assert results == [None] * 4
             assert sink.received() == payloads
             assert sink.path.specialized_msgs == sink.fuses(6)
-            seen[tier] = ([dict(m.meta) for m in sink.stack.test.received],
-                          sink.rx_validated(), sink.path.stats.messages_bwd,
+            seen[tier] = ([tier_meta(m) for m in sink.stack.test.received],
+                          sink.path.stats.messages_bwd,
                           len(sink.path.output_queue(BWD)))
         assert seen["specialized"] == seen["reference"]
 
@@ -111,21 +109,19 @@ class TestCompilation:
 
     @each_tier
     def test_mixed_run_takes_the_walk_in_order(self, tier):
-        """One cold frame declines the whole run; validated frames still
-        take their scalar fast receive, and order holds."""
+        """One cold frame declines the whole run: every frame takes the
+        walk, and order holds."""
         sink = UdpSink(tier)
         sink.path.deliver_batch([sink.frame(b"aaaa"),
                                  sink.frame(b"bbbb", stamped=False),
                                  sink.frame(b"cccc")], BWD)
         assert sink.received() == [b"aaaa", b"bbbb", b"cccc"]
-        assert sink.rx_validated() == (2, 2, 2)
         assert sink.path.specialized_msgs == 0
 
     @each_tier
     def test_padded_frames_bail_and_are_not_counted_as_fused(self, tier):
         """Link padding beyond the IP total length bails that message to
-        the walk; ``specialized_msgs`` counts only the fused ones and
-        agrees with what the fused epilogue added to ``rx_validated``."""
+        the walk; ``specialized_msgs`` counts only the fused ones."""
         sink = UdpSink(tier)
         padding = [0, 7, 0, 0, 3, 0]
         sink.path.deliver_batch(
@@ -134,9 +130,22 @@ class TestCompilation:
         assert sink.received() == [b"pay%d" % i for i in range(6)]
         padded = sum(1 for pad in padding if pad)
         assert sink.path.specialized_msgs == sink.fuses(6 - padded)
-        # Bailed frames keep their stamps, so the scalar branch counts
-        # them: every layer saw all six exactly once.
-        assert sink.rx_validated() == (6, 6, 6)
+
+    @pytest.mark.parametrize("dst_ip, dport", [(REMOTE_IP, PORT),
+                                               (LOCAL_IP, PORT + 1)],
+                             ids=["wrong_ip_dst", "wrong_udp_port"])
+    def test_reference_walk_trusts_no_stamp(self, dst_ip, dport):
+        """The flow-cache stamp is the fused tier's proof alone: on the
+        reference walk a stamped frame addressed elsewhere is checked
+        like any other, ledgered ``misaddressed`` and not received."""
+        sink = UdpSink("reference")
+        msg = Msg(build_udp_frame(EthAddr(REMOTE_MAC), EthAddr(LOCAL_MAC),
+                                  IpAddr(REMOTE_IP), IpAddr(dst_ip),
+                                  7000, dport, b"stray"))
+        msg.meta[FLOW_VALIDATED] = True
+        sink.path.deliver(msg, BWD)
+        assert sink.received() == []
+        assert sink.path.stats.drop_reasons == {"misaddressed": 1}
 
 
 class TestGeneralizedProcessing:

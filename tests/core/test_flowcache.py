@@ -13,7 +13,7 @@ from repro.core import (
     classify,
     flow_key,
 )
-from repro.core.flowcache import VALIDATED_STAMPS
+from repro.core.specialize import FLOW_VALIDATED
 from repro.experiments.micro import Fig7Stack
 from repro.kernel import ScoutKernel
 from repro.net import EthAddr, IpAddr, build_udp_frame
@@ -218,7 +218,7 @@ class TestAnnotate:
             runs.append(key)
             msg.meta["flow"] = key
             msg.meta["generation"] = len(runs)
-            msg.meta["eth_validated"] = True
+            msg.meta[FLOW_VALIDATED] = True
 
         return FlowCache(capacity=capacity, key_of=msg_key,
                          annotate=annotate), runs
@@ -238,7 +238,7 @@ class TestAnnotate:
         assert all(cache.lookup(m) is path for m in hits)
         assert runs == [b"a"]
         assert all(m.meta == {"rx_time": 2.0, "flow": b"a", "generation": 1,
-                              "eth_validated": True} for m in hits)
+                              FLOW_VALIDATED: True} for m in hits)
 
     def test_popping_a_stamp_leaves_the_next_hit_intact(self):
         cache, runs = self.annotated_cache()
@@ -246,10 +246,10 @@ class TestAnnotate:
         cache.insert(Msg(b"a0"), path)
         first, second = Msg(b"a1"), Msg(b"a2")
         cache.lookup(first)
-        assert first.meta.pop("eth_validated") is True
+        assert first.meta.pop(FLOW_VALIDATED) is True
         cache.lookup(second)
-        assert second.meta["eth_validated"] is True
-        assert "eth_validated" not in first.meta
+        assert second.meta[FLOW_VALIDATED] is True
+        assert FLOW_VALIDATED not in first.meta
         assert len(runs) == 1
 
     @pytest.mark.parametrize("drop", ["evict", "invalidate"])
@@ -306,7 +306,7 @@ class TestKernelAnnotations:
         for msg in queued[1:]:
             assert msg.meta["ip_src"] == IpAddr("10.0.0.2")
             assert msg.meta["udp_ports"] == (7000, 6000)
-            assert all(msg.meta[stamp] for stamp in VALIDATED_STAMPS)
+            assert msg.meta[FLOW_VALIDATED] is True
 
 
 class TestFlowKey:

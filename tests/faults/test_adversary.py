@@ -323,6 +323,30 @@ class TestHarness:
         assert result.verdict.ledger[ADVERSARY_OVERFLOW] == result.overflowed
         assert result.verdict.ledger_ok
 
+    def test_a_doctored_book_fails_the_reconciliation(self, monkeypatch):
+        """The outcome series read the ledger, so they are reconciled
+        against books kept elsewhere: a shedder that refuses without
+        counting leaves the ledger's sheds unmatched."""
+        from repro.experiments import adversary_exp
+
+        class Uncounted(BackpressureShedder):
+            def admit(self):
+                admitted = super().admit()
+                if not admitted:
+                    self.shed_count -= 1
+                return admitted
+
+        kwargs = dict(strategy="cache_thrash", scheduler="edf", seed=2,
+                      members=1, duration_us=40_000.0)
+        honest = adversary_exp.run_adversary(**kwargs)
+        assert honest.shed > 0 and honest.metrics_reconciled
+        monkeypatch.setattr(adversary_exp, "BackpressureShedder", Uncounted)
+        doctored = adversary_exp.run_adversary(**kwargs)
+        assert doctored.shed == honest.shed
+        assert doctored.verdict.ok
+        assert not doctored.metrics_reconciled
+        assert not doctored.ok
+
     def test_watchdog_never_provoked_into_rebuilds(self):
         from repro.experiments.adversary_exp import run_adversary
         result = run_adversary(strategy="deadline_cliff", scheduler="edf",

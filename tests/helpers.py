@@ -20,7 +20,21 @@ from repro.core import (
     forward,
     turn_around,
 )
+from repro.core.specialize import FLOW_VALIDATED
 from repro.sim import SimWorld
+
+#: ``msg.meta`` keys only the reference walk leaves on a delivered frame:
+#: the header objects its full validation parses and the flow-cache stamp
+#: that only the fused tier consumes.  The fused tier never materializes
+#: headers, so cross-tier comparisons leave exactly these out.
+WALK_ONLY_META = frozenset((FLOW_VALIDATED, "eth_header", "ip_header",
+                            "udp_header"))
+
+
+def tier_meta(msg) -> dict:
+    """*msg*'s ``meta`` as both execution tiers must agree on it."""
+    return {key: value for key, value in msg.meta.items()
+            if key not in WALK_ONLY_META}
 
 
 class TraceStage(Stage):

@@ -52,6 +52,8 @@ def test_spans_cover_every_stage_traversal(dual_session_world):
     assert recorder.evicted == 0
     messages = traced.path.stats.messages_bwd
     assert messages > 0
+    # Observing wraps every stage, so no fused function bypasses a span.
+    assert traced.path.specialized_msgs == 0
     stage_spans = {}
     for span in recorder.spans:
         if span.kind == "stage" and span.path == alias:

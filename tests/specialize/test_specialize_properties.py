@@ -20,9 +20,11 @@ Two properties, both adversarial:
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Attrs, BWD, Msg, PA_NET_PARTICIPANTS, path_create
-from repro.core.flowcache import VALIDATED_STAMPS
+from repro.core.specialize import FLOW_VALIDATED
 from repro.experiments.micro import Fig7Stack, REMOTE_IP
 from repro.net.common import PA_LOCAL_PORT
+
+from ..helpers import tier_meta
 
 PORT = 6100
 
@@ -96,8 +98,7 @@ class Twin:
         frames = []
         for i, payload in enumerate(payloads):
             msg = Msg(self.stack.udp_frame(PORT, payload=payload))
-            for stamp in VALIDATED_STAMPS:
-                msg.meta[stamp] = True
+            msg.meta[FLOW_VALIDATED] = True
             frames.append(msg)
         if chunk == 1:
             for msg in frames:
@@ -112,15 +113,12 @@ class Twin:
         stats = self.path.stats
         return {
             "delivered": [m.to_bytes() for m in self.stack.test.received],
-            "metas": [dict(m.meta) for m in self.stack.test.received],
+            "metas": [tier_meta(m) for m in self.stack.test.received],
             "drops": stats.drops,
             "drop_reasons": dict(stats.drop_reasons),
             "messages": (stats.messages_fwd, stats.messages_bwd),
             "cycles": stats.cycles,
             "wrappers": list(self.wrapper_log),
-            "rx_validated": (self.stack.eth.rx_validated,
-                             self.stack.ip.rx_validated,
-                             self.path.stage_of("UDP").rx_validated),
         }
 
 
@@ -158,9 +156,9 @@ def test_recompile_exactness_under_interleaved_mutation(ops):
 
 
 def _fuzz_frame(stack, payload, padding, total_length_delta, truncate):
-    """A stamped-validated frame with adversarial framing.
+    """A flow-validated frame with adversarial framing.
 
-    The validated stamps assert what a flow-cache exact-match key proved
+    The stamp asserts what a flow-cache exact-match key proved
     — a well-formed 42-byte ETH/IP/UDP header prefix — so the fuzz keeps
     that invariant (delta may not starve UDP of its own header,
     truncation only eats link padding) while freely skewing the IP total
@@ -197,8 +195,7 @@ def test_header_fuzz_parity_bulk_vs_scalar_parsers(params, chunk):
         for payload, padding, delta, truncate in params:
             msg = Msg(_fuzz_frame(twin.stack, payload, padding, delta,
                                   truncate))
-            for stamp in VALIDATED_STAMPS:
-                msg.meta[stamp] = True
+            msg.meta[FLOW_VALIDATED] = True
             frames.append(msg)
         for start in range(0, len(frames), chunk):
             twin.path.deliver_batch(frames[start:start + chunk], BWD)
