@@ -208,7 +208,7 @@ class Msg:
         chunks its messages keep alive, including bytes already consumed
         from a partially popped chunk.
         """
-        return sum(len(chunk) for chunk in self._chunks)
+        return sum(map(len, self._chunks))
 
     def __repr__(self) -> str:
         preview = self.to_bytes()[:16]

@@ -115,6 +115,9 @@ class Path:
         #: request that a specific function gets executed when a thread t
         #: is awakened to execute in a path p" (Section 3.2).
         self.wakeup: Optional[Callable[["Path", Any], None]] = None
+        #: Inter-arrival EWMA for the input-queue deadline (Section 4.3).
+        self.last_arrival_us: Optional[float] = None
+        self.interarrival_us: Optional[float] = None
         #: Execution tiers (DESIGN.md §11).  A path has two routes: the
         #: recursive ``forward()`` walk over the interface chain — the
         #: reference — and, when ``specialize`` is set (path_create's

@@ -101,7 +101,8 @@ class PathQueue:
 
     def try_enqueue(self, item: Any) -> bool:
         """Enqueue *item*; return False (counting a drop) when full."""
-        if self.is_full():
+        depth = len(self._items) + 1
+        if self.maxlen is not None and depth > self.maxlen:
             self.dropped += 1
             for listener in self._drop_listeners:
                 listener(self, item, self.overflow_reason)
@@ -109,8 +110,8 @@ class PathQueue:
         self._insert(item)
         self.enqueued += 1
         self.last_enqueued = item
-        if len(self._items) > self.high_watermark:
-            self.high_watermark = len(self._items)
+        if depth > self.high_watermark:
+            self.high_watermark = depth
         for listener in self._enqueue_listeners:
             listener(self)
         return True
@@ -152,12 +153,9 @@ class PathQueue:
         from *limit* individual dequeues; the caller's scheduler interaction
         is what collapses to one operation per batch.
         """
-        if limit is None:
-            limit = len(self._items)
-        out: List[Any] = []
-        while len(out) < limit and self._items:
-            out.append(self.dequeue())
-        return out
+        run = len(self._items)
+        return [self.dequeue()
+                for _ in range(run if limit is None else min(limit, run))]
 
     def drain(self, reason: str = "cleared") -> List[Any]:
         """Discard everything queued and return the discarded items.

@@ -83,7 +83,7 @@ class DisplayStage(Stage):
             length of the queue and the average packet arrival rate.'"""
             inq = path.input_queue(BWD)
             free = inq.free_slots
-            interval = path.attrs.get("_pkt_interarrival_us")
+            interval = path.interarrival_us
             if free is None or interval is None or interval <= 0:
                 return float("inf")
             slack = free - _INPUT_PIPE_TARGET

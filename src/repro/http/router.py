@@ -58,13 +58,13 @@ class HttpStage(Stage):
         # carry requests from clients other than its creation-time
         # participant.  The classifiers stash ``ip_src``/``eth_src`` on
         # the way up; a message injected straight into the path carries
-        # the parsed headers the receive stages stashed instead.
+        # the IP header the receive stage stashed instead, and the
+        # source MAC ETH's stage recorded.
         ip_hdr = msg.meta.get("ip_header")
         ip_src = msg.meta.get("ip_src") or (ip_hdr.src if ip_hdr else None)
         if "ip_dst_override" not in reply.meta and ip_src is not None:
             reply.meta["ip_dst_override"] = ip_src
-        eth_hdr = msg.meta.get("eth_header")
-        eth_src = msg.meta.get("eth_src") or (eth_hdr.src if eth_hdr else None)
+        eth_src = msg.meta.get("eth_src")
         if "eth_dst_override" not in reply.meta and eth_src is not None:
             reply.meta["eth_dst_override"] = eth_src
         turn_around(iface, reply, direction)

@@ -27,6 +27,7 @@ from ..core.classify import ClassifierStats, classify, classify_ex
 from ..core.flowcache import FlowCache
 from ..core.message import Msg
 from ..core.path import DELETED, Path
+from ..core.queues import BWD_IN
 from ..core.specialize import FLOW_VALIDATED
 from ..core.stage import BWD
 from ..net.addresses import EthAddr, IpAddr
@@ -73,6 +74,9 @@ class PathRuntime:
         self.unclassified_drops = 0
         self.inq_overflow_drops = 0
         self._paths: List[Path] = []
+        #: The source MAC bytes :meth:`_admit` last read, as ``EthAddr``.
+        self._src_bytes: Optional[bytes] = None
+        self._src_mac: Optional[EthAddr] = None
 
     # ------------------------------------------------------------------
     # Interrupt-time receive: classify early, segregate early.
@@ -132,9 +136,12 @@ class PathRuntime:
             return False
         if "eth_src" not in msg.meta:
             # A flow-cache hit skipped ETH's demux, which records the
-            # source MAC, and the flow key does not fix it.
-            msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
-        if not path.input_queue(BWD).try_enqueue(msg):
+            # source MAC (not in the flow key); reuse it while it repeats.
+            src = msg.peek(6, at=6)
+            if src != self._src_bytes:
+                self._src_bytes, self._src_mac = src, EthAddr(src)
+            msg.meta["eth_src"] = self._src_mac
+        if not path.q[BWD_IN].try_enqueue(msg):
             self.inq_overflow_drops += 1
             path.note_drop(msg, "path input queue full", "inq_overflow")
             self._shed()
@@ -240,8 +247,9 @@ class PathRuntime:
                 cost += take_cost(msg)
             if cost > 0:
                 yield Compute(cost)
+            release = path.stats.release_memory
             for msg in msgs:
-                path.stats.release_memory(msg.footprint())
+                release(msg.footprint())
             yield YIELD
 
     @staticmethod

@@ -261,13 +261,21 @@ class ScoutKernel(PathRuntime):
         """The end host's steps around the shared admission: early
         discard, the arrival EWMA, and the ``inline_icmp`` ablation."""
         if path is not None:
-            if self._should_early_drop(path, msg):
+            if self._skip_filters and self._should_early_drop(path, msg):
                 self.early_drops += 1
                 path.note_drop(msg, "early discard of skipped frame",
                                "early_discard")
                 self._shed()
                 return False
-            self._note_arrival(path)
+            # Inter-arrival EWMA for the input-queue deadline (Section 4.3).
+            now = self.world.engine.now
+            last = path.last_arrival_us
+            if last is not None:
+                sample = now - last
+                previous = path.interarrival_us
+                path.interarrival_us = sample if previous is None \
+                    else previous + 0.125 * (sample - previous)
+            path.last_arrival_us = now
             if self.inline_icmp and path is self.icmp_path:
                 # Ablation: no early segregation for ICMP — serve the
                 # request at interrupt level, like a conventional kernel.
@@ -276,18 +284,6 @@ class ScoutKernel(PathRuntime):
                 self.icmp_inline_served += 1
                 return False
         return super()._admit(path, msg)
-
-    def _note_arrival(self, path: Path) -> None:
-        """Maintain the path's average packet inter-arrival time, which
-        the input-queue EDF deadline estimate consumes (Section 4.3)."""
-        now = self.world.now
-        last = path.attrs.get("_last_pkt_arrival_us")
-        if last is not None:
-            sample = now - last
-            previous = path.attrs.get("_pkt_interarrival_us")
-            path.attrs["_pkt_interarrival_us"] = sample if previous is None \
-                else previous + 0.125 * (sample - previous)
-        path.attrs["_last_pkt_arrival_us"] = now
 
     def _should_early_drop(self, path: Path, msg: Msg) -> bool:
         """Reduced-quality early discard (Section 4.4): packets belonging
@@ -434,8 +430,8 @@ class ScoutKernel(PathRuntime):
         sessions: List[VideoSession] = []
         for _ in range(members):
             # Fresh attrs per member: path machinery stamps bookkeeping
-            # (applied transforms, deadline probes, arrival EWMAs) onto
-            # the path's own attribute set.
+            # (applied transforms, deadline probes) onto the path's own
+            # attribute set.
             attrs = self.build_video_attrs(profile, remote,
                                            local_port=port, **attr_kwargs)
             path = path_create(self.display, attrs,

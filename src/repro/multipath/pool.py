@@ -119,8 +119,8 @@ class PathPool:
     def _create(self, attrs: Attrs, sig: Signature) -> Path:
         # Every path gets its own copy of the invariants: creation and
         # the runtime stamp per-path bookkeeping (resolved addresses,
-        # deadline probes, arrival EWMAs) onto the attribute set, which
-        # must not be shared between siblings or leak back to the caller.
+        # deadline probes) onto the attribute set, which must not be
+        # shared between siblings or leak back to the caller.
         path = path_create(self.router, Attrs(attrs.snapshot()),
                            transforms=self.transforms,
                            admission=self.admission)

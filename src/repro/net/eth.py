@@ -68,8 +68,9 @@ class EthStage(Stage):
         if len(msg) < EthHeader.SIZE:
             self.note_drop(msg, "runt frame", "malformed")
             return None
-        msg.meta["eth_header"] = EthHeader.unpack(msg.peek(EthHeader.SIZE))
-        msg.pop(EthHeader.SIZE)
+        if "eth_src" not in msg.meta:  # injected past the classifier
+            msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
+        msg.strip(EthHeader.SIZE)
         return forward(iface, msg, direction, **kwargs)
 
 

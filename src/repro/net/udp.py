@@ -96,7 +96,7 @@ class UdpStage(Stage):
                 f"{self.local_port}", "misaddressed")
             router.rx_dropped += 1
             return None
-        msg.pop(UdpHeader.SIZE)
+        msg.strip(UdpHeader.SIZE)
         # Separate-pass checksum verification, unless a path transformation
         # fused it into the consumer's data read (Section 4.1's ILP case).
         if self.use_checksum and not msg.meta.get("checksum_fused"):
@@ -106,7 +106,6 @@ class UdpStage(Stage):
                 self.checksum_failures += 1
                 self.note_drop(msg, "UDP checksum mismatch", "corrupt")
                 return None
-        msg.meta["udp_header"] = header
         return forward_or_deposit(iface, msg, direction, **kwargs)
 
 

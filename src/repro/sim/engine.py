@@ -3,7 +3,8 @@
 All macro experiments (frame rates, interference, missed deadlines) run in
 virtual time so results are deterministic and machine-independent.  Time is
 measured in **microseconds** as a float; ties are broken by insertion
-order, which keeps every run reproducible.
+order (the heap holds ``(time, seq, event)``), which keeps every run
+reproducible.
 """
 
 from __future__ import annotations
@@ -16,21 +17,17 @@ from typing import Any, Callable, List, Optional, Tuple
 class Event:
     """A scheduled callback.  ``cancel()`` prevents it from firing."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ("time", "fn", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int,
-                 fn: Callable[..., Any], args: Tuple[Any, ...]):
+    def __init__(self, time: float, fn: Callable[..., Any],
+                 args: Tuple[Any, ...]):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -42,7 +39,7 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.events_processed = 0
 
@@ -61,25 +58,25 @@ class Engine:
         if time_us < self.now:
             raise ValueError(
                 f"cannot schedule at {time_us} before now ({self.now})")
-        event = Event(time_us, next(self._seq), fn, args)
-        heapq.heappush(self._heap, event)
+        event = Event(time_us, fn, args)
+        heapq.heappush(self._heap, (time_us, next(self._seq), event))
         return event
 
     # -- running ------------------------------------------------------------------
 
     def peek_next_time(self) -> Optional[float]:
         """Virtual time of the next pending event, or None when drained."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Process exactly one event; returns False when none are pending."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _seq, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self.now = event.time
+            self.now = time
             self.events_processed += 1
             event.fn(*event.args)
             return True
@@ -110,7 +107,7 @@ class Engine:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(not event.cancelled for _t, _s, event in self._heap)
 
     def __repr__(self) -> str:
         return f"<Engine now={self.now:.1f}us pending={self.pending()}>"

@@ -336,7 +336,9 @@ class Scheduler:
         queue.on_dequeue(self._queue_drained)
 
     def _queue_filled(self, queue: PathQueue) -> None:
-        self._wake_one(self._deq_waiters.get(id(queue)))
+        waiters = self._deq_waiters.get(id(queue))
+        if waiters:
+            self.make_runnable(waiters.popleft())
 
     def _queue_drained(self, queue: PathQueue) -> None:
         waiters = self._enq_waiters.get(id(queue))
@@ -363,10 +365,6 @@ class Scheduler:
                 budget -= 1
             self.make_runnable(thread)
         waiters.extend(kept)
-
-    def _wake_one(self, waiters: Optional[Deque[SimThread]]) -> None:
-        if waiters:
-            self.make_runnable(waiters.popleft())
 
     # -- introspection ---------------------------------------------------------------------
 

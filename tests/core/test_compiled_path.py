@@ -27,7 +27,7 @@ from repro.net.addresses import EthAddr, IpAddr
 from repro.net.common import PA_LOCAL_PORT
 from repro.net.packets import build_udp_frame
 
-from ..helpers import make_chain, tier_meta
+from ..helpers import admitted_hit, make_chain, tier_meta
 
 TIERS = ("reference", "specialized")
 PORT = 6100
@@ -70,9 +70,7 @@ class UdpSink:
     def frame(self, payload, stamped=True, padding=0):
         msg = Msg(self.stack.udp_frame(PORT, payload=payload)
                   + b"\xa5" * padding)
-        if stamped:  # what a flow-cache hit annotates
-            msg.meta[FLOW_VALIDATED] = True
-        return msg
+        return admitted_hit(msg) if stamped else msg
 
     def replace_sink(self, fn):
         self.path.stage_of("TEST").set_deliver(BWD, fn)

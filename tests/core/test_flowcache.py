@@ -308,6 +308,33 @@ class TestKernelAnnotations:
             assert msg.meta["udp_ports"] == (7000, 6000)
             assert msg.meta[FLOW_VALIDATED] is True
 
+    def test_alternating_source_macs_on_a_warm_key_keep_their_own(self):
+        """Admission reuses the last source ``EthAddr`` only while the
+        bytes repeat: two MACs alternating on one warm flow key must
+        each reach the sink on their own frames."""
+        world = SimWorld(seed=1)
+        kernel = ScoutKernel(world, world.new_segment(), udp_sink=True,
+                             display=False)
+        kernel.arp.add_entry("10.0.0.2", "02:00:00:00:00:02")
+        kernel.start_udp_sink(6000, remote=("10.0.0.2", 7000), batch=4,
+                              specialize=True)
+        macs = [EthAddr("02:00:00:00:00:02"), EthAddr("02:00:00:00:00:03")]
+        frames = [build_udp_frame(macs[i % 2], kernel.device.mac,
+                                  IpAddr("10.0.0.2"), IpAddr("10.0.0.1"),
+                                  7000, 6000, b"frame%02d" % i)
+                  for i in range(12)]
+        kernel.rx_burst(frames[:1])  # miss: warms the key
+        kernel.rx_burst(frames[1:7])
+        for frame in frames[7:]:
+            kernel.device.rx_handler(frame)
+        world.run_until_idle()
+        assert kernel.flow_cache.hits == 11
+        delivered = kernel.test.received
+        assert [m.to_bytes() for m in delivered] == \
+            [b"frame%02d" % i for i in range(12)]
+        assert [m.meta["eth_src"].to_bytes() for m in delivered] == \
+            [frame[6:12] for frame in frames]
+
 
 class TestFlowKey:
     def setup_method(self):

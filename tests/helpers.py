@@ -21,14 +21,23 @@ from repro.core import (
     turn_around,
 )
 from repro.core.specialize import FLOW_VALIDATED
+from repro.net.addresses import EthAddr
 from repro.sim import SimWorld
 
 #: ``msg.meta`` keys only the reference walk leaves on a delivered frame:
-#: the header objects its full validation parses and the flow-cache stamp
-#: that only the fused tier consumes.  The fused tier never materializes
-#: headers, so cross-tier comparisons leave exactly these out.
-WALK_ONLY_META = frozenset((FLOW_VALIDATED, "eth_header", "ip_header",
-                            "udp_header"))
+#: the IP header object its full validation parses and the flow-cache
+#: stamp that only the fused tier consumes.  The fused tier never
+#: materializes headers, so cross-tier comparisons leave exactly these out.
+WALK_ONLY_META = frozenset((FLOW_VALIDATED, "ip_header"))
+
+
+def admitted_hit(msg):
+    """Annotate *msg* as a warm flow-cache hit leaves admission: the
+    cache's stamp, and the source MAC admission reads off the frame
+    (the flow key does not fix it).  Returns *msg*."""
+    msg.meta[FLOW_VALIDATED] = True
+    msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
+    return msg
 
 
 def tier_meta(msg) -> dict:

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.experiments import Testbed
+from repro.kernel import ScoutKernel
 from repro.mpeg import CANYON, NEPTUNE, synthesize_clip
+from repro.net import EthAddr, IpAddr, build_udp_frame
+from repro.sim import SimWorld
 
 
 def run_mode(mode, nframes=90, seed=4):
@@ -34,8 +37,29 @@ class TestDeadlineModes:
 
     def test_interarrival_estimate_maintained(self):
         _tb, _kernel, session = run_mode("min")
-        interval = session.path.attrs.get("_pkt_interarrival_us")
+        interval = session.path.interarrival_us
         assert interval is not None and interval > 0
+
+    def test_interarrival_ewma_lives_on_the_path(self):
+        """Arrivals 10 us then 20 us apart: the first gap seeds the
+        average, the second moves it an eighth of the way (Section 4.3's
+        estimate), and the path's attribute set is left alone."""
+        world = SimWorld(seed=1)
+        kernel = ScoutKernel(world, world.new_segment(), udp_sink=True,
+                             display=False)
+        kernel.arp.add_entry("10.0.0.2", "02:00:00:00:00:02")
+        path = kernel.start_udp_sink(6000, remote=("10.0.0.2", 7000))
+        frame = build_udp_frame(EthAddr("02:00:00:00:00:02"),
+                                kernel.device.mac, IpAddr("10.0.0.2"),
+                                IpAddr("10.0.0.1"), 7000, 6000, b"x")
+        invariants = path.attrs.snapshot()
+        start, seen = world.now, []
+        for at in (0.0, 10.0, 30.0):
+            world.run_until(start + at)
+            kernel.rx_burst([frame])
+            seen.append((path.last_arrival_us - start, path.interarrival_us))
+        assert seen == [(0.0, None), (10.0, 10.0), (30.0, 11.25)]
+        assert path.attrs.snapshot() == invariants
 
     def test_min_mode_deadline_never_later_than_output_mode(self):
         """By construction min(out, in) <= out; observe it on live

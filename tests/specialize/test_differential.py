@@ -19,13 +19,12 @@ silently-declining generator cannot make these tests pass vacuously.
 import pytest
 
 from repro.core import Attrs, BWD, Msg, PA_NET_PARTICIPANTS, path_create
-from repro.core.specialize import FLOW_VALIDATED
 from repro.experiments import Testbed
 from repro.experiments.micro import Fig7Stack, REMOTE_IP
 from repro.mpeg import NEPTUNE, synthesize_clip
 from repro.net.common import PA_LOCAL_PORT
 
-from ..helpers import tier_meta
+from ..helpers import admitted_hit, tier_meta
 
 TIERS = ("reference", "specialized")
 
@@ -201,10 +200,9 @@ class TestBatchShapeDifferential:
                            Attrs({PA_NET_PARTICIPANTS: (REMOTE_IP, 7000),
                                   PA_LOCAL_PORT: 6100}),
                            specialize=tier == "specialized")
-        frames = [Msg(stack.udp_frame(6100, payload=b"payload%03d" % i))
+        frames = [admitted_hit(Msg(stack.udp_frame(6100,
+                                                   payload=b"payload%03d" % i)))
                   for i in range(64)]
-        for msg in frames:
-            msg.meta[FLOW_VALIDATED] = True  # warm flow-cache annotation
         for start in range(0, len(frames), chunk):
             path.deliver_batch(frames[start:start + chunk], BWD)
         assert path.specialized_msgs == \

@@ -20,11 +20,10 @@ Two properties, both adversarial:
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Attrs, BWD, Msg, PA_NET_PARTICIPANTS, path_create
-from repro.core.specialize import FLOW_VALIDATED
 from repro.experiments.micro import Fig7Stack, REMOTE_IP
 from repro.net.common import PA_LOCAL_PORT
 
-from ..helpers import tier_meta
+from ..helpers import admitted_hit, tier_meta
 
 PORT = 6100
 
@@ -97,9 +96,8 @@ class Twin:
     def send(self, payloads, chunk):
         frames = []
         for i, payload in enumerate(payloads):
-            msg = Msg(self.stack.udp_frame(PORT, payload=payload))
-            msg.meta[FLOW_VALIDATED] = True
-            frames.append(msg)
+            frames.append(admitted_hit(
+                Msg(self.stack.udp_frame(PORT, payload=payload))))
         if chunk == 1:
             for msg in frames:
                 self.path.deliver(msg, BWD)
@@ -193,10 +191,8 @@ def test_header_fuzz_parity_bulk_vs_scalar_parsers(params, chunk):
     for twin in (spec, plain):
         frames = []
         for payload, padding, delta, truncate in params:
-            msg = Msg(_fuzz_frame(twin.stack, payload, padding, delta,
-                                  truncate))
-            msg.meta[FLOW_VALIDATED] = True
-            frames.append(msg)
+            frames.append(admitted_hit(Msg(_fuzz_frame(
+                twin.stack, payload, padding, delta, truncate))))
         for start in range(0, len(frames), chunk):
             twin.path.deliver_batch(frames[start:start + chunk], BWD)
     assert spec.observe() == plain.observe()
