@@ -74,9 +74,6 @@ class PathRuntime:
         self.unclassified_drops = 0
         self.inq_overflow_drops = 0
         self._paths: List[Path] = []
-        #: The source MAC bytes :meth:`_admit` last read, as ``EthAddr``.
-        self._src_bytes: Optional[bytes] = None
-        self._src_mac: Optional[EthAddr] = None
 
     # ------------------------------------------------------------------
     # Interrupt-time receive: classify early, segregate early.
@@ -136,11 +133,8 @@ class PathRuntime:
             return False
         if "eth_src" not in msg.meta:
             # A flow-cache hit skipped ETH's demux, which records the
-            # source MAC (not in the flow key); reuse it while it repeats.
-            src = msg.peek(6, at=6)
-            if src != self._src_bytes:
-                self._src_bytes, self._src_mac = src, EthAddr(src)
-            msg.meta["eth_src"] = self._src_mac
+            # source MAC, and the flow key does not fix it.
+            msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
         if not path.q[BWD_IN].try_enqueue(msg):
             self.inq_overflow_drops += 1
             path.note_drop(msg, "path input queue full", "inq_overflow")

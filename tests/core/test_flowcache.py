@@ -309,9 +309,9 @@ class TestKernelAnnotations:
             assert msg.meta[FLOW_VALIDATED] is True
 
     def test_alternating_source_macs_on_a_warm_key_keep_their_own(self):
-        """Admission reuses the last source ``EthAddr`` only while the
-        bytes repeat: two MACs alternating on one warm flow key must
-        each reach the sink on their own frames."""
+        """The source MAC is not in the flow key, so admission reads it
+        from each hit's own frame: two MACs alternating on one warm flow
+        key must each reach the sink on their own frames."""
         world = SimWorld(seed=1)
         kernel = ScoutKernel(world, world.new_segment(), udp_sink=True,
                              display=False)
