@@ -90,10 +90,8 @@ def main() -> None:
                             IpAddr("10.0.0.2"), IpAddr("10.0.0.1"),
                             7000, 6100, b"welcome back")
     msg = Msg(frame)
-    result = classify(graph.router("ETH"), msg)
-    found = result.path
-    print(f"classified to path #{found.pid} via {result.source} "
-          f"(same path: {found is path})")
+    found = classify(graph.router("ETH"), msg)
+    print(f"classified to path #{found.pid} (same path: {found is path})")
     found.deliver(msg, BWD)
     received = graph.router("TEST").received[0]
     print(f"TEST sink received: {received.to_bytes()!r}")

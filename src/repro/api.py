@@ -3,22 +3,16 @@
 Everything an application, example, or experiment script needs lives in
 this module's ``__all__``: the :class:`Scout` kernel entry, the fluent
 :class:`PathBuilder` (replacing hand-built attribute dicts), the
-result-returning :func:`classify`, path creation, multipath groups and
+classifier :func:`classify`, path creation, multipath groups and
 pools, the experiment testbed, and the names the bundled examples use.
 The deep modules (``repro.core``, ``repro.net``, ...) remain importable —
 they are the implementation surface and may reorganize between releases;
 this facade is the surface that holds still.
-
-Legacy access: attribute lookups that miss ``__all__`` fall through to
-the underlying layers with a :class:`DeprecationWarning` (see
-:func:`__getattr__`), so older scripts keep running while the warning
-points them at the supported name.
 """
 
 from __future__ import annotations
 
 import asyncio
-import warnings
 from typing import Any, Mapping, Optional, Tuple
 
 from . import params
@@ -46,16 +40,11 @@ from .core import (
     PA_SCHED_PRIORITY,
     PA_SPECIALIZE,
     PA_TRACE,
-    SOURCE_CACHE,
-    SOURCE_DEMUX,
-    SOURCE_GROUP,
     AdmissionError,
     Attrs,
     ClassificationError,
     ClassifierStats,
-    ClassifyResult,
     FlowCache,
-    flow_key,
     flow_key_frame,
     Msg,
     Path,
@@ -63,8 +52,7 @@ from .core import (
     RouterGraph,
     ScoutError,
     build_graph,
-    classify_ex,
-    classify_or_raise,
+    classify,
     path_create,
     path_delete,
 )
@@ -117,16 +105,8 @@ from .topo import HostNode, Inventory, ProvisionedPath, Topology
 from .net.sockdev import SocketNetDevice
 from .observe import Observatory, StarvationDetector
 from .observe.wallclock import WallClockBridge
-from .sim import SimWorld
+from .sim import YIELD, Dequeue, SimWorld
 from .sim.world import POLICY_EDF, POLICY_RR
-
-#: Result-returning classification is the facade's canonical spelling:
-#: ``classify(...)`` here yields a :class:`ClassifyResult` whose ``path``
-#: may be ``None`` and whose ``source`` says who decided (demux chain,
-#: flow-cache probe, group re-dispatch).  The historical path-returning
-#: form survives as :func:`repro.core.classify.classify` and, raising,
-#: as :func:`classify_or_raise`.
-classify = classify_ex
 
 
 class PathBuilder:
@@ -547,20 +527,19 @@ __all__ = [
     "Attrs", "Msg", "Path", "PathQueue", "FlowCache",
     "FWD", "BWD", "FWD_IN", "FWD_OUT", "BWD_IN", "BWD_OUT",
     # classification
-    "classify", "classify_ex", "classify_or_raise",
-    "ClassifyResult", "ClassifierStats",
-    "SOURCE_DEMUX", "SOURCE_CACHE", "SOURCE_GROUP",
+    "classify", "ClassifierStats",
     # multipath
     "PathGroup", "PathPool",
     # shard fabric
-    "ShardedKernel", "FabricBooks", "flow_key",
-    "flow_key_frame",
+    "ShardedKernel", "FabricBooks", "flow_key_frame",
     # attributes
     "PA_NET_PARTICIPANTS", "PA_LOCAL_PORT", "PA_PATHNAME", "PA_FRAME_RATE",
     "PA_SCHED_POLICY", "PA_SCHED_PRIORITY", "PA_INQ_LEN", "PA_OUTQ_LEN",
     "PA_MEM_BUDGET", "PA_TRACE", "PA_BATCH", "PA_SPECIALIZE",
     # scheduling policies
     "POLICY_RR", "POLICY_EDF",
+    # path-thread operations
+    "Dequeue", "YIELD",
     # admission
     "CpuAdmission", "MemoryAdmission", "FrameCostModel",
     "BackpressureShedder",
@@ -585,28 +564,3 @@ __all__ = [
     "params",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    """Deprecation shim: resolve legacy names from the deep layers.
-
-    Anything public that the facade does not re-export — older scripts
-    reached through ``repro.api`` for names like ``MflowRouter`` during
-    the facade's introduction — still resolves, with a
-    :class:`DeprecationWarning` naming the supported import.
-    """
-    if name.startswith("_"):
-        # Never shim private/dunder probes (the import machinery asks for
-        # ``__path__``; copy/pickle ask for ``__reduce__`` and friends).
-        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-
-    from . import core, display, fs, http, kernel, mpeg, multipath, net, sim
-
-    for layer in (core, net, sim, kernel, mpeg, display, multipath, fs, http):
-        value = getattr(layer, name, None)
-        if value is not None:
-            warnings.warn(
-                f"repro.api.{name} is deprecated: import it from "
-                f"{layer.__name__} (or use a name in repro.api.__all__)",
-                DeprecationWarning, stacklevel=2)
-            return value
-    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")

@@ -25,16 +25,7 @@ from .attributes import (
     Attrs,
     as_attrs,
 )
-from .classify import (
-    SOURCE_CACHE,
-    SOURCE_DEMUX,
-    SOURCE_GROUP,
-    ClassifierStats,
-    ClassifyResult,
-    classify,
-    classify_ex,
-    classify_or_raise,
-)
+from .classify import ClassifierStats, classify
 from .errors import (
     AdmissionError,
     ClassificationError,
@@ -48,7 +39,7 @@ from .errors import (
     ServiceTypeError,
     SpecSyntaxError,
 )
-from .flowcache import FlowCache, flow_key, flow_key_frame
+from .flowcache import FlowCache, flow_key_frame
 from .graph import RouterGraph, RouterRegistry, build_graph, register_router
 from .interfaces import (
     FsIface,
@@ -103,10 +94,8 @@ __all__ = [
     "PathQueue", "LifoPathQueue", "DeadlineOrderedQueue",
     "FWD_IN", "FWD_OUT", "BWD_IN", "BWD_OUT",
     "TransformRegistry", "TransformRule", "traverses", "has_attr", "all_of",
-    "classify", "classify_ex", "classify_or_raise",
-    "ClassifierStats", "ClassifyResult",
-    "SOURCE_DEMUX", "SOURCE_CACHE", "SOURCE_GROUP",
-    "FlowCache", "flow_key", "flow_key_frame",
+    "classify", "ClassifierStats",
+    "FlowCache", "flow_key_frame",
     "ScoutError", "ConfigurationError", "CyclicDependencyError",
     "ServiceTypeError", "SpecSyntaxError", "PathCreationError",
     "RoutingError", "ClassificationError", "PathStateError",

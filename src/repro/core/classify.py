@@ -24,39 +24,16 @@ The Scout classifier's requirements (both honored here):
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import ClassificationError
+from .flowcache import FLOW_KEY_BYTES, flow_key_frame
 from .message import Msg
 from .path import DELETED, Path
 from .router import DemuxResult, Router, Service
 
 #: Refinement-hop cap: a demux cycle is a router bug, not a data property.
 MAX_REFINEMENTS = 32
-
-#: Decision sources recorded in :class:`ClassifyResult`.
-SOURCE_DEMUX = "demux"              # the refinement chain decided
-SOURCE_CACHE = "cache"              # a flow-cache probe decided (incl. sticky pins)
-SOURCE_GROUP = "group-redispatch"   # a cached group anchor was re-dispatched
-
-
-class ClassifyResult(NamedTuple):
-    """The outcome of one classification decision.
-
-    ``path`` is ``None`` for a discard (the reason is in
-    ``msg.meta["drop_reason"]``).  ``source`` says who decided:
-    :data:`SOURCE_DEMUX` (the refinement chain ran), :data:`SOURCE_CACHE`
-    (a flow-cache probe, including sticky group pins), or
-    :data:`SOURCE_GROUP` (a cached group anchor whose selection policy
-    re-dispatched the message).
-
-    Being a ``NamedTuple``, it unpacks like a plain pair:
-    ``path, source = classify_ex(...)``.
-    """
-
-    path: Optional[Path]
-    source: str = SOURCE_DEMUX
-
 
 def _group_dispatch(group, msg: Msg,
                     stats: Optional[ClassifierStats]) -> Optional[Path]:
@@ -84,25 +61,24 @@ class ClassifierStats:
         self.cache_hits = 0
 
 
-def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
-                stats: Optional[ClassifierStats] = None,
-                cache=None) -> ClassifyResult:
+def classify(router: Router, msg: Msg, service: Optional[Service] = None,
+             stats: Optional[ClassifierStats] = None,
+             cache=None) -> Optional[Path]:
     """Run the incremental demux chain starting at *router*.
 
-    This is the canonical classifier; :func:`classify` and
-    :func:`classify_or_raise` are path-only shims over it.  Returns a
-    :class:`ClassifyResult` whose ``path`` is ``None`` when no
-    appropriate path exists (the data is to be discarded; the reason is
-    recorded in ``msg.meta["drop_reason"]`` for observability).
+    Returns the path to use, or ``None`` when no appropriate path exists
+    (the data is to be discarded; the reason is recorded in
+    ``msg.meta["drop_reason"]`` for observability).
 
     When a *cache* (:class:`~repro.core.flowcache.FlowCache`) is
     supplied it is consulted before the refinement chain — an established
     flow classifies in one probe — and successful chain classifications
-    populate it.  The message is keyed once, for both.  The cache itself
-    guarantees it never returns a path that is not ESTABLISHED.  A burst
-    of arrivals is this call once per message, in arrival order (see
-    ``PathRuntime.rx_burst``): the first message of a new flow inserts
-    the entry the flow's later messages hit.
+    populate it.  The message is keyed once, for both, by
+    :func:`~repro.core.flowcache.flow_key_frame` over its first 42
+    bytes.  The cache itself guarantees it never returns a path that is
+    not ESTABLISHED.  A burst of arrivals is this call once per message,
+    in arrival order (see ``PathRuntime.rx_burst``): the first message of
+    a new flow inserts the entry the flow's later messages hit.
 
     **Multipath dispatch happens here, at the demux boundary.**  When the
     classified path belongs to a :class:`~repro.multipath.PathGroup`, the
@@ -117,19 +93,19 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
     The chain runs at interrupt time in Scout; callers that model CPU cost
     account for it separately (see :mod:`repro.sim.cpu`).
     """
-    key = cache.key_of(msg) if cache is not None else None
+    key = None
+    if cache is not None and len(msg) >= FLOW_KEY_BYTES:
+        key = flow_key_frame(msg.peek(FLOW_KEY_BYTES))
     if key is not None:
-        path = cache.lookup_key(key, msg)
-        source = SOURCE_CACHE
+        path = cache.lookup(key, msg)
         if path is not None and path.group is not None:
             group = path.group
             if not group.policy.sticky:
                 # A cached group anchor: the policy re-dispatches every
                 # message.
-                source = SOURCE_GROUP
                 path = _group_dispatch(group, msg, stats)
                 if path is None:
-                    return ClassifyResult(None, SOURCE_GROUP)
+                    return None
             elif group.take_respread():
                 # The policy dropped its pins: re-walk the chain so the
                 # flow is re-placed.
@@ -138,11 +114,10 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
             if stats is not None:
                 stats.classified += 1
                 stats.cache_hits += 1
-            msg.meta["path"] = path
             observer = path.observer
             if observer is not None:
                 observer.on_demux(msg, 1)
-            return ClassifyResult(path, source)
+            return path
     offset = 0
     current: Router = router
     current_service = service
@@ -158,13 +133,13 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
                 # decides which member actually serves the message.
                 member = _group_dispatch(group, msg, stats)
                 if member is None:
-                    return ClassifyResult(None, SOURCE_DEMUX)
+                    return None
                 if key is not None:
                     # Sticky policies pin the flow to the chosen member;
                     # others cache the demux anchor so later packets hit
                     # in one probe but are still re-dispatched above.
-                    cache.insert_key(key, msg, member if group.policy.sticky
-                                     else chosen)
+                    cache.insert(key, msg, member if group.policy.sticky
+                                 else chosen)
                 chosen = member
             elif getattr(chosen, "state", None) == DELETED:
                 # Liveness guard: a demux map entry can outlive its path
@@ -175,16 +150,15 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
                     f"path #{chosen.pid}")
                 if stats is not None:
                     stats.dropped += 1
-                return ClassifyResult(None, SOURCE_DEMUX)
+                return None
             if stats is not None:
                 stats.classified += 1
-            msg.meta["path"] = chosen
             observer = getattr(chosen, "observer", None)
             if observer is not None:
                 observer.on_demux(msg, hops)
             if key is not None and group is None:
-                cache.insert_key(key, msg, chosen)
-            return ClassifyResult(chosen, SOURCE_DEMUX)
+                cache.insert(key, msg, chosen)
+            return chosen
         if result.forward is not None:
             offset += result.consumed
             current, current_service = result.forward
@@ -195,31 +169,7 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
         msg.meta["drop_reason"] = result.reason or f"{current.name}: no path"
         if stats is not None:
             stats.dropped += 1
-        return ClassifyResult(None, SOURCE_DEMUX)
+        return None
     raise ClassificationError(
         f"classification did not converge after {MAX_REFINEMENTS} "
         f"refinements (last router: {current.name})")
-
-
-def classify(router: Router, msg: Msg, service: Optional[Service] = None,
-             stats: Optional[ClassifierStats] = None,
-             cache=None) -> Optional[Path]:
-    """Path-only shim over :func:`classify_ex` (the historical surface).
-
-    Returns the path to use, or ``None`` when no appropriate path exists
-    (the data is to be discarded; the reason is recorded in
-    ``msg.meta["drop_reason"]``).  Callers that care *how* the decision
-    was made — demux chain, flow-cache probe, or group re-dispatch — use
-    :func:`classify_ex` and read :class:`ClassifyResult`.
-    """
-    return classify_ex(router, msg, service, stats, cache).path
-
-
-def classify_or_raise(router: Router, msg: Msg,
-                      service: Optional[Service] = None) -> Path:
-    """Like :func:`classify` but raises on discard, for callers that treat
-    unclassifiable data as an error (tests, mostly)."""
-    path = classify(router, msg, service)
-    if path is None:
-        raise ClassificationError(msg.meta.get("drop_reason", "no path"))
-    return path

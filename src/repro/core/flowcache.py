@@ -26,12 +26,13 @@ The cache is one map: a hit is one probe, a miss one insert.  Purging
 a path scans the ``capacity`` entries, a cost paid at teardown, pool
 park, early-discard change or re-spread — never per frame.
 
-The cache is policy-free about what constitutes a flow: the owner supplies
-``key_of(msg) -> Optional[bytes]`` (return ``None`` for ineligible
-traffic, which bypasses the cache entirely) and an optional
-``annotate(msg, key)`` hook that reproduces whatever ``msg.meta``
-annotations the demux chain would have stashed (the SHELL's reply path
-reads ``meta["ip_src"]``, so a cache hit must not lose it).
+What constitutes a flow is :func:`flow_key_frame`'s answer: the
+classifier keys each message once and hands the key to the probe and
+the insert (``None``, ineligible traffic, bypasses the cache entirely).
+The owner supplies an optional ``annotate(msg, key)`` hook that
+reproduces whatever ``msg.meta`` annotations the demux chain would have
+stashed (the SHELL's reply path reads ``meta["ip_src"]``, so a cache hit
+must not lose it).
 
 A hit costs one key, one dictionary probe and one ``dict.update``: the
 hook runs once per entry, when the entry is inserted, against a blank
@@ -51,22 +52,10 @@ from typing import Any, Callable, Dict, Optional
 
 from .path import ESTABLISHED, Path
 
-#: Frame layout offsets for :func:`flow_key` (ETH 14 + IP 20 +
-#: UDP 8 — the minimum frame that can carry a keyable flow).
-_FLOW_KEY_BYTES = 42
+#: Bytes a frame needs to carry a keyable flow (ETH 14 + IP 20 + UDP 8).
+FLOW_KEY_BYTES = 42
 _ETHERTYPE_IPV4 = b"\x08\x00"
 _IPPROTO_UDP = 17
-
-
-def flow_key(msg: Any) -> Optional[bytes]:
-    """:func:`flow_key_frame` over a :class:`Msg`'s first 42 bytes.
-
-    ``None`` for a message too short to carry a keyable flow.  This is
-    the :class:`FlowCache`'s default ``key_of``.
-    """
-    if len(msg) < _FLOW_KEY_BYTES:
-        return None
-    return flow_key_frame(msg.peek(_FLOW_KEY_BYTES))
 
 
 def flow_key_frame(frame: bytes) -> Optional[bytes]:
@@ -84,13 +73,12 @@ def flow_key_frame(frame: bytes) -> Optional[bytes]:
     multi-port kernel's ingress ports apart.
 
     This is the single source of truth for "what is a flow": the
-    :class:`FlowCache` keys its entries on it (through :func:`flow_key`),
-    and the shard fabric's dispatcher (:mod:`repro.shard.dispatch`)
-    hashes exactly the same bytes of the raw frame, before any ``Msg``
+    classifier keys :class:`FlowCache` entries on it, and the shard
+    fabric's dispatcher (:mod:`repro.shard.dispatch`) hashes exactly the same bytes of the raw frame, before any ``Msg``
     exists, to pin a flow to a shard — so a flow-cache entry and a shard
     pinning can never disagree about flow identity.
     """
-    if len(frame) < _FLOW_KEY_BYTES:
+    if len(frame) < FLOW_KEY_BYTES:
         return None
     if frame[0] & 1:  # group-addressed destination
         return None
@@ -113,10 +101,6 @@ class FlowCache:
     capacity:
         Maximum number of cached flows; the least recently used entry is
         evicted to admit a new one.
-    key_of:
-        ``key_of(msg) -> Optional[bytes]``; ``None`` marks the message
-        ineligible (the lookup is a miss and the classification result is
-        not inserted).  Defaults to :func:`flow_key`.
     annotate:
         Optional ``annotate(msg, key)`` that writes into ``msg.meta`` the
         annotations the skipped demux chain would have made.  It runs
@@ -126,12 +110,10 @@ class FlowCache:
     """
 
     def __init__(self, capacity: int = 128,
-                 key_of: Optional[Callable[[Any], Optional[bytes]]] = None,
                  annotate: Optional[Callable[[Any, bytes], None]] = None):
         if capacity < 1:
             raise ValueError("flow cache capacity must be positive")
         self.capacity = capacity
-        self.key_of = key_of if key_of is not None else flow_key
         self.annotate = annotate
         #: key -> (path, annotations); annotations is ``None`` without a
         #: hook.
@@ -148,25 +130,14 @@ class FlowCache:
 
     # -- the fast path ------------------------------------------------------
 
-    def lookup(self, msg: Any) -> Optional[Path]:
-        """Return the established path for *msg*, or ``None`` on a miss.
+    def lookup(self, key: bytes, msg: Any) -> Optional[Path]:
+        """Return the established path cached under *key* (*msg*'s flow
+        key), or ``None`` on a miss.
 
         A hit refreshes the entry's recency and copies the entry's
         annotations into ``msg.meta``.  An entry whose path is no longer
         ESTABLISHED is evicted and reported as a miss — the cache never
         returns a dead path.
-        """
-        key = self.key_of(msg)
-        if key is None:
-            return None
-        return self.lookup_key(key, msg)
-
-    def lookup_key(self, key: bytes, msg: Any) -> Optional[Path]:
-        """:meth:`lookup` with a precomputed *key*.
-
-        Every probe the classifier makes comes through here:
-        :func:`repro.core.classify.classify_ex` keys each message once
-        and hands the same key to :meth:`insert_key` on a miss.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -188,22 +159,14 @@ class FlowCache:
 
     # -- population ---------------------------------------------------------
 
-    def insert(self, msg: Any, path: Path) -> bool:
-        """Cache *path* as the classification of *msg*'s flow.
+    def insert(self, key: bytes, msg: Any, path: Path) -> bool:
+        """Cache *path* as the classification of the flow *key*, which
+        *msg* belongs to.
 
         Only ESTABLISHED paths are admitted.  Returns True when an entry
-        was installed (or refreshed).
-        """
-        key = self.key_of(msg)
-        if key is None:
-            return False
-        return self.insert_key(key, msg, path)
-
-    def insert_key(self, key: bytes, msg: Any, path: Path) -> bool:
-        """:meth:`insert` with *msg*'s precomputed *key*.
-
-        The entry's annotations are derived here, once: the ``annotate``
-        hook runs against *msg* with a blank ``meta``.
+        was installed (or refreshed).  The entry's annotations are
+        derived here, once: the ``annotate`` hook runs against *msg*
+        with a blank ``meta``.
         """
         if path.state != ESTABLISHED:
             return False

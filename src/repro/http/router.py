@@ -57,11 +57,9 @@ class HttpStage(Stage):
         # connection path serving as a group member or a pooled spare may
         # carry requests from clients other than its creation-time
         # participant.  The classifiers stash ``ip_src``/``eth_src`` on
-        # the way up; a message injected straight into the path carries
-        # the IP header the receive stage stashed instead, and the
-        # source MAC ETH's stage recorded.
-        ip_hdr = msg.meta.get("ip_header")
-        ip_src = msg.meta.get("ip_src") or (ip_hdr.src if ip_hdr else None)
+        # the way up; on a message injected straight into the path, IP's
+        # and ETH's receive stages record them instead.
+        ip_src = msg.meta.get("ip_src")
         if "ip_dst_override" not in reply.meta and ip_src is not None:
             reply.meta["ip_dst_override"] = ip_src
         eth_src = msg.meta.get("eth_src")

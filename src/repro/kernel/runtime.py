@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .. import params
-from ..core.classify import ClassifierStats, classify, classify_ex
+from ..core.classify import ClassifierStats, classify
 from ..core.flowcache import FlowCache
 from ..core.message import Msg
 from ..core.path import DELETED, Path
@@ -83,7 +83,7 @@ class PathRuntime:
         """Interrupt-time receive for a burst of frames (DESIGN.md §13);
         a lone frame is a burst of one.
 
-        Every frame is classified first — :func:`classify_ex` from
+        Every frame is classified first — :func:`classify` from
         *entry* (default ``self.eth``; a router port passes its own ETH
         router) through the kernel's flow cache — and then each takes
         admission in arrival order (early discard, input-queue deposit,
@@ -109,8 +109,8 @@ class PathRuntime:
             msg = Msg(frame)
             if metas is not None and metas[i]:
                 msg.meta.update(metas[i])
-            arrivals.append((msg, classify_ex(router, msg, stats=stats,
-                                              cache=cache).path))
+            arrivals.append((msg, classify(router, msg, stats=stats,
+                                           cache=cache)))
             hops += 1
         self.world.cpu.extend_interrupt(
             (hops + stats.refinements) * params.CLASSIFY_PER_HOP_US)

@@ -223,7 +223,8 @@ class IpStage(Stage):
             tail = msg.to_bytes()[:payload_len]
             trimmed = Msg(tail, meta=msg.meta)
             msg = trimmed
-        msg.meta["ip_header"] = header
+        if "ip_src" not in msg.meta:  # injected past the classifier
+            msg.meta["ip_src"] = header.src
         if header.is_fragment:
             charge(msg, params.IP_FRAG_PER_FRAG_US)
             return self._receive_fragment(iface, header, msg, direction,
@@ -262,12 +263,11 @@ class IpStage(Stage):
         # The assembly copy costs time proportional to the datagram.
         charge(msg, buffer.total_end * params.REASSEMBLY_US_PER_BYTE)
         whole = Msg(buffer.assemble(), meta=msg.meta)
-        rebuilt = IpHeader(IpHeader.SIZE + len(whole), header.ident,
-                           header.proto, header.src, header.dst)
-        whole.meta["ip_header"] = rebuilt
         if self.catchall:
             # Short/fat path's job ends here: rerun the classifier on the
             # assembled datagram so it reaches the path that wants it.
+            rebuilt = IpHeader(IpHeader.SIZE + len(whole), header.ident,
+                               header.proto, header.src, header.dst)
             return router.reclassify(whole, rebuilt)
         return forward_or_deposit(iface, whole, direction, **kwargs)
 

@@ -235,7 +235,7 @@ class MflowRouter(Router):
             self._flows.pop(key, None)
 
     @staticmethod
-    def flow_key(remote_ip, remote_port: int) -> Tuple:
+    def binding_key(remote_ip, remote_port: int) -> Tuple:
         return (str(remote_ip), int(remote_port))
 
     # -- path creation ------------------------------------------------------------------
@@ -250,7 +250,7 @@ class MflowRouter(Router):
         if len(down.links) != 1:
             return None, None
         peer_router, peer_service = down.links[0].peer_of(down)
-        key = self.flow_key(participants[0], participants[1])
+        key = self.binding_key(participants[0], participants[1])
         stage = MflowStage(self, enter, down, key)
         return stage, NextHop(peer_router, peer_service, attrs)
 
@@ -265,7 +265,7 @@ class MflowRouter(Router):
         ports = msg.meta.get("udp_ports")
         if ip_src is None or ports is None:
             return DemuxResult.drop(f"{self.name}: missing classifier context")
-        key = self.flow_key(ip_src, ports[0])
+        key = self.binding_key(ip_src, ports[0])
         path = self._flows.get(key)
         if path is None:
             return DemuxResult.drop(f"{self.name}: no flow for {key}")

@@ -8,7 +8,7 @@ package puts N single-kernel reproductions behind one dispatcher to
 test that observation (DESIGN.md §17):
 
 * :mod:`~repro.shard.dispatch` — flow-hash dispatcher peeking the same
-  header bytes :func:`repro.core.flowcache.flow_key` keys on;
+  header bytes :func:`repro.core.flowcache.flow_key_frame` keys on;
 * :mod:`~repro.shard.worker` — one whole ``ScoutKernel`` per shard,
   answering per-serial fates, with a shard-local shedder/watchdog
   control plane;

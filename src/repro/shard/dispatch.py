@@ -1,7 +1,7 @@
 """Flow-hash dispatch at the RX boundary of the shard fabric.
 
 The dispatcher is the fabric's classifier-before-the-classifier: it
-peeks exactly the header bytes :func:`repro.core.flowcache.flow_key`
+peeks exactly the header bytes :func:`repro.core.flowcache.flow_key_frame`
 keys on (ETH dst + IP proto + addresses + UDP ports) and maps each
 frame to a shard, so every frame of a flow always lands on the same
 :class:`~repro.kernel.ScoutKernel` instance and that kernel's flow

@@ -1,31 +1,31 @@
-"""Tests for incremental packet classification (demux chains), the
-``classify_ex`` result and its flow-cache and group-dispatch books."""
+"""Tests for incremental packet classification (demux chains) and its
+flow-cache and group-dispatch books."""
 
+import importlib
 from collections import Counter
 
 import pytest
 
 from repro.core import (
-    SOURCE_CACHE,
-    SOURCE_DEMUX,
-    SOURCE_GROUP,
     Attrs,
     ClassificationError,
     ClassifierStats,
-    ClassifyResult,
     DemuxResult,
     FlowCache,
     Msg,
     Path,
     Router,
     classify,
-    classify_ex,
-    classify_or_raise,
+    flow_key_frame,
     path_create,
 )
 from repro.multipath import PathGroup
 from repro.multipath.policies import WeightedAccountingPolicy
+from repro.net import EthAddr, IpAddr, build_udp_frame
 from ..helpers import ChainRouter, make_chain
+
+#: The module, which ``repro.core``'s ``classify`` function shadows.
+classify_module = importlib.import_module("repro.core.classify")
 
 
 def bound_chain(*names, bind_at=None):
@@ -42,7 +42,7 @@ class TestIncrementalDemux:
         _, routers, path = bound_chain("A", "B", bind_at="A")
         msg = Msg(b"A...")
         assert classify(routers[0], msg) is path
-        assert msg.meta["path"] is path
+        assert msg.meta == {}  # the decision is the return value alone
 
     def test_refinement_walks_down_the_chain(self):
         # Tag bytes spell the refinement route: A defers, B defers, C decides.
@@ -72,12 +72,6 @@ class TestIncrementalDemux:
         msg = Msg(b"zB")
         assert classify(routers[0], msg) is None
         assert "no bound path" in msg.meta["drop_reason"]
-
-    def test_classify_or_raise(self):
-        _, routers, path = bound_chain("A", bind_at="A")
-        assert classify_or_raise(routers[0], Msg(b"A")) is path
-        with pytest.raises(ClassificationError):
-            classify_or_raise(routers[0], Msg(b"?"))
 
     def test_empty_message_dropped_not_crashed(self):
         _, routers, _ = bound_chain("A", "B", bind_at="B")
@@ -127,88 +121,65 @@ class TestBestEffortSemantics:
 
 
 # ---------------------------------------------------------------------------
-# classify_ex: the result, the flow cache's books, group re-dispatch
+# The flow cache's books, one key per message, group re-dispatch
 # ---------------------------------------------------------------------------
 
-def first_byte_key(msg):
-    return msg.peek(1) if len(msg) else None
-
-
-def cache_of(capacity=8):
-    return FlowCache(capacity=capacity, key_of=first_byte_key)
+def flow_msg(payload=b"", tag=b"B"):
+    """A keyable IPv4/UDP frame whose first byte (the destination MAC's)
+    is the chain tag *tag*: every frame with one tag is one flow."""
+    return Msg(build_udp_frame(EthAddr("02:00:00:00:00:02"),
+                               EthAddr(tag + bytes(5)), IpAddr("10.0.0.2"),
+                               IpAddr("10.0.0.1"), 7000, 6100, payload))
 
 
 class TestClassifyResult:
-    def test_defaults(self):
-        assert ClassifyResult(None) == (None, SOURCE_DEMUX)
-
-    def test_tuple_unpacking_shim(self):
-        _, routers, path = bound_chain("A", bind_at="A")
-        found, source = classify_ex(routers[0], Msg(b"A"))
-        assert found is path and source == SOURCE_DEMUX
-
-    def test_path_only_shims_preserved(self):
-        """classify()/classify_or_raise() still return the bare path."""
-        _, routers, path = bound_chain("A", bind_at="A")
-        assert classify(routers[0], Msg(b"A")) is path
-        assert classify_or_raise(routers[0], Msg(b"A")) is path
-
     def test_source_cache_on_second_probe(self):
-        _, routers, path = bound_chain("A", bind_at="A")
-        cache = cache_of()
-        assert classify_ex(routers[0], Msg(b"A1"), cache=cache) \
-            == (path, SOURCE_DEMUX)
-        assert classify_ex(routers[0], Msg(b"A2"), cache=cache) \
-            == (path, SOURCE_CACHE)
+        """The first message of a flow is decided by the chain, the
+        second by one cache probe: the books say which."""
+        _, routers, path = bound_chain("B", bind_at="B")
+        cache = FlowCache(capacity=8)
+        stats = ClassifierStats()
+        assert classify(routers[0], flow_msg(b"1"), stats=stats,
+                        cache=cache) is path
+        assert (stats.cache_hits, cache.misses, len(cache)) == (0, 1, 1)
+        assert classify(routers[0], flow_msg(b"2"), stats=stats,
+                        cache=cache) is path
+        assert (stats.cache_hits, cache.hits) == (1, 1)
 
 
 class TestFlowCacheBooks:
     def test_first_message_inserts_what_the_flow_then_hits(self):
-        _, routers, path = bound_chain("A", bind_at="A")
-        cache = cache_of()
+        _, routers, path = bound_chain("B", bind_at="B")
+        cache = FlowCache(capacity=8)
         stats = ClassifierStats()
-        results = [classify_ex(routers[0], Msg(p), stats=stats, cache=cache)
-                   for p in (b"A1", b"A2", b"A3")]
-        assert [r.source for r in results] \
-            == [SOURCE_DEMUX, SOURCE_CACHE, SOURCE_CACHE]
+        found = [classify(routers[0], flow_msg(p), stats=stats, cache=cache)
+                 for p in (b"1", b"2", b"3")]
+        assert found == [path] * 3
         assert stats.classified == 3
         assert stats.cache_hits == 2
         assert cache.hits == 2 and cache.misses == 1
 
     def test_no_cache_every_message_walks(self):
-        _, routers, path = bound_chain("A", bind_at="A")
+        _, routers, path = bound_chain("B", bind_at="B")
         stats = ClassifierStats()
-        results = [classify_ex(routers[0], Msg(p), stats=stats)
-                   for p in (b"A1", b"A2")]
-        assert [r.source for r in results] == [SOURCE_DEMUX] * 2
+        found = [classify(routers[0], flow_msg(p), stats=stats)
+                 for p in (b"1", b"2")]
+        assert found == [path] * 2
         assert stats.classified == 2 and stats.cache_hits == 0
 
     def test_refused_insert_counts_one_miss_per_message(self):
-        """A decision the cache will not hold (A's bound path is still
+        """A decision the cache will not hold (B's bound path is still
         CREATING): every message walks the chain and is probed, and
         missed, exactly once."""
-        graph, routers, _ = bound_chain("A", bind_at="A")
-        creating = graph.router("A").bound_path = Path()
-        cache = cache_of()
+        graph, routers, _ = bound_chain("B", bind_at="B")
+        creating = graph.router("B").bound_path = Path()
+        cache = FlowCache(capacity=8)
         stats = ClassifierStats()
-        for payload in (b"A1", b"A2", b"A3"):
-            assert classify_ex(routers[0], Msg(payload), stats=stats,
-                               cache=cache) == (creating, SOURCE_DEMUX)
+        for payload in (b"1", b"2", b"3"):
+            assert classify(routers[0], flow_msg(payload), stats=stats,
+                            cache=cache) is creating
         assert (cache.misses, cache.hits, len(cache)) == (3, 0, 0)
         assert (stats.classified, stats.cache_hits) == (3, 0)
-
-
-class CountingKey:
-    """``first_byte_key`` (or no key at all) that counts how often each
-    message is keyed."""
-
-    def __init__(self, keyless=False):
-        self.keyless = keyless
-        self.calls = Counter()
-
-    def __call__(self, msg):
-        self.calls[id(msg)] += 1
-        return None if self.keyless else first_byte_key(msg)
 
 
 class AlwaysRespread(WeightedAccountingPolicy):
@@ -219,7 +190,7 @@ class AlwaysRespread(WeightedAccountingPolicy):
 
 
 def grouped_router(policy, **group_kwargs):
-    _, routers, anchor = bound_chain("A", bind_at="A")
+    _, routers, anchor = bound_chain("B", bind_at="B")
     group = PathGroup(policy, **group_kwargs)
     group.add(anchor)
     group.add(bound_chain("S", bind_at="S")[2])
@@ -227,12 +198,25 @@ def grouped_router(policy, **group_kwargs):
 
 
 ROUTERS = {
-    "plain": lambda: bound_chain("A", bind_at="A")[1][0],
+    "plain": lambda: bound_chain("B", bind_at="B")[1][0],
     "non-sticky-group": lambda: grouped_router("round_robin"),
     "sticky-group": lambda: grouped_router("weighted_accounting"),
     "sticky-respread": lambda: grouped_router(AlwaysRespread(),
                                               min_respread_interval=0),
 }
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """How often the classifier keys each frame, by frame bytes."""
+    calls = Counter()
+
+    def counting(frame):
+        calls[bytes(frame)] += 1
+        return flow_key_frame(frame)
+
+    monkeypatch.setattr(classify_module, "flow_key_frame", counting)
+    return calls
 
 
 class TestOneKeyPerMessage:
@@ -241,25 +225,27 @@ class TestOneKeyPerMessage:
     exactly once, for both its probe and its insert."""
 
     @pytest.mark.parametrize("setup", list(ROUTERS))
-    def test_each_message_is_keyed_once(self, setup):
-        key_of = CountingKey()
-        cache = FlowCache(capacity=8, key_of=key_of)
+    def test_each_message_is_keyed_once(self, setup, key_calls):
+        cache = FlowCache(capacity=8)
         router = ROUTERS[setup]()
-        msgs = [Msg(b"A%d" % i) for i in range(3)]
-        assert all(classify_ex(router, m, cache=cache).path is not None
+        msgs = [flow_msg(b"%d" % i) for i in range(3)]
+        assert all(classify(router, m, cache=cache) is not None
                    for m in msgs)
-        assert key_of.calls == {id(m): 1 for m in msgs}
+        assert key_calls == {m.peek(42): 1 for m in msgs}
         assert (cache.misses, cache.hits) == (1, 2)
         assert len(cache) == 1
 
-    def test_a_keyless_message_is_keyed_once(self):
-        key_of = CountingKey(keyless=True)
-        cache = FlowCache(capacity=8, key_of=key_of)
+    def test_a_keyless_message_is_keyed_once(self, key_calls):
+        cache = FlowCache(capacity=8)
         router = ROUTERS["plain"]()
-        msgs = [Msg(b"A%d" % i) for i in range(3)]
+        msgs = []
+        for i in range(3):
+            frame = bytearray(flow_msg(b"%d" % i).to_bytes())
+            frame[23] = 6  # TCP: the key declines it
+            msgs.append(Msg(bytes(frame)))
         for msg in msgs:
-            classify_ex(router, msg, cache=cache)
-        assert key_of.calls == {id(m): 1 for m in msgs}
+            classify(router, msg, cache=cache)
+        assert key_calls == {m.peek(42): 1 for m in msgs}
         assert (cache.misses, cache.hits, len(cache)) == (0, 0, 0)
 
 
@@ -267,15 +253,18 @@ class TestGroupDispatch:
     def test_followers_redispatch_through_policy(self):
         """A non-sticky cached anchor re-dispatches *every* message, so
         round-robin spreads a warm flow across the members."""
-        _, routers, anchor = bound_chain("A", bind_at="A")
+        _, routers, anchor = bound_chain("B", bind_at="B")
         sibling = bound_chain("S", bind_at="S")[2]
         group = PathGroup("round_robin")
         group.add(anchor)
         group.add(sibling)
-        cache = cache_of()
-        classify_ex(routers[0], Msg(b"A0"), cache=cache)  # cache the anchor
-        results = [classify_ex(routers[0], Msg(b"A%d" % i), cache=cache)
-                   for i in range(4)]
-        assert [r.source for r in results] == [SOURCE_GROUP] * 4
-        picked = [r.path for r in results]
+        cache = FlowCache(capacity=8)
+        classify(routers[0], flow_msg(b"0"), cache=cache)  # cache the anchor
+        dispatches = group.dispatches
+        picked = [classify(routers[0], flow_msg(b"%d" % i), cache=cache)
+                  for i in range(1, 5)]
+        # Every follower was a cache hit on the anchor, then one policy
+        # dispatch.
+        assert cache.hits == 4
+        assert group.dispatches - dispatches == 4
         assert picked.count(anchor) == 2 and picked.count(sibling) == 2

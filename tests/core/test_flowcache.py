@@ -11,7 +11,7 @@ from repro.core import (
     Msg,
     Path,
     classify,
-    flow_key,
+    flow_key_frame,
 )
 from repro.core.specialize import FLOW_VALIDATED
 from repro.experiments.micro import Fig7Stack
@@ -26,75 +26,80 @@ def established_path() -> Path:
     return path
 
 
-def first_byte_key(msg):
-    """Toy key for LRU mechanics: the message's first byte, or None for
-    empty (ineligible) messages."""
-    return msg[:1] if msg else None
+def lookup(cache, key):
+    """Probe *cache* under the toy *key*, for a message carrying it."""
+    return cache.lookup(key, Msg(key))
+
+
+def insert(cache, key, path):
+    return cache.insert(key, Msg(key), path)
 
 
 def cache_of(capacity=4):
-    return FlowCache(capacity=capacity, key_of=first_byte_key)
+    return FlowCache(capacity=capacity)
 
 
 class TestLookupInsert:
     def test_miss_then_insert_then_hit(self):
         cache = cache_of()
         path = established_path()
-        assert cache.lookup(b"a") is None
+        assert lookup(cache, b"a") is None
         assert cache.misses == 1
-        assert cache.insert(b"a", path)
-        assert cache.lookup(b"a") is path
+        assert insert(cache, b"a", path)
+        assert lookup(cache, b"a") is path
         assert cache.hits == 1
         assert len(cache) == 1
 
     def test_ineligible_messages_bypass_entirely(self):
+        stack = Fig7Stack()
+        stack.create_udp_path(local_port=6100)
         cache = cache_of()
-        path = established_path()
-        assert cache.lookup(b"") is None
-        assert not cache.insert(b"", path)
-        # An ineligible message is not even a miss: the cache was never
-        # consulted, so counters and contents stay untouched.
-        assert cache.misses == 0
-        assert len(cache) == 0
+        tcp = bytearray(stack.udp_frame(6100))
+        tcp[23] = 6
+        for frame in (bytes(tcp), stack.udp_frame(6100)[:20]):
+            assert classify(stack.eth, Msg(frame), cache=cache) is None
+        # An ineligible message is not even a miss: the classifier never
+        # consulted the cache, so counters and contents stay untouched.
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
     def test_only_established_paths_admitted(self):
         cache = cache_of()
         creating = Path()  # state == CREATING
-        assert not cache.insert(b"a", creating)
+        assert not insert(cache, b"a", creating)
         assert len(cache) == 0
 
     def test_reinsert_same_key_different_path_replaces(self):
         cache = cache_of()
         old, new = established_path(), established_path()
-        cache.insert(b"a", old)
-        cache.insert(b"a", new)
-        assert cache.lookup(b"a") is new
+        insert(cache, b"a", old)
+        insert(cache, b"a", new)
+        assert lookup(cache, b"a") is new
         old.delete()  # invalidating the old path must not remove "a"
-        assert cache.lookup(b"a") is new
+        assert lookup(cache, b"a") is new
 
 
 class TestLRU:
     def test_capacity_bound_evicts_least_recently_used(self):
         cache = cache_of(capacity=2)
         paths = {tag: established_path() for tag in "abc"}
-        cache.insert(b"a", paths["a"])
-        cache.insert(b"b", paths["b"])
-        cache.insert(b"c", paths["c"])
+        insert(cache, b"a", paths["a"])
+        insert(cache, b"b", paths["b"])
+        insert(cache, b"c", paths["c"])
         assert len(cache) == 2
         assert cache.evictions == 1
-        assert cache.lookup(b"a") is None  # the oldest went first
-        assert cache.lookup(b"b") is paths["b"]
-        assert cache.lookup(b"c") is paths["c"]
+        assert lookup(cache, b"a") is None  # the oldest went first
+        assert lookup(cache, b"b") is paths["b"]
+        assert lookup(cache, b"c") is paths["c"]
 
     def test_lookup_refreshes_recency(self):
         cache = cache_of(capacity=2)
         paths = {tag: established_path() for tag in "abc"}
-        cache.insert(b"a", paths["a"])
-        cache.insert(b"b", paths["b"])
-        assert cache.lookup(b"a") is paths["a"]  # refresh: b is now LRU
-        cache.insert(b"c", paths["c"])
-        assert cache.lookup(b"b") is None
-        assert cache.lookup(b"a") is paths["a"]
+        insert(cache, b"a", paths["a"])
+        insert(cache, b"b", paths["b"])
+        assert lookup(cache, b"a") is paths["a"]  # refresh: b is now LRU
+        insert(cache, b"c", paths["c"])
+        assert lookup(cache, b"b") is None
+        assert lookup(cache, b"a") is paths["a"]
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -105,9 +110,9 @@ class TestInvalidation:
     def test_path_delete_purges_synchronously(self):
         cache = cache_of()
         path = established_path()
-        cache.insert(b"a", path)
+        insert(cache, b"a", path)
         path.delete()
-        assert cache.lookup(b"a") is None
+        assert lookup(cache, b"a") is None
         assert cache.invalidations == 1
         # The purge happened through delete(), not through a stale hit.
         assert cache.stale_hits == 0
@@ -116,22 +121,22 @@ class TestInvalidation:
         cache = cache_of()
         path = established_path()
         other = established_path()
-        cache.insert(b"a", path)
-        cache.insert(b"b", path)
-        cache.insert(b"c", other)
+        insert(cache, b"a", path)
+        insert(cache, b"b", path)
+        insert(cache, b"c", other)
         assert cache.invalidate_path(path) == 2
-        assert cache.lookup(b"a") is None
-        assert cache.lookup(b"b") is None
-        assert cache.lookup(b"c") is other
+        assert lookup(cache, b"a") is None
+        assert lookup(cache, b"b") is None
+        assert lookup(cache, b"c") is other
 
     def test_stale_entry_evicted_on_lookup(self):
         """Defense in depth: a path deleted behind the cache's back (the
         registration bypassed somehow) is still never handed out."""
         cache = cache_of()
         path = established_path()
-        cache.insert(b"a", path)
+        insert(cache, b"a", path)
         path.state = DELETED  # bypass delete() and its purge
-        assert cache.lookup(b"a") is None
+        assert lookup(cache, b"a") is None
         assert cache.stale_hits == 1
         assert len(cache) == 0  # evicted on the spot
 
@@ -148,7 +153,7 @@ class TestGroupInvalidation:
         tag = ord("a")
         for member in members:
             for _ in range(keys_per_path):
-                cache.insert(bytes([tag]), member)
+                insert(cache, bytes([tag]), member)
                 tag += 1
         return group, members
 
@@ -156,17 +161,17 @@ class TestGroupInvalidation:
         cache = cache_of(capacity=8)
         group, members = self.grouped_paths(cache)
         other = established_path()
-        cache.insert(b"z", other)
+        insert(cache, b"z", other)
         assert group.purge_pins() == 4
         assert len(cache) == 1
-        assert cache.lookup(b"z") is other
+        assert lookup(cache, b"z") is other
         assert cache.invalidations == 4
 
     def test_purge_pins_without_pins_is_a_noop(self):
         from repro.multipath import PathGroup
 
         cache = cache_of()
-        cache.insert(b"a", established_path())
+        insert(cache, b"a", established_path())
         group = PathGroup("round_robin")
         group.add(established_path())
         assert group.purge_pins() == 0
@@ -198,13 +203,9 @@ class TestGroupInvalidation:
         cache = cache_of(capacity=8)
         group, members = self.grouped_paths(cache, count=1, keys_per_path=1)
         members[0].state = DELETED  # bypass delete() and its purge
-        assert cache.lookup(b"a") is None
+        assert lookup(cache, b"a") is None
         assert cache.stale_hits == 1
         assert len(cache) == 0
-
-
-def msg_key(msg):
-    return msg.peek(1) if len(msg) else None
 
 
 class TestAnnotate:
@@ -220,22 +221,21 @@ class TestAnnotate:
             msg.meta["generation"] = len(runs)
             msg.meta[FLOW_VALIDATED] = True
 
-        return FlowCache(capacity=capacity, key_of=msg_key,
-                         annotate=annotate), runs
+        return FlowCache(capacity=capacity, annotate=annotate), runs
 
     def test_annotate_runs_once_per_entry_at_insert(self):
         cache, runs = self.annotated_cache()
         path = established_path()
         first = Msg(b"a0", meta={"rx_time": 1.0})
-        assert cache.lookup(first) is None  # miss: no annotation
+        assert cache.lookup(b"a", first) is None  # miss: no annotation
         assert runs == []
-        cache.insert(first, path)
+        cache.insert(b"a", first, path)
         assert runs == [b"a"]
         # The hook wrote a blank meta, not the message that walked the
         # chain: it takes no stamp it did not earn.
         assert first.meta == {"rx_time": 1.0}
         hits = [Msg(b"a%d" % i, meta={"rx_time": 2.0}) for i in range(1, 4)]
-        assert all(cache.lookup(m) is path for m in hits)
+        assert all(cache.lookup(b"a", m) is path for m in hits)
         assert runs == [b"a"]
         assert all(m.meta == {"rx_time": 2.0, "flow": b"a", "generation": 1,
                               FLOW_VALIDATED: True} for m in hits)
@@ -243,11 +243,11 @@ class TestAnnotate:
     def test_popping_a_stamp_leaves_the_next_hit_intact(self):
         cache, runs = self.annotated_cache()
         path = established_path()
-        cache.insert(Msg(b"a0"), path)
+        cache.insert(b"a", Msg(b"a0"), path)
         first, second = Msg(b"a1"), Msg(b"a2")
-        cache.lookup(first)
+        cache.lookup(b"a", first)
         assert first.meta.pop(FLOW_VALIDATED) is True
-        cache.lookup(second)
+        cache.lookup(b"a", second)
         assert second.meta[FLOW_VALIDATED] is True
         assert FLOW_VALIDATED not in first.meta
         assert len(runs) == 1
@@ -256,22 +256,22 @@ class TestAnnotate:
     def test_a_dropped_key_rederives_its_annotations(self, drop):
         cache, runs = self.annotated_cache(capacity=1)
         path = established_path()
-        cache.insert(Msg(b"a0"), path)
+        cache.insert(b"a", Msg(b"a0"), path)
         warm = Msg(b"a1")
-        assert cache.lookup(warm) is path
+        assert cache.lookup(b"a", warm) is path
         if drop == "evict":
-            cache.insert(Msg(b"b0"), established_path())
+            cache.insert(b"b", Msg(b"b0"), established_path())
             assert cache.evictions == 1
             expected = [b"a", b"b", b"a"]
         else:
             path.delete()
             path = established_path()
             expected = [b"a", b"a"]
-        assert cache.lookup(Msg(b"a2")) is None
-        cache.insert(Msg(b"a3"), path)
+        assert cache.lookup(b"a", Msg(b"a2")) is None
+        cache.insert(b"a", Msg(b"a3"), path)
         assert runs == expected
         hit = Msg(b"a4")
-        assert cache.lookup(hit) is path
+        assert cache.lookup(b"a", hit) is path
         assert (warm.meta["generation"], hit.meta["generation"]) \
             == (1, len(expected))
 
@@ -342,35 +342,35 @@ class TestFlowKey:
         self.frame = self.stack.udp_frame(6100)
 
     def test_udp_frame_is_keyable(self):
-        assert flow_key(Msg(self.frame)) is not None
+        assert flow_key_frame(self.frame) is not None
 
     def test_same_flow_same_key_despite_payload(self):
-        a = flow_key(Msg(self.stack.udp_frame(6100, b"x" * 10)))
-        b = flow_key(Msg(self.stack.udp_frame(6100, b"y" * 90)))
+        a = flow_key_frame(self.stack.udp_frame(6100, b"x" * 10))
+        b = flow_key_frame(self.stack.udp_frame(6100, b"y" * 90))
         assert a == b
 
     def test_different_port_different_key(self):
-        a = flow_key(Msg(self.stack.udp_frame(6100)))
-        b = flow_key(Msg(self.stack.udp_frame(6200)))
+        a = flow_key_frame(self.stack.udp_frame(6100))
+        b = flow_key_frame(self.stack.udp_frame(6200))
         assert a != b
 
     def test_non_ipv4_is_ineligible(self):
         frame = bytearray(self.frame)
         frame[12:14] = b"\x08\x06"  # ARP ethertype
-        assert flow_key(Msg(bytes(frame))) is None
+        assert flow_key_frame(bytes(frame)) is None
 
     def test_non_udp_is_ineligible(self):
         frame = bytearray(self.frame)
         frame[23] = 6  # TCP
-        assert flow_key(Msg(bytes(frame))) is None
+        assert flow_key_frame(bytes(frame)) is None
 
     def test_fragment_is_ineligible(self):
         frame = bytearray(self.frame)
         frame[20] |= 0x20  # MF flag
-        assert flow_key(Msg(bytes(frame))) is None
+        assert flow_key_frame(bytes(frame)) is None
 
     def test_runt_is_ineligible(self):
-        assert flow_key(Msg(self.frame[:20])) is None
+        assert flow_key_frame(self.frame[:20]) is None
 
     @pytest.mark.parametrize("dst", ["ff:ff:ff:ff:ff:ff",
                                      "01:00:5e:00:00:01"],
@@ -379,7 +379,7 @@ class TestFlowKey:
         """A group address is the same on every NIC, so it cannot key a
         flow per ingress port."""
         frame = EthAddr(dst).to_bytes() + self.frame[6:]
-        assert flow_key(Msg(frame)) is None
+        assert flow_key_frame(frame) is None
 
 
 class TestClassifyIntegration:

@@ -49,7 +49,7 @@ class TestChaosFastPath:
         # Spy on every cache decision: a hit handing out a path in any
         # state but ESTABLISHED would be a stale fast-path delivery.
         served_states = []
-        inner_lookup = kernel.flow_cache.lookup_key
+        inner_lookup = kernel.flow_cache.lookup
 
         def spying_lookup(key, msg):
             path = inner_lookup(key, msg)
@@ -57,8 +57,8 @@ class TestChaosFastPath:
                 served_states.append(path.state)
             return path
 
-        # Every probe, per-message or batched, goes through lookup_key.
-        kernel.flow_cache.lookup_key = spying_lookup
+        # Every probe goes through lookup.
+        kernel.flow_cache.lookup = spying_lookup
 
         # Governor-style early-discard flips on whatever path is live at
         # fire time (the watchdog swaps paths mid-run).

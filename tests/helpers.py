@@ -21,21 +21,22 @@ from repro.core import (
     turn_around,
 )
 from repro.core.specialize import FLOW_VALIDATED
-from repro.net.addresses import EthAddr
+from repro.net.addresses import EthAddr, IpAddr
 from repro.sim import SimWorld
 
 #: ``msg.meta`` keys only the reference walk leaves on a delivered frame:
-#: the IP header object its full validation parses and the flow-cache
-#: stamp that only the fused tier consumes.  The fused tier never
-#: materializes headers, so cross-tier comparisons leave exactly these out.
-WALK_ONLY_META = frozenset((FLOW_VALIDATED, "ip_header"))
+#: the flow-cache stamp, which only the fused tier consumes.  Cross-tier
+#: comparisons leave exactly these out.
+WALK_ONLY_META = frozenset((FLOW_VALIDATED,))
 
 
 def admitted_hit(msg):
     """Annotate *msg* as a warm flow-cache hit leaves admission: the
-    cache's stamp, and the source MAC admission reads off the frame
-    (the flow key does not fix it).  Returns *msg*."""
+    cache's stamp and the IP source its entry records, and the source
+    MAC admission reads off the frame (the flow key does not fix it).
+    Returns *msg*."""
     msg.meta[FLOW_VALIDATED] = True
+    msg.meta["ip_src"] = IpAddr(msg.peek(4, at=26))
     msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
     return msg
 

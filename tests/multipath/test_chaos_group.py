@@ -56,7 +56,7 @@ class TestChaosGroup:
                                 group=group).start()
 
         served_states = []
-        inner_lookup = kernel.flow_cache.lookup_key
+        inner_lookup = kernel.flow_cache.lookup
 
         def spying_lookup(key, msg):
             path = inner_lookup(key, msg)
@@ -64,8 +64,8 @@ class TestChaosGroup:
                 served_states.append(path.state)
             return path
 
-        # Every probe, per-message or batched, goes through lookup_key.
-        kernel.flow_cache.lookup_key = spying_lookup
+        # Every probe goes through lookup.
+        kernel.flow_cache.lookup = spying_lookup
 
         testbed.start_all()
         testbed.run_until_sources_done(max_seconds=30.0)

@@ -16,6 +16,7 @@ from repro.net import (
     IpRouter,
     TcpHeader,
     TcpRouter,
+    parse_frame,
 )
 from repro.net.common import PA_LOCAL_PORT
 from repro.net.headers import IPPROTO_TCP
@@ -70,6 +71,21 @@ def get(graph, conn, client_ip, target="/index.html", seq=0):
     request = f"GET {target} HTTP/1.0\r\n\r\n".encode()
     conn.deliver(segment(graph, client_ip, request, seq=seq), BWD)
     return len(request)
+
+
+class TestInjectedRequest:
+    def test_reply_goes_to_the_frames_ip_source(self, web):
+        """A request injected straight into a connection path skips the
+        classifier, which records ``ip_src``; IP's receive stage records
+        it from the frame instead, so the reply goes to the frame's
+        source, not to the path's participant."""
+        graph, wire = web
+        conn = graph.router("HTTP").connection_path_for(("10.0.0.9", 51000))
+        get(graph, conn, "10.0.0.10")
+        assert b"200 OK" in wire[-1]
+        parsed = parse_frame(wire[-1])
+        assert str(parsed.ip.dst) == "10.0.0.10"
+        assert parsed.eth.dst == EthAddr(CLIENTS["10.0.0.10"])
 
 
 class TestConnectionPool:
@@ -131,8 +147,6 @@ class TestConnectionGroup:
             member = group.dispatch(None)
             served.append(member)
             get(graph, member, client_ip)
-            from repro.net import parse_frame
-
             parsed = parse_frame(wire[-1])
             assert str(parsed.ip.dst) == client_ip
             assert parsed.eth.dst == EthAddr(CLIENTS[client_ip])

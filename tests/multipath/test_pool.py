@@ -8,7 +8,8 @@ the path — the creator, the pool, or a watchdog acting behind its back.
 import pytest
 
 from repro.admission import MemoryAdmission, path_memory_footprint
-from repro.core import Attrs, FlowCache, Msg, Path, classify, path_create
+from repro.core import (Attrs, FlowCache, Msg, Path, classify, flow_key_frame,
+                        path_create)
 from repro.core.attributes import PA_NET_PARTICIPANTS
 from repro.core.errors import AdmissionError
 from repro.experiments.micro import REMOTE_IP, Fig7Stack
@@ -125,7 +126,8 @@ class TestLifecycleSafety:
         assert len(cache) == 1
         pool.release(path)
         # An idle spare must be unreachable from cached flows.
-        assert cache.lookup(Msg(stack.udp_frame(PORT))) is None
+        frame = stack.udp_frame(PORT)
+        assert cache.lookup(flow_key_frame(frame), Msg(frame)) is None
         assert len(cache) == 0
 
     def test_path_deleted_behind_the_pools_back_is_forgotten(self):

@@ -35,7 +35,7 @@ class TestPathShape:
 
     def test_flow_registered(self, mstack):
         path = make_mflow_path(mstack)
-        key = mstack.mflow.flow_key(REMOTE_IP, 7200)
+        key = mstack.mflow.binding_key(REMOTE_IP, 7200)
         assert mstack.mflow._flows[key] is path
 
     def test_flow_unregistered_on_delete(self, mstack):

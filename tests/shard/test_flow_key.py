@@ -1,4 +1,4 @@
-"""Key stability for the public ``flow_key`` helper (DESIGN.md §17).
+"""Key stability for the public ``flow_key_frame`` helper (DESIGN.md §17).
 
 The dispatcher and the flow cache must agree on what a flow *is*: the
 same 19 peeked bytes, whether the frame is a ``Msg`` inside a kernel or
@@ -7,17 +7,33 @@ if either representation drifted, a flow could classify on one shard
 and dispatch to another.
 """
 
-from repro.core import Msg, flow_key, flow_key_frame
+from repro.api import Scout
+from repro.core import Msg, flow_key_frame
 from repro.net.addresses import EthAddr, IpAddr
 from repro.net.packets import build_udp_frame
 
-from .conftest import udp_frame
+from .conftest import REMOTE_IP, REMOTE_MAC, SINK_PORT, udp_frame
+
+
+def sink_kernel(flow):
+    """A kernel serving *flow* on its own sink path, as a shard does."""
+    scout = Scout(seed=1, udp_sink=True, display=False)
+    scout.add_peer(REMOTE_IP, REMOTE_MAC)
+    path = scout.kernel.start_udp_sink(SINK_PORT + flow,
+                                       (str(REMOTE_IP), 7000 + flow))
+    return scout.kernel, path
 
 
 class TestFlowKeyStability:
     def test_msg_and_frame_forms_agree(self):
+        """A frame received as a ``Msg`` is filed in the kernel's flow
+        cache under the key the dispatcher computes on its raw bytes."""
         frame = udp_frame(3, 17)
-        assert flow_key(Msg(frame)) == flow_key_frame(frame)
+        kernel, path = sink_kernel(3)
+        kernel.rx_burst([frame])
+        cache = kernel.flow_cache
+        assert len(cache) == 1
+        assert cache.lookup(flow_key_frame(frame), Msg(frame)) is path
 
     def test_same_flow_same_key(self):
         assert flow_key_frame(udp_frame(5, 0)) == \
@@ -60,9 +76,14 @@ class TestFlowKeyDeclines:
         assert flow_key_frame(bytes(frame)) is None
 
     def test_msg_form_declines_identically(self):
+        """A frame the key declines never reaches the kernel's flow
+        cache: not a hit, not a miss, not an entry."""
         frame = bytearray(udp_frame(0, 0))
         frame[23] = 6
-        assert flow_key(Msg(bytes(frame))) is None
+        kernel, _ = sink_kernel(0)
+        kernel.rx_burst([bytes(frame)])
+        cache = kernel.flow_cache
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
 
 def test_different_dst_mac_different_key():

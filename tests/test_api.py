@@ -1,9 +1,9 @@
 """Tests for the stable ``repro.api`` facade: the export surface, the
-fluent PathBuilder, the Scout entry point, and the deprecation shims
-that keep older deep-import call sites working."""
+fluent PathBuilder and the Scout entry point."""
 
 import asyncio
 import warnings
+from importlib import import_module
 
 import pytest
 
@@ -15,10 +15,8 @@ from repro.api import (
     PA_NET_PARTICIPANTS,
     PA_TRACE,
     Attrs,
-    ClassifyResult,
     PathBuilder,
     Scout,
-    SOURCE_DEMUX,
     build_graph,
     classify,
     path_create,
@@ -56,24 +54,26 @@ class TestSurface:
             for name in api.__all__:
                 assert getattr(api, name) is not None, name
 
-    def test_classify_returns_result_object(self):
+    def test_classify_is_the_core_classifier(self):
+        """One classifier: the facade re-exports it, and it returns the
+        bare path, or None with the discard's reason on the message."""
+        assert classify is import_module("repro.core.classify").classify
         graph = booted_graph()
         path = (PathBuilder(graph.router("TEST"))
                 .participants("10.0.0.2", 7000)
                 .local_port(6100)
                 .build())
         from repro.net import build_udp_frame, EthAddr, IpAddr
-        frame = build_udp_frame(EthAddr("02:00:00:00:00:02"),
-                                EthAddr("02:00:00:00:00:01"),
-                                IpAddr("10.0.0.2"), IpAddr("10.0.0.1"),
-                                7000, 6100, b"ping")
-        result = classify(graph.router("ETH"), api.Msg(frame))
-        assert isinstance(result, ClassifyResult)
-        assert result.path is path
-        assert result.source == SOURCE_DEMUX
-        # It unpacks like a plain (path, source) pair:
-        found, source = result
-        assert found is path and source == SOURCE_DEMUX
+
+        def frame(dport):
+            return api.Msg(build_udp_frame(
+                EthAddr("02:00:00:00:00:02"), EthAddr("02:00:00:00:00:01"),
+                IpAddr("10.0.0.2"), IpAddr("10.0.0.1"), 7000, dport, b"ping"))
+
+        assert classify(graph.router("ETH"), frame(6100)) is path
+        unbound = frame(6001)
+        assert classify(graph.router("ETH"), unbound) is None
+        assert "6001" in unbound.meta["drop_reason"]
 
 
 class TestPathBuilder:
@@ -137,38 +137,17 @@ class TestScoutEntry:
 
 
 class TestDeprecationShims:
-    def test_legacy_deep_name_resolves_with_warning(self):
-        import repro.net
-        with pytest.warns(DeprecationWarning, match="repro.net"):
-            assert api.MflowRouter is repro.net.MflowRouter
-
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
             api.definitely_not_a_name
 
     def test_dunder_probes_are_not_shimmed(self):
         # The import machinery probes __path__ on `from repro.api import x`;
-        # shimming it to repro.core.__path__ would be wrong and noisy.
+        # the facade is a plain module and answers it quietly.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with pytest.raises(AttributeError):
                 api.__path__
-
-    def test_core_classify_remains_path_returning(self):
-        """The historical repro.core classify surface is untouched: it
-        returns the bare path (or None), not a ClassifyResult."""
-        from repro.core import classify as core_classify
-        graph = booted_graph()
-        path = (PathBuilder(graph.router("TEST"))
-                .participants("10.0.0.2", 7000)
-                .local_port(6100)
-                .build())
-        from repro.net import build_udp_frame, EthAddr, IpAddr
-        frame = build_udp_frame(EthAddr("02:00:00:00:00:02"),
-                                EthAddr("02:00:00:00:00:01"),
-                                IpAddr("10.0.0.2"), IpAddr("10.0.0.1"),
-                                7000, 6100, b"ping")
-        assert core_classify(graph.router("ETH"), api.Msg(frame)) is path
 
 
 class TestBackendResolution:

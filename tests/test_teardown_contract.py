@@ -12,7 +12,7 @@ filters).  Each holder hears the deletion from the path itself.
 import pytest
 
 from repro.admission import MemoryAdmission
-from repro.core import Msg, path_create
+from repro.core import Msg, flow_key_frame, path_create
 from repro.core.attributes import PA_NET_PARTICIPANTS, Attrs
 from repro.kernel import ScoutKernel
 from repro.mpeg.clips import NEPTUNE
@@ -37,15 +37,21 @@ def booted_kernel():
     return kernel
 
 
-def flow_msg(kernel, port, sport=7000):
-    return Msg(build_udp_frame(REMOTE_MAC, kernel.device.mac, REMOTE_IP,
-                               LOCAL_IP, sport, port, b"x"))
+def flow_frame(kernel, port, sport=7000):
+    return build_udp_frame(REMOTE_MAC, kernel.device.mac, REMOTE_IP,
+                           LOCAL_IP, sport, port, b"x")
 
 
 def pin(kernel, path, port, sport):
     """Cache *path* as the classification of one flow to *port*."""
-    msg = flow_msg(kernel, port, sport)
-    assert kernel.flow_cache.insert(msg, path)
+    frame = flow_frame(kernel, port, sport)
+    assert kernel.flow_cache.insert(flow_key_frame(frame), Msg(frame), path)
+
+
+def cached(kernel, port, sport=7000):
+    """The path the flow cache holds for one flow to *port*, or None."""
+    frame = flow_frame(kernel, port, sport)
+    return kernel.flow_cache.lookup(flow_key_frame(frame), Msg(frame))
 
 
 # Each holder: build a path it holds, return ``(path, holds)`` where
@@ -62,9 +68,8 @@ def flow_cache_holder():
     invalidations = cache.invalidations
 
     def holds():
-        assert cache.lookup(flow_msg(kernel, PORT + 1)) is other
-        if any(cache.lookup(flow_msg(kernel, PORT, sport)) is path
-               for sport in (7000, 7001)):
+        assert cached(kernel, PORT + 1) is other
+        if any(cached(kernel, PORT, sport) is path for sport in (7000, 7001)):
             return True
         assert cache.invalidations == invalidations + 2
         return False
@@ -108,8 +113,7 @@ def group_holder():
     pin(kernel, sibling, PORT, 7001)
 
     def holds():
-        sibling_pinned = kernel.flow_cache.lookup(
-            flow_msg(kernel, PORT, 7001)) is not None
+        sibling_pinned = cached(kernel, PORT, 7001) is not None
         return path in vgroup.group.members or sibling_pinned
     return path, holds
 
