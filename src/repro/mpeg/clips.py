@@ -5,7 +5,7 @@ Canyon) that are not available; we synthesize statistical stand-ins.  A
 clip profile fixes resolution, length, and the frame-size distribution
 (mean bits per frame, I/P/B ratios over the GOP, lognormal jitter); the
 encoder then emits a *real* bitstream — every macroblock record is
-written bit by bit and read back by the decoder — packetized per ALF
+written field by field and read back by the decoder — packetized per ALF
 (Section 4.1): "the MPEG source sends Ethernet MTU-sized packets that
 contain an integral number of work-units (MPEG macroblocks)".
 

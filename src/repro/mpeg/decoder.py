@@ -7,7 +7,8 @@ so the decoder's only cross-packet state is which frame it is currently
 accumulating.  Losing a packet damages exactly one frame.
 
 The decoder really reads the bitstream — every macroblock record is
-parsed bit by bit and validated — and reports the per-packet decode cost
+parsed and validated, its coefficients read back 32 bits at a time as
+the Berkeley decoder reads them — and reports the per-packet decode cost
 from the cost model so the executing thread can charge the CPU.
 """
 
@@ -196,8 +197,8 @@ class MpegDecoder:
             previous_index = index
             remaining = size
             while remaining > 0:
-                chunk = min(16, remaining)
-                reader.read(chunk)  # the pseudo-coefficients
+                chunk = min(32, remaining)
+                reader.read(chunk)  # the pseudo-coefficients, by word
                 remaining -= chunk
             reader.align()  # records are byte-aligned by the encoder
             total += MB_INDEX_BITS + MB_SIZE_BITS + size

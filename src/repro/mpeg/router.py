@@ -65,7 +65,7 @@ class MpegStage(Stage):
         assert self.decoder is not None, "stage used before establish"
         try:
             result = self.decoder.feed(msg.to_bytes())
-        except MpegDecodeError as exc:
+        except (MpegDecodeError, EOFError) as exc:  # EOF: record past body
             self.decode_errors += 1
             self.note_drop(msg, f"MPEG bitstream error: {exc}", "corrupt")
             return None

@@ -337,6 +337,9 @@ class TestKernelAnnotations:
 
 
 class TestFlowKey:
+    """``flow_key_frame``: what a flow *is*, for the flow cache on raw
+    frame bytes and for the kernel that files a ``Msg`` under it."""
+
     def setup_method(self):
         self.stack = Fig7Stack()
         self.frame = self.stack.udp_frame(6100)
@@ -344,15 +347,25 @@ class TestFlowKey:
     def test_udp_frame_is_keyable(self):
         assert flow_key_frame(self.frame) is not None
 
+    def test_key_is_the_19_peeked_bytes(self):
+        """Destination MAC, IP protocol, IP addresses and UDP ports."""
+        key = flow_key_frame(self.frame)
+        assert key == self.frame[0:6] + self.frame[23:24] + self.frame[26:38]
+
     def test_same_flow_same_key_despite_payload(self):
-        a = flow_key_frame(self.stack.udp_frame(6100, b"x" * 10))
-        b = flow_key_frame(self.stack.udp_frame(6100, b"y" * 90))
-        assert a == b
+        keys = {flow_key_frame(self.stack.udp_frame(6100, b"p" * n))
+                for n in (1, 10, 90, 1000)}
+        assert len(keys) == 1 and None not in keys
 
     def test_different_port_different_key(self):
-        a = flow_key_frame(self.stack.udp_frame(6100))
-        b = flow_key_frame(self.stack.udp_frame(6200))
-        assert a != b
+        keys = {flow_key_frame(self.stack.udp_frame(6100 + port))
+                for port in range(32)}
+        assert len(keys) == 32
+
+    def test_different_dst_mac_different_key(self):
+        other = EthAddr("02:00:00:00:00:99").to_bytes() + self.frame[6:]
+        a, b = flow_key_frame(self.frame), flow_key_frame(other)
+        assert a is not None and b is not None and a != b
 
     def test_non_ipv4_is_ineligible(self):
         frame = bytearray(self.frame)
@@ -380,6 +393,39 @@ class TestFlowKey:
         flow per ingress port."""
         frame = EthAddr(dst).to_bytes() + self.frame[6:]
         assert flow_key_frame(frame) is None
+
+
+    @staticmethod
+    def sink_kernel():
+        """A kernel serving one UDP sink, and a frame of its flow."""
+        world = SimWorld(seed=1)
+        kernel = ScoutKernel(world, world.new_segment(), udp_sink=True,
+                             display=False)
+        kernel.arp.add_entry("10.0.0.2", "02:00:00:00:00:02")
+        path = kernel.start_udp_sink(6000, remote=("10.0.0.2", 7000))
+        frame = bytes(build_udp_frame(
+            EthAddr("02:00:00:00:00:02"), kernel.device.mac,
+            IpAddr("10.0.0.2"), IpAddr("10.0.0.1"), 7000, 6000, b"x"))
+        return kernel, path, frame
+
+    def test_msg_and_frame_forms_agree(self):
+        """A frame received as a ``Msg`` is filed in the kernel's flow
+        cache under the key computed on its raw bytes."""
+        kernel, path, frame = self.sink_kernel()
+        kernel.rx_burst([frame])
+        cache = kernel.flow_cache
+        assert len(cache) == 1
+        assert cache.lookup(flow_key_frame(frame), Msg(frame)) is path
+
+    def test_declined_frame_never_reaches_the_cache(self):
+        """A frame the key declines is not a hit, not a miss, not an
+        entry."""
+        kernel, _path, frame = self.sink_kernel()
+        tcp = bytearray(frame)
+        tcp[23] = 6
+        kernel.rx_burst([bytes(tcp)])
+        cache = kernel.flow_cache
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
 
 class TestClassifyIntegration:

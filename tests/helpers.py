@@ -21,6 +21,7 @@ from repro.core import (
     turn_around,
 )
 from repro.core.specialize import FLOW_VALIDATED
+from repro.mpeg.clips import PACKET_HEADER_SIZE
 from repro.net.addresses import EthAddr, IpAddr
 from repro.sim import SimWorld
 
@@ -39,6 +40,15 @@ def admitted_hit(msg):
     msg.meta["ip_src"] = IpAddr(msg.peek(4, at=26))
     msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
     return msg
+
+
+def with_overlong_record(packet: bytes) -> bytes:
+    """MPEG *packet* with its first macroblock record's size field at the
+    maximum, so the record runs past the packet body."""
+    packet = bytearray(packet)
+    packet[PACKET_HEADER_SIZE + 1] |= 0x3F  # size: the low 14 of 24 bits
+    packet[PACKET_HEADER_SIZE + 2] = 0xFF
+    return bytes(packet)
 
 
 def tier_meta(msg) -> dict:

@@ -7,6 +7,8 @@ from repro.experiments import Testbed
 from repro.mpeg import CANYON, NEPTUNE, synthesize_clip
 from repro.sim.world import POLICY_EDF, POLICY_RR
 
+from ..helpers import with_overlong_record
+
 
 def video_testbed(nframes=60, profile=CANYON, seed=1, **video_kwargs):
     testbed = Testbed(seed=seed)
@@ -48,6 +50,27 @@ class TestVideoPlayback:
         assert source.done
         assert session.frames_presented == 60
         assert session.path.stage_of("MPEG").decoder.frames_damaged == 0
+
+    def test_record_past_the_body_is_ledgered_corrupt(self):
+        """A packet whose macroblock record runs past its body is one
+        ``corrupt`` drop on the video path; playback goes on."""
+        clip = synthesize_clip(CANYON, seed=1, nframes=12)
+        packets = clip.frames[4].packets
+        packets[0] = with_overlong_record(packets[0])
+        testbed = Testbed(seed=1)
+        source = testbed.add_video_source(clip, dst_port=6100)
+        kernel = testbed.build_scout(rate_limited_display=False)
+        session = kernel.start_video(CANYON, (str(source.ip), 7200),
+                                     local_port=6100)
+        testbed.start_all()
+        testbed.run_until_sources_done()
+        assert source.done
+        assert kernel.drop_ledger() == {"corrupt": 1}
+        stage = session.path.stage_of("MPEG")
+        assert stage.decode_errors == 1
+        # Frame 4 was that one packet: it is damaged, the other 11 play.
+        assert stage.decoder.frames_damaged == 1
+        assert session.frames_presented == 11
 
     def test_packets_classified_at_interrupt_time(self):
         testbed, kernel, source, session, _clip = video_testbed(nframes=30)

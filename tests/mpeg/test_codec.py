@@ -20,6 +20,8 @@ from repro.mpeg import (
 )
 from repro.mpeg.clips import FLAG_FIRST_PACKET, FLAG_LAST_PACKET, PACKET_HEADER_SIZE
 
+from ..helpers import with_overlong_record
+
 SMALL = ClipProfile("small", 64, 48, 30, 30.0, avg_frame_bits=3000)
 
 
@@ -179,6 +181,14 @@ class TestDecoder:
         decoder = MpegDecoder(SMALL)
         with pytest.raises(MpegDecodeError):
             decoder.feed(bytes(packet))
+
+    def test_record_past_the_body_raises_eof(self):
+        clip = synthesize_clip(SMALL, seed=0, nframes=1)
+        packet = with_overlong_record(clip.frames[0].packets[0])
+        decoder = MpegDecoder(SMALL)
+        with pytest.raises(EOFError, match="bitstream exhausted"):
+            decoder.feed(packet)
+        assert decoder.packets_decoded == 0
 
 
 class TestStreamMode:

@@ -1,7 +1,7 @@
 """Round-trip and semantic tests for the wire formats."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.net import (
     EthAddr,
@@ -22,6 +22,18 @@ IP_A = IpAddr("10.0.0.1")
 IP_B = IpAddr("10.0.0.2")
 
 
+def loop_folded_sum(data):
+    """The RFC 1071 word loop with carry folding: the reference sum."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
 class TestChecksum:
     def test_known_vector(self):
         # RFC 1071 example: 00 01 f2 03 f4 f5 f6 f7 -> checksum 0x220d
@@ -39,6 +51,23 @@ class TestChecksum:
 
     def test_odd_length_padded(self):
         assert internet_checksum(b"\x01") == internet_checksum(b"\x01\x00")
+
+    @given(st.one_of(st.binary(max_size=1500),
+                     st.integers(0, 600).map(lambda n: b"\xff" * n),
+                     st.integers(0, 600).map(lambda n: b"\x00" * n)))
+    @example(b"")
+    @example(b"\xff")
+    @example(b"\xff\xff\x00\x00")
+    @example(b"\x80\x00" * 3)
+    @example(b"\xff\xfe\x00\x01")
+    def test_matches_the_word_loop(self, data):
+        """The remainder form equals the word loop on every input,
+        including empty, odd-length, all-0xFF and all-zero data and sums
+        that fold to exactly 0xFFFF."""
+        folded = loop_folded_sum(data)
+        assert internet_checksum(data) == ~folded & 0xFFFF
+        assert verify_checksum(data) is (folded == 0xFFFF)
+        assert verify_checksum(bytearray(data)) is (folded == 0xFFFF)
 
     @given(st.binary(max_size=64))
     def test_checksummed_data_always_verifies(self, data):

@@ -1,12 +1,15 @@
-"""The warm receive route's call budget (DESIGN.md §11.1).
+"""Call budgets for deterministic routes (DESIGN.md §11.1).
 
-A warm frame on a ``sim_warm``-shaped kernel (4 flows, batch 16, the
-specialized tier) crosses interrupt-time receive, flow-cache hit,
-admission, the queue hop, the fused path body and the sink.  Every
-Python-level call into ``repro`` on that route is counted with
+Every Python-level call into ``repro`` on a route is counted with
 ``sys.setprofile``.  The count is a property of the code, not of the
 machine, so it is enforced where a timing could not be: a stage that
 grows an indirection shows here before it shows in ``frames_per_s``.
+
+- A warm frame on a ``sim_warm``-shaped kernel (4 flows, batch 16, the
+  specialized tier) crosses interrupt-time receive, flow-cache hit,
+  admission, the queue hop, the fused path body and the sink.
+- A video packet is one ``MpegDecoder.feed`` of a Neptune packet: the
+  header, every macroblock record and its coefficients read back.
 """
 
 import os
@@ -15,6 +18,7 @@ import sys
 import repro
 from repro.api import Scout
 from repro.core import BWD
+from repro.mpeg import NEPTUNE, MpegDecoder, synthesize_clip
 from repro.net import EthAddr, IpAddr, build_udp_frame
 
 #: Measured 33.8 calls per warm frame; 34.8 while the classifier keyed
@@ -22,9 +26,32 @@ from repro.net import EthAddr, IpAddr, build_udp_frame
 #: on ``path.attrs``.  Set just above the measurement.
 CALLS_PER_WARM_FRAME = 34.0
 
+#: Measured 457.2 calls per seed-1 Neptune packet (12 frames, 85
+#: packets); 746.6 while the decoder read coefficients in 16-bit words.
+#: Set just above the measurement.
+CALLS_PER_VIDEO_PACKET = 458.0
+
 FLOWS, BURST, WARM_BURSTS, COUNTED_BURSTS = 4, 64, 8, 16
 REMOTE_MAC, REMOTE_IP = EthAddr("02:00:00:00:00:02"), IpAddr("10.0.0.2")
 LOCAL_MAC, LOCAL_IP = EthAddr("02:00:00:00:00:01"), IpAddr("10.0.0.1")
+
+
+def calls_into_repro(run) -> int:
+    """How many Python-level calls into ``repro`` ``run()`` makes."""
+    package = os.path.dirname(repro.__file__) + os.sep
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def test_a_warm_frame_stays_inside_its_call_budget():
@@ -43,31 +70,36 @@ def test_a_warm_frame_stays_inside_its_call_budget():
                               b"%04d" % i + b"x" * 60)
               for i in range(BURST)]
     kernel, world = scout.kernel, scout.world
-    for _ in range(WARM_BURSTS):
-        kernel.rx_burst(frames)
-        world.run_until_idle()
 
-    package = os.path.dirname(repro.__file__) + os.sep
-    calls = 0
+    def bursts(count):
+        for _ in range(count):
+            kernel.rx_burst(frames)
+            world.run_until_idle()
 
-    def count(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
-
+    bursts(WARM_BURSTS)
     delivered.clear()
     hits = kernel.flow_cache.hits
     fused = sum(p.specialized_msgs for p in kernel.paths())
-    sys.setprofile(count)
-    try:
-        for _ in range(COUNTED_BURSTS):
-            kernel.rx_burst(frames)
-            world.run_until_idle()
-    finally:
-        sys.setprofile(None)
+    calls = calls_into_repro(lambda: bursts(COUNTED_BURSTS))
     counted = COUNTED_BURSTS * BURST
     # Every counted frame was a fused flow-cache hit that reached a sink.
     assert len(delivered) == counted
     assert kernel.flow_cache.hits - hits == counted
     assert sum(p.specialized_msgs for p in kernel.paths()) - fused == counted
     assert calls / counted <= CALLS_PER_WARM_FRAME, calls / counted
+
+
+def test_a_video_packet_stays_inside_its_call_budget():
+    packets = list(synthesize_clip(NEPTUNE, seed=1, nframes=12).packets())
+    decoder = MpegDecoder(NEPTUNE)
+
+    def feed_all():
+        for packet in packets:
+            decoder.feed(packet)
+
+    calls = calls_into_repro(feed_all)
+    # Every packet decoded and every frame came out whole.
+    assert decoder.packets_decoded == len(packets) == 85
+    assert (decoder.frames_decoded, decoder.frames_damaged) == (12, 0)
+    assert calls / len(packets) <= CALLS_PER_VIDEO_PACKET, \
+        calls / len(packets)
