@@ -229,12 +229,13 @@ class PathRuntime:
         Service and sink paths do not reserve: their ends deposit (or
         transmit) themselves and account any overflow.
         """
-        inq = path.input_queue(BWD)
-        outq = path.output_queue(BWD)
+        # The ops are values: one of each serves every dispatch.
+        take = DequeueBatch(path.input_queue(BWD), batch_limit)
+        reserve = WaitSpace(path.output_queue(BWD))
         while path.state != DELETED:
-            msgs = yield DequeueBatch(inq, batch_limit)
+            msgs = yield take
             if reserve_output:
-                yield WaitSpace(outq)
+                yield reserve
             self._traverse_batch(path, msgs)
             cost = 0.0
             for msg in msgs:

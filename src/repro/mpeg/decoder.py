@@ -154,7 +154,13 @@ class MpegDecoder:
             body = bytes(self._stream_buffer) + body
             self._stream_buffer = bytearray()
 
-        bits_read = self._parse_macroblocks(body, n_mb)
+        try:
+            bits_read = self._parse_macroblocks(body, n_mb)
+        except (MpegDecodeError, EOFError):  # EOF: record past the body
+            # The packet already advanced the frame's packet sequence, so
+            # the frame would otherwise come out complete without it.
+            self._lost_packets_in_frame = True
+            raise
         self.packets_decoded += 1
         self.bits_decoded += bits_read
         self._accum_bits += bits_read

@@ -24,6 +24,8 @@ from ..sim.cpu import CPU
 from ..sim.engine import Engine
 from .addresses import EthAddr, IpAddr
 
+_BROADCAST = EthAddr.BROADCAST.to_bytes()
+
 
 class EtherSegment:
     """A shared broadcast medium with finite bandwidth.
@@ -31,6 +33,11 @@ class EtherSegment:
     Frames serialize onto the wire one at a time (a global busy pointer
     bounds aggregate throughput at the configured bandwidth); delivery
     happens after serialization + propagation latency + jitter.
+
+    Endpoints are keyed by their MAC's six wire bytes, so a frame's
+    destination is looked up as it sits in the frame, and a delivery is
+    an engine event without a cancel handle (a frame on the wire is never
+    taken back).
     """
 
     def __init__(self, engine: Engine,
@@ -51,7 +58,7 @@ class EtherSegment:
         #: for the ordered-but-unreliable MFLOW/decoder behaviour).
         self.loss_rate = loss_rate
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._endpoints: Dict[EthAddr, "Endpoint"] = {}
+        self._endpoints: Dict[bytes, "Endpoint"] = {}
         self._wire_free_at = 0.0
         self._last_arrival = 0.0
         # statistics
@@ -60,9 +67,10 @@ class EtherSegment:
         self.frames_lost = 0
 
     def attach(self, endpoint: "Endpoint") -> None:
-        if endpoint.mac in self._endpoints:
+        mac = endpoint.mac.to_bytes()
+        if mac in self._endpoints:
             raise ValueError(f"duplicate MAC on segment: {endpoint.mac}")
-        self._endpoints[endpoint.mac] = endpoint
+        self._endpoints[mac] = endpoint
         endpoint.segment = self
 
     def endpoints(self) -> List["Endpoint"]:
@@ -78,11 +86,12 @@ class EtherSegment:
         The destination is read from the frame's first six bytes;
         broadcast frames go to every endpoint except the sender.
         """
-        if len(frame) < 14:
-            raise ValueError(f"runt frame ({len(frame)} bytes)")
-        dst = EthAddr(frame[:6])
-        start = max(self.engine.now, self._wire_free_at)
-        end = start + self.serialization_us(len(frame))
+        size = len(frame)
+        if size < 14:
+            raise ValueError(f"runt frame ({size} bytes)")
+        engine = self.engine
+        start = max(engine.now, self._wire_free_at)
+        end = start + (size * 8) / self.bandwidth_mbps  # serialization_us
         self._wire_free_at = end
         if self.loss_rate and float(self.rng.random()) < self.loss_rate:
             self.frames_lost += 1
@@ -95,15 +104,17 @@ class EtherSegment:
             arrival = max(arrival, self._last_arrival + 1e-6)
             self._last_arrival = arrival
         self.frames_carried += 1
-        self.bytes_carried += len(frame)
-        if dst.is_broadcast:
+        self.bytes_carried += size
+        dst = frame[:6]
+        if dst == _BROADCAST:
+            sender = src.to_bytes()
             for mac, endpoint in self._endpoints.items():
-                if mac != src:
-                    self.engine.schedule_at(arrival, endpoint.receive, frame)
+                if mac != sender:
+                    engine.call_at(arrival, endpoint.receive, frame)
         else:
             endpoint = self._endpoints.get(dst)
             if endpoint is not None:
-                self.engine.schedule_at(arrival, endpoint.receive, frame)
+                engine.call_at(arrival, endpoint.receive, frame)
             # Frames to unknown MACs vanish, as on a real wire.
         return arrival
 

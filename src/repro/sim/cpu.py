@@ -18,7 +18,7 @@ Two kinds of work consume the CPU:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from .engine import Engine
 
@@ -39,17 +39,6 @@ def us_to_cycles(micros: float, mhz: float = CPU_MHZ) -> float:
     return micros * mhz
 
 
-class _Slice:
-    """The single in-flight thread compute."""
-
-    __slots__ = ("end", "cost_us", "on_done")
-
-    def __init__(self, end: float, cost_us: float, on_done: Callable[[], None]):
-        self.end = end
-        self.cost_us = cost_us
-        self.on_done = on_done
-
-
 class CPU:
     """A single virtual CPU attached to an engine.
 
@@ -63,7 +52,11 @@ class CPU:
         #: Earliest time a new compute could begin (interrupts while idle
         #: still occupy the CPU).
         self.busy_until = 0.0
-        self._slice: Optional[_Slice] = None
+        # The single in-flight thread compute: its (interrupt-inflated)
+        # end, or None while no compute is in flight, and its callback.
+        self._end: Optional[float] = None
+        self._on_done: Optional[Callable[..., None]] = None
+        self._done_args: Tuple[Any, ...] = ()
         self._arm_seq = 0
         # accounting
         self.compute_us = 0.0
@@ -100,8 +93,8 @@ class CPU:
         if cost_us < 0:
             raise ValueError("interrupt cost must be non-negative")
         self.interrupt_us += cost_us
-        if self._slice is not None:
-            self._slice.end += cost_us  # steal from the running thread
+        if self._end is not None:
+            self._end += cost_us  # steal from the running thread
         else:
             start = max(self.busy_until, self.engine.now)
             self.busy_until = start + cost_us
@@ -110,34 +103,41 @@ class CPU:
 
     @property
     def computing(self) -> bool:
-        return self._slice is not None
+        return self._end is not None
 
-    def start_compute(self, cost_us: float, on_done: Callable[[], None]) -> None:
-        """Begin a thread compute of *cost_us*; calls *on_done* when the
-        CPU has actually delivered that much time (interrupt-inflated)."""
+    def start_compute(self, cost_us: float, on_done: Callable[..., None],
+                      *args: Any) -> None:
+        """Begin a thread compute of *cost_us*; calls ``on_done(*args)``
+        when the CPU has actually delivered that much time
+        (interrupt-inflated)."""
         if cost_us < 0:
             raise ValueError("compute cost must be non-negative")
-        if self._slice is not None:
+        if self._end is not None:
             raise RuntimeError("non-preemptive CPU already has a compute in flight")
-        start = max(self.engine.now, self.busy_until)
-        self._slice = _Slice(start + cost_us, cost_us, on_done)
+        engine = self.engine
+        end = max(engine.now, self.busy_until) + cost_us
+        self._end = end
+        self._on_done = on_done
+        self._done_args = args
         self.compute_us += cost_us
-        self._arm(self._slice.end)
-
-    def _arm(self, when: float) -> None:
         self._arm_seq += 1
-        self.engine.schedule_at(when, self._completion_check, self._arm_seq)
+        engine.call_at(end, self._completion_check, self._arm_seq)
 
     def _completion_check(self, seq: int) -> None:
-        if seq != self._arm_seq or self._slice is None:
+        end = self._end
+        if seq != self._arm_seq or end is None:
             return  # stale arm: the slice was extended and re-armed
-        if self.engine.now + _EPS < self._slice.end:
-            self._arm(self._slice.end)  # interrupts pushed the end back
+        engine = self.engine
+        if engine.now + _EPS < end:
+            # Interrupts pushed the end back: check again then.
+            self._arm_seq += 1
+            engine.call_at(end, self._completion_check, self._arm_seq)
             return
-        done = self._slice
-        self._slice = None
-        self.busy_until = self.engine.now
-        done.on_done()
+        on_done, args = self._on_done, self._done_args
+        self._end = self._on_done = None
+        self._done_args = ()
+        self.busy_until = engine.now
+        on_done(*args)
 
     # -- reporting -------------------------------------------------------------------
 

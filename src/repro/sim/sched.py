@@ -102,12 +102,30 @@ class EDF(Policy):
 
 
 class _PolicySlot:
-    __slots__ = ("policy", "share", "vtime")
+    __slots__ = ("policy", "share", "vtime", "ready")
 
     def __init__(self, policy: Policy, share: float):
         self.policy = policy
         self.share = share
         self.vtime = 0.0  # share-weighted CPU consumed
+        #: Threads the scheduler has added to ``policy`` and not yet
+        #: popped: ``len(policy)`` without a Python call per dispatch.
+        self.ready = 0
+
+
+#: The op classes the dispatch in :meth:`Scheduler._run` matches by
+#: exact type; an instance of a subclass is mapped through ``isinstance``.
+_OP_TYPES = (Compute, DequeueBatch, Dequeue, Enqueue, WaitSpace, Sleep,
+             _Yield)
+_OP_SET = frozenset(_OP_TYPES)
+
+
+def _op_type(thread: SimThread, op: Any) -> type:
+    """The op class *op* is an instance of (the fallback for subclasses)."""
+    for kind in _OP_TYPES:
+        if isinstance(op, kind):
+            return kind
+    raise TypeError(f"{thread.name} yielded unknown op {op!r}")
 
 
 class Scheduler:
@@ -117,6 +135,11 @@ class Scheduler:
     or finishes.  Wakeups go through the path's ``wakeup`` callback first
     so a path can impose its scheduling requirements on the thread about
     to run on its behalf.
+
+    Every engine event the scheduler posts — a dispatch, a compute's
+    completion (through the CPU), a sleeper's wake — is one the engine
+    never has to cancel, so none carries an :class:`~repro.sim.engine.Event`
+    handle (:meth:`~repro.sim.engine.Engine.call_at`).
     """
 
     def __init__(self, engine: Engine, cpu: CPU):
@@ -159,8 +182,9 @@ class Scheduler:
         on its policy's ready queue."""
         if thread.state in (DONE, READY, RUNNING):
             return  # finished, already queued, or already on the CPU
-        if thread.path is not None and thread.path.wakeup is not None:
-            thread.path.wakeup(thread.path, thread)
+        path = thread.path
+        if path is not None and path.wakeup is not None:
+            path.wakeup(path, thread)
         slot = self._slots[thread.policy]
         # A policy that slept must not carry stale credit: advance its
         # virtual time to the busiest competitor's so shares stay fair.
@@ -171,64 +195,67 @@ class Scheduler:
         # The floor is for policies waking from *idle* only: a yielding
         # thread's policy never left the competition, and its low virtual
         # time is earned priority, not stale credit (``floor=False``).
-        if floor:
-            active = [s.vtime for s in self._slots.values() if len(s.policy)]
-            if self.current is not None and self.current.state == RUNNING:
-                active.append(self._slots[self.current.policy].vtime)
-            if active:
-                slot.vtime = max(slot.vtime, min(active))
+        # A policy with ready threads is itself among the competitors, so
+        # the floor (the least competing virtual time) cannot raise it.
+        if floor and not slot.ready:
+            least = None
+            for other in self._slots.values():
+                if other.ready and (least is None or other.vtime < least):
+                    least = other.vtime
+            current = self.current
+            if current is not None and current.state == RUNNING:
+                running = self._slots[current.policy].vtime
+                if least is None or running < least:
+                    least = running
+            if least is not None and least > slot.vtime:
+                slot.vtime = least
         thread.state = READY
         thread.wakeups += 1
         slot.policy.add(thread)
-        self._request_dispatch()
+        slot.ready += 1
+        if not self._dispatch_pending and self.current is None:
+            self._dispatch_pending = True
+            engine = self.engine
+            engine.call_at(max(engine.now, self.cpu.busy_until),
+                           self._dispatch)
 
     # -- dispatch loop ----------------------------------------------------------
 
     def _request_dispatch(self) -> None:
+        """Post a dispatch when the CPU has no thread and none is posted
+        (:meth:`make_runnable` spells this inline)."""
         if self._dispatch_pending or self.current is not None:
             return
         self._dispatch_pending = True
-        when = max(self.engine.now, self.cpu.busy_until)
-        self.engine.schedule_at(when, self._dispatch)
+        engine = self.engine
+        engine.call_at(max(engine.now, self.cpu.busy_until), self._dispatch)
 
     def _dispatch(self) -> None:
         self._dispatch_pending = False
         if self.current is not None:
             return
-        slot = self._pick_policy()
-        if slot is None:
+        best: Optional[_PolicySlot] = None
+        for slot in self._slots.values():
+            if slot.ready and (best is None or slot.vtime < best.vtime):
+                best = slot
+        if best is None:
             return
-        thread = slot.policy.pop()
+        thread = best.policy.pop()
         if thread is None:
             return
+        best.ready -= 1
         self.current = thread
         thread.state = RUNNING
         self.context_switches += 1
-        if thread.pending_op is not None:
-            op, thread.pending_op = thread.pending_op, None
-            self._handle_op(thread, op)
-        else:
-            self._step(thread, None)
-
-    def _pick_policy(self) -> Optional[_PolicySlot]:
-        best: Optional[_PolicySlot] = None
-        for slot in self._slots.values():
-            if not len(slot.policy):
-                continue
-            if best is None or slot.vtime < best.vtime:
-                best = slot
-        return best
+        op, thread.pending_op = thread.pending_op, None
+        self._run(thread, op)
 
     # -- thread stepping -----------------------------------------------------------
 
-    def _step(self, thread: SimThread, send_value: Any) -> None:
-        """Advance *thread* until it blocks, computes, yields, or ends."""
-        try:
-            op = thread.body.send(send_value)
-        except StopIteration:
-            self._finish(thread)
-            return
-        self._handle_op(thread, op)
+    def _compute_done(self, thread: SimThread) -> None:
+        """The CPU delivered a thread's compute: step the thread on."""
+        if thread.state == RUNNING:
+            self._run(thread, None)
 
     def _finish(self, thread: SimThread) -> None:
         thread.state = DONE
@@ -236,74 +263,72 @@ class Scheduler:
             self.current = None
         self._request_dispatch()
 
-    def _handle_op(self, thread: SimThread, op: Op) -> None:
-        while True:
-            if isinstance(op, Compute):
-                self._start_compute(thread, op)
+    def _run(self, thread: SimThread, op: Optional[Op]) -> None:
+        """Run *thread*, which holds the CPU, until it computes, blocks,
+        sleeps, yields or ends.  *op* is an op to carry out first (a
+        blocked thread's retried op); ``None`` resumes the body."""
+        if op is None:
+            try:
+                op = thread.body.send(None)
+            except StopIteration:
+                self._finish(thread)
                 return
-            if isinstance(op, Dequeue):
-                if op.queue.is_empty():
-                    self._block(thread, op, self._deq_waiters)
-                    return
-                next_op = self._advance(thread, op.queue.dequeue())
-            elif isinstance(op, DequeueBatch):
-                if op.queue.is_empty():
-                    self._block(thread, op, self._deq_waiters)
-                    return
+        while True:
+            kind = type(op)
+            if kind not in _OP_SET:
+                kind = _op_type(thread, op)
+            if kind is Compute:
+                us = op.us
+                slot = self._slots[thread.policy]
+                slot.vtime += us / slot.share
+                thread.cpu_us += us
+                if thread.path is not None:
+                    thread.path.stats.charge_cycles(us * self.cpu.mhz)
+                self.cpu.start_compute(us, self._compute_done, thread)
+                return
+            if kind is DequeueBatch:
                 # One scheduler operation moves the whole run: the thread
                 # paid one wakeup and one dispatch for up to `limit` items.
-                next_op = self._advance(thread,
-                                        op.queue.dequeue_batch(op.limit))
-            elif isinstance(op, Enqueue):
+                value = op.queue.dequeue_batch(op.limit)
+                if not value:
+                    self._block(thread, op, self._deq_waiters)
+                    return
+            elif kind is _Yield:
+                if self.current is thread:
+                    self.current = None
+                thread.state = BLOCKED  # so make_runnable re-queues it
+                self.make_runnable(thread, floor=False)
+                return
+            elif kind is Dequeue:
+                if op.queue.is_empty():
+                    self._block(thread, op, self._deq_waiters)
+                    return
+                value = op.queue.dequeue()
+            elif kind is Enqueue:
                 if op.queue.is_full():
                     self._block(thread, op, self._enq_waiters)
                     return
                 op.queue.enqueue(op.item)
-                next_op = self._advance(thread, None)
-            elif isinstance(op, WaitSpace):
+                value = None
+            elif kind is WaitSpace:
                 if op.queue.is_full():
                     self._block(thread, op, self._enq_waiters)
                     return
-                next_op = self._advance(thread, None)
-            elif isinstance(op, Sleep):
+                value = None
+            else:  # Sleep
                 self._sleep(thread, op.us)
                 return
-            elif isinstance(op, _Yield):
-                self._yield_cpu(thread)
+            try:
+                op = thread.body.send(value)
+            except StopIteration:
+                self._finish(thread)
                 return
-            else:
-                raise TypeError(f"{thread.name} yielded unknown op {op!r}")
-            if next_op is _STOPPED:
-                return
-            op = next_op
-
-    #: Sentinel: the generator finished while being advanced inline.
-    # (module-private; compared by identity)
-
-    def _advance(self, thread: SimThread, send_value: Any):
-        try:
-            return thread.body.send(send_value)
-        except StopIteration:
-            self._finish(thread)
-            return _STOPPED
-
-    def _start_compute(self, thread: SimThread, op: Compute) -> None:
-        slot = self._slots[thread.policy]
-        slot.vtime += op.us / slot.share
-        thread.cpu_us += op.us
-        if thread.path is not None:
-            thread.path.stats.charge_cycles(op.us * self.cpu.mhz)
-
-        def done() -> None:
-            if thread.state == RUNNING:
-                self._step(thread, None)
-
-        self.cpu.start_compute(op.us, done)
 
     def _block(self, thread: SimThread, op: Op,
                waiters: Dict[int, Deque[SimThread]]) -> None:
         queue: PathQueue = op.queue  # type: ignore[attr-defined]
-        self._watch(queue)
+        if id(queue) not in self._watched_queues:
+            self._watch(queue)
         thread.state = BLOCKED
         thread.pending_op = op
         thread.blocks += 1
@@ -316,21 +341,13 @@ class Scheduler:
         thread.state = BLOCKED
         if self.current is thread:
             self.current = None
-        self.engine.schedule(us, self.make_runnable, thread)
-        self._request_dispatch()
-
-    def _yield_cpu(self, thread: SimThread) -> None:
-        if self.current is thread:
-            self.current = None
-        thread.state = BLOCKED  # so make_runnable re-queues it
-        self.make_runnable(thread, floor=False)
+        engine = self.engine
+        engine.call_at(engine.now + us, self.make_runnable, thread)
         self._request_dispatch()
 
     # -- queue wake plumbing -----------------------------------------------------------
 
     def _watch(self, queue: PathQueue) -> None:
-        if id(queue) in self._watched_queues:
-            return
         self._watched_queues.add(id(queue))
         queue.on_enqueue(self._queue_filled)
         queue.on_dequeue(self._queue_drained)
@@ -369,7 +386,7 @@ class Scheduler:
     # -- introspection ---------------------------------------------------------------------
 
     def ready_count(self) -> int:
-        return sum(len(slot.policy) for slot in self._slots.values())
+        return sum(slot.ready for slot in self._slots.values())
 
     def idle(self) -> bool:
         """True when every thread is blocked or done.  O(1): a READY
@@ -382,10 +399,3 @@ class Scheduler:
         return (f"<Scheduler running={running} ready={self.ready_count()} "
                 f"switches={self.context_switches}>")
 
-
-class _Stopped:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<thread stopped>"
-
-
-_STOPPED = _Stopped()

@@ -190,6 +190,21 @@ class TestDecoder:
             decoder.feed(packet)
         assert decoder.packets_decoded == 0
 
+    def test_a_frame_with_a_corrupt_packet_is_not_complete(self):
+        """A packet whose parse raises is lost to its frame: the frame's
+        last packet reports it damaged, not complete."""
+        clip = synthesize_clip(CANYON, seed=1, nframes=1)
+        packets = list(clip.frames[0].packets)
+        assert len(packets) == 3
+        packets[1] = with_overlong_record(packets[1])
+        decoder = MpegDecoder(CANYON)
+        decoder.feed(packets[0])
+        with pytest.raises(EOFError):
+            decoder.feed(packets[1])
+        frame = decoder.feed(packets[2]).frame
+        assert frame is not None and not frame.complete
+        assert (decoder.frames_decoded, decoder.frames_damaged) == (0, 1)
+
 
 class TestStreamMode:
     """Non-ALF (byte-stream) packetization: the ablation path."""

@@ -132,3 +132,13 @@ class TestUtilization:
     def test_utilization_zero_window(self):
         _, cpu = make_cpu()
         assert cpu.utilization() == 0.0
+
+
+def test_a_compute_completion_passes_its_arguments():
+    engine, cpu = make_cpu()
+    done = []
+    cpu.start_compute(10, lambda *args: done.append((engine.now, args)),
+                      "thread", 7)
+    engine.schedule_at(4, cpu.interrupt, 2.5)
+    engine.run()
+    assert done == [(12.5, ("thread", 7))]

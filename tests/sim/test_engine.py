@@ -122,3 +122,18 @@ def test_events_always_fire_in_nondecreasing_time(delays):
     engine.run()
     assert times == sorted(times)
     assert len(times) == len(delays)
+
+
+def test_handle_free_and_cancellable_events_share_one_order():
+    engine = Engine()
+    fired = []
+    engine.call_at(5, fired.append, "a")
+    engine.schedule_at(5, fired.append, "b")
+    engine.call_at(5, fired.append, "c")
+    engine.schedule_at(5, fired.append, "d").cancel()
+    engine.call_at(2, fired.append, "first")
+    assert engine.pending() == 4
+    engine.run()
+    assert fired == ["first", "a", "b", "c"]
+    assert engine.events_processed == 4
+
