@@ -126,10 +126,6 @@ class FrameCostModel:
         micros = path.stats.cycles / cpu_mhz / frames
         self.add_sample(bits, decoder.profile.pixels, micros)
 
-    @property
-    def n_samples(self) -> int:
-        return len(self._samples)
-
     def fit(self) -> np.ndarray:
         """Least-squares fit ``us = a*bits + b*pixels + c``."""
         if len(self._samples) < 3:

@@ -23,10 +23,6 @@ class RamDisk:
         self.reads = 0
         self.writes = 0
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.sectors * self.sector_size
-
     def _check(self, sector: int) -> None:
         if not 0 <= sector < self.sectors:
             raise IndexError(f"sector {sector} out of range "

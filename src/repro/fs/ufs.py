@@ -299,11 +299,6 @@ class Ufs:
             return data[offset:]
         return data[offset:offset + length]
 
-    def read_inode_range(self, inode: Inode, offset: int, length: int) -> bytes:
-        """Sequential read through an already-resolved inode (what a file
-        path's UFS stage does — the lookup happened at path creation)."""
-        return self._read_inode_data(inode)[offset:offset + length]
-
     def __repr__(self) -> str:
         state = "mounted" if self.mounted else "unmounted"
         return f"<Ufs {state} inodes={self.n_inodes} on {self.disk!r}>"

@@ -211,12 +211,6 @@ class PingFlooderHost(HostAgent):
     def stop(self) -> None:
         self.running = False
 
-    @property
-    def reply_rate(self) -> float:
-        if self.requests_sent == 0:
-            return 0.0
-        return self.replies_received / self.requests_sent
-
     def _send(self) -> None:
         if not self.running:
             return

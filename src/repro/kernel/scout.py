@@ -459,13 +459,6 @@ class ScoutKernel(PathRuntime):
                     break
         return rebind
 
-    def stop_video_group(self, vgroup: VideoSessionGroup) -> None:
-        """Tear down every member; flow-cache pins, port bindings, group
-        membership and admission grants all unwind through the delete
-        hooks."""
-        for session in list(vgroup.sessions):
-            self.stop_video(session)
-
     def set_frame_skip(self, path: Path, modulus: int) -> None:
         """Adjust adapter-level early discard for *path* at runtime: keep
         every *modulus*-th frame (1 restores full quality).  This is the

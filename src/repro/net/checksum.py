@@ -9,7 +9,9 @@ integer, the data is its 16-bit words times powers of ``2**16``, and
 ``2**16 % 0xFFFF == 1``, so the integer leaves the same remainder mod
 ``0xFFFF`` as the plain word sum.  Folding the carries keeps that
 remainder and yields ``0xFFFF``, not ``0``, for any non-zero sum, so the
-folded sum is the remainder with that one fix-up.
+folded sum is the remainder with that one fix-up.  Its complement, the
+checksum, is then ``-total % 0xFFFF`` for any non-zero *total*: the
+fix-up case complements to ``0``, as does a zero remainder.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ def internet_checksum(data: bytes) -> int:
 
     Odd-length input is zero-padded, per the RFC.
     """
-    return ~_folded_sum(data) & 0xFFFF
+    total = int.from_bytes(data, "big")
+    if len(data) & 1:
+        total <<= 8
+    return -total % 0xFFFF if total else 0xFFFF
 
 
 def verify_checksum(data: bytes) -> bool:

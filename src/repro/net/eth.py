@@ -21,8 +21,11 @@ from ..core.stage import BWD, FWD, Stage, forward
 from ..core.graph import register_router
 from .addresses import EthAddr
 from .common import PA_ETH_DST, PA_ETHERTYPE, charge
-from .headers import EthHeader
+from .headers import ETH_SIZE, pack_eth, read_eth
 from .segment import NetDevice
+
+
+_BROADCAST = EthAddr.BROADCAST.to_bytes()
 
 
 class EthStage(Stage):
@@ -30,7 +33,8 @@ class EthStage(Stage):
 
     def __init__(self, router: "EthRouter", enter_service: Optional[Service]):
         super().__init__(router, enter_service, None)
-        self.dst_mac: Optional[EthAddr] = None
+        #: The frozen destination, as the six bytes the header carries.
+        self.dst_mac = _BROADCAST
         self.ethertype = 0
         self.set_deliver(FWD, self._send)
         self.set_deliver(BWD, self._receive)
@@ -43,7 +47,8 @@ class EthStage(Stage):
         sharing state anonymously through attrs, as Section 3.2 describes.
         """
         dst = attrs.get(PA_ETH_DST)
-        self.dst_mac = EthAddr(dst) if dst is not None else EthAddr.BROADCAST
+        self.dst_mac = EthAddr(dst).to_bytes() if dst is not None \
+            else _BROADCAST
         self.ethertype = attrs.get(PA_ETHERTYPE, 0)
 
     def _send(self, iface, msg: Msg, direction: int, **kwargs) -> None:
@@ -51,9 +56,9 @@ class EthStage(Stage):
         charge(msg, params.ETH_PROC_US)
         # Catch-all paths (ICMP echo) have no frozen destination; the
         # responding stage supplies a per-message override instead.
-        dst = msg.meta.get("eth_dst_override") or self.dst_mac \
-            or EthAddr.BROADCAST
-        msg.push(EthHeader(dst, router.mac, self.ethertype).pack())
+        override = msg.meta.get("eth_dst_override")
+        dst = override.to_bytes() if override else self.dst_mac
+        msg.push(pack_eth(dst, router.mac_bytes, self.ethertype))
         if not router.transmit(msg):
             self.note_drop(msg, f"frame exceeds {router.name} MTU "
                                 f"{router.mtu}", "oversize_frame")
@@ -65,12 +70,12 @@ class EthStage(Stage):
 
     def _receive(self, iface, msg: Msg, direction: int, **kwargs):
         charge(msg, params.ETH_PROC_US)
-        if len(msg) < EthHeader.SIZE:
+        if len(msg) < ETH_SIZE:
             self.note_drop(msg, "runt frame", "malformed")
             return None
         if "eth_src" not in msg.meta:  # injected past the classifier
             msg.meta["eth_src"] = EthAddr(msg.peek(6, at=6))
-        msg.strip(EthHeader.SIZE)
+        msg.strip(ETH_SIZE)
         return forward(iface, msg, direction, **kwargs)
 
 
@@ -89,7 +94,7 @@ def _specialize_eth(stage: EthStage, iface, direction: int,
     def cost_expr(ctx):
         return "%s.ETH_PROC_US" % ctx.bind(params, "params")
 
-    return StageFragment(pop=EthHeader.SIZE, cost_expr=cost_expr)
+    return StageFragment(pop=ETH_SIZE, cost_expr=cost_expr)
 
 
 register_specializer(EthStage, _specialize_eth)
@@ -105,6 +110,9 @@ class EthRouter(Router):
                  mtu: int = params.ETH_MTU):
         super().__init__(name)
         self.mac = EthAddr(mac)
+        #: ``mac`` as wire bytes, for the demux compare and the send-side
+        #: header (the adapter's address is fixed at construction).
+        self.mac_bytes = self.mac.to_bytes()
         self.mtu = mtu
         self.device: Optional[NetDevice] = None
         #: ethertype -> (router, service) registrations from upper layers.
@@ -140,17 +148,18 @@ class EthRouter(Router):
 
     def demux(self, msg: Msg, service: Optional[Service],
               offset: int = 0) -> DemuxResult:
-        if len(msg) < offset + EthHeader.SIZE:
+        if len(msg) < offset + ETH_SIZE:
             return DemuxResult.drop(f"{self.name}: runt frame")
-        header = EthHeader.unpack(msg.peek(EthHeader.SIZE, at=offset))
-        if header.dst != self.mac and not header.dst.is_broadcast:
-            return DemuxResult.drop(f"{self.name}: not our MAC ({header.dst})")
-        peer = self._ethertype_peers.get(header.ethertype)
+        dst, src, ethertype = read_eth(msg.peek(ETH_SIZE, at=offset))
+        if dst != self.mac_bytes and dst != _BROADCAST:
+            return DemuxResult.drop(
+                f"{self.name}: not our MAC ({EthAddr(dst)})")
+        peer = self._ethertype_peers.get(ethertype)
         if peer is None:
             return DemuxResult.drop(
-                f"{self.name}: no protocol for ethertype 0x{header.ethertype:04x}")
-        msg.meta["eth_src"] = header.src
-        return DemuxResult.refine(peer[0], peer[1], consumed=EthHeader.SIZE)
+                f"{self.name}: no protocol for ethertype 0x{ethertype:04x}")
+        msg.meta["eth_src"] = EthAddr(src)
+        return DemuxResult.refine(peer[0], peer[1], consumed=ETH_SIZE)
 
     # -- transmission -------------------------------------------------------------------
 
@@ -165,7 +174,7 @@ class EthRouter(Router):
         if self.device is None:
             raise RuntimeError(f"{self.name} has no attached device")
         frame = msg.to_bytes()
-        if len(frame) > self.mtu + EthHeader.SIZE:
+        if len(frame) > self.mtu + ETH_SIZE:
             self.tx_oversize += 1
             msg.meta.setdefault("drop_reason",
                                 f"frame exceeds {self.name} MTU {self.mtu}")

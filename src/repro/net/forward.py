@@ -32,34 +32,49 @@ from .addresses import EthAddr, IpAddr
 from .common import charge
 from .headers import (
     ETHERTYPE_IP,
-    EthHeader,
     IcmpHeader,
-    IP_FLAG_MORE_FRAGMENTS,
-    IpHeader,
+    IP_DF,
+    IP_MF,
+    IP_OFFSET_MASK,
+    IP_SIZE,
     IPPROTO_ICMP,
+    IpFields,
+    pack_ip,
+    read_ip,
 )
 
 #: Path-creation attribute naming the ingress port a forwarding path
 #: serves (one path per port).
 PA_FWD_INGRESS = "PA_FWD_INGRESS"
 
+#: The ethertype field of every frame the router puts on a wire.
+_ETHERTYPE_IP = ETHERTYPE_IP.to_bytes(2, "big")
+
 
 class Route:
-    """One static route: destination network -> egress port (+ gateway)."""
+    """One static route: destination network -> egress port (+ gateway).
 
-    __slots__ = ("network", "prefix_len", "port", "gateway")
+    The match is precomputed as ints: an address ``ip`` is on the route
+    when ``ip & mask == net``.  ``next_hop`` is the gateway as an int, or
+    ``None`` when the packet's own destination is the next hop.
+    """
+
+    __slots__ = ("network", "prefix_len", "port", "gateway", "mask", "net",
+                 "next_hop")
 
     def __init__(self, network, prefix_len: int, port: str,
                  gateway=None):
+        prefix_len = int(prefix_len)
+        if not 0 <= prefix_len <= 32:
+            raise ValueError(f"bad prefix length {prefix_len}")
         self.network = IpAddr(network)
-        self.prefix_len = int(prefix_len)
+        self.prefix_len = prefix_len
         self.port = port
         self.gateway = IpAddr(gateway) if gateway is not None else None
-
-    def matches(self, ip: IpAddr) -> bool:
-        if self.prefix_len == 0:
-            return True
-        return self.network.same_network(ip, self.prefix_len)
+        self.mask = (0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF
+        self.net = self.network.to_int() & self.mask
+        self.next_hop = self.gateway.to_int() if gateway is not None \
+            else None
 
     def __repr__(self) -> str:
         via = f" via {self.gateway}" if self.gateway is not None else ""
@@ -82,9 +97,12 @@ class RouteTable:
         return route
 
     def lookup(self, ip) -> Optional[Route]:
-        ip = IpAddr(ip)
+        """The longest-prefix route for *ip*: an int, as the forward
+        route passes it, or anything :class:`IpAddr` accepts."""
+        if not isinstance(ip, int):
+            ip = IpAddr(ip).to_int()
         for route in self._routes:
-            if route.matches(ip):
+            if ip & route.mask == route.net:
                 return route
         return None
 
@@ -105,8 +123,8 @@ class ForwardPort:
         self.service = service
         self.eth = eth
         self.ip = IpAddr(ip)
-        #: Per-port neighbour table: next-hop IP -> MAC.
-        self.arp: Dict[IpAddr, EthAddr] = {}
+        #: Per-port neighbour table: next-hop IP (int) -> 6-byte MAC.
+        self.arp: Dict[int, bytes] = {}
 
 
 class ForwardStage(Stage):
@@ -133,55 +151,56 @@ class ForwardStage(Stage):
     def _forward(self, iface, msg: Msg, direction: int, **kwargs):
         router: ForwardRouter = self.router  # type: ignore[assignment]
         charge(msg, params.FWD_PROC_US)
-        if len(msg) < IpHeader.SIZE:
+        if len(msg) < IP_SIZE:
             self.note_drop(msg, "short IP packet", "malformed")
             return None
         try:
-            header = IpHeader.unpack(msg.peek(IpHeader.SIZE))
+            fields = read_ip(msg.peek(IP_SIZE))
         except ValueError as exc:
             self.note_drop(msg, str(exc), "malformed")
             return None
-        if header.total_length < IpHeader.SIZE:
+        total_length, ident, flags_frag, ttl, proto, src, dst = fields
+        if total_length < IP_SIZE:
             # RFC 1812 §5.2.2; a negative length would slice from the end.
             self.note_drop(msg, "IP total length below header length",
                            "malformed")
             return None
-        msg.pop(IpHeader.SIZE)
+        msg.strip(IP_SIZE)
         # Trim link-layer padding beyond the IP total length.
-        payload = msg.to_bytes()[:header.total_length - IpHeader.SIZE]
-        if header.dst in router.local_ips:
-            return self._local(header, payload, msg)
-        if header.ttl <= 1:
+        payload = msg.to_bytes()[:total_length - IP_SIZE]
+        if dst in router.local_ips:
+            return self._local(fields, payload, msg)
+        if ttl <= 1:
             router.ttl_drops += 1
-            self.note_drop(msg, f"TTL expired for {header.dst}",
+            self.note_drop(msg, f"TTL expired for {IpAddr(dst)}",
                            "ttl_expired")
-            router.send_error(self, msg, header, payload,
+            router.send_error(self, msg, fields, payload,
                               IcmpHeader.TIME_EXCEEDED, 0, 0)
             return None
-        route = router.routes.lookup(header.dst)
+        route = router.routes.lookup(dst)
         if route is None:
             router.no_route_drops += 1
-            self.note_drop(msg, f"no route to {header.dst}", "no_route")
-            router.send_error(self, msg, header, payload,
+            self.note_drop(msg, f"no route to {IpAddr(dst)}", "no_route")
+            router.send_error(self, msg, fields, payload,
                               IcmpHeader.DEST_UNREACH, 0, 0)
             return None
-        out = IpHeader(header.total_length, header.ident, header.proto,
-                       header.src, header.dst, ttl=header.ttl - 1,
-                       flags=header.flags, frag_offset=header.frag_offset)
-        if router.emit(self, msg, out, payload, route):
+        if router.emit(self, msg, (total_length, ident, flags_frag,
+                                   ttl - 1, proto, src, dst),
+                       payload, route):
             router.forwarded += 1
             if self.path is not None:
                 self.path.note_progress()
         return None
 
-    def _local(self, header: IpHeader, payload: bytes, msg: Msg):
+    def _local(self, fields: IpFields, payload: bytes, msg: Msg):
         """Traffic addressed to one of the router's own port IPs: answer
         unfragmented echo requests (so hosts can ping their gateway and
         the control plane can probe hop by hop); absorb everything else.
         """
         router: ForwardRouter = self.router  # type: ignore[assignment]
         router.local_delivered += 1
-        if header.proto != IPPROTO_ICMP or header.is_fragment \
+        _len, _ident, flags_frag, _ttl, proto, src, dst = fields
+        if proto != IPPROTO_ICMP or flags_frag & (IP_MF | IP_OFFSET_MASK) \
                 or len(payload) < IcmpHeader.SIZE:
             return None
         icmp = IcmpHeader.unpack(payload[:IcmpHeader.SIZE])
@@ -191,8 +210,8 @@ class ForwardStage(Stage):
         charge(msg, params.ICMP_PROC_US)
         reply = IcmpHeader(IcmpHeader.ECHO_REPLY, icmp.ident,
                            icmp.seq).pack() + payload[IcmpHeader.SIZE:]
-        router.send_ip(self, msg, src=header.dst, dst=header.src,
-                       proto=IPPROTO_ICMP, payload=reply)
+        router.send_ip(self, msg, src=dst, dst=src, proto=IPPROTO_ICMP,
+                       payload=reply)
         return None
 
 
@@ -206,6 +225,7 @@ class ForwardRouter(Router):
         super().__init__(name)
         self.ports: Dict[str, ForwardPort] = {}
         self.routes = RouteTable()
+        #: The ports' own addresses, as ints.
         self.local_ips: set = set()
         self._ingress_paths: Dict[str, object] = {}
         # statistics
@@ -232,7 +252,7 @@ class ForwardRouter(Router):
                                     ServiceDecl.parse(f"{name}:net"))
         port = ForwardPort(name, service, eth_router, IpAddr(ip))
         self.ports[name] = port
-        self.local_ips.add(port.ip)
+        self.local_ips.add(port.ip.to_int())
         return port
 
     def init(self) -> None:
@@ -242,12 +262,6 @@ class ForwardRouter(Router):
             if register is not None:
                 register(ETHERTYPE_IP, self, port.service)
 
-    def port(self, name: str) -> ForwardPort:
-        return self.ports[name]
-
-    def add_arp_entry(self, port_name: str, ip, mac) -> None:
-        self.ports[port_name].arp[IpAddr(ip)] = EthAddr(mac)
-
     def learn_arp(self, port_name: str, segment) -> None:
         """Populate a port's neighbour table from a segment's endpoints
         (simulation stand-in for running ARP on every port)."""
@@ -255,7 +269,8 @@ class ForwardRouter(Router):
         for endpoint in segment.endpoints():
             ip = getattr(endpoint, "ip", None)
             if ip is not None:
-                port.arp[IpAddr(ip)] = EthAddr(endpoint.mac)
+                port.arp[IpAddr(ip).to_int()] = \
+                    EthAddr(endpoint.mac).to_bytes()
 
     def add_route(self, network, prefix_len: int, port: str,
                   gateway=None) -> Route:
@@ -289,7 +304,7 @@ class ForwardRouter(Router):
               offset: int = 0) -> DemuxResult:
         if service is None:
             return DemuxResult.drop(f"{self.name}: no ingress service")
-        if len(msg) < offset + IpHeader.SIZE:
+        if len(msg) < offset + IP_SIZE:
             return DemuxResult.drop(f"{self.name}: short IP packet")
         path = self._ingress_paths.get(service.name)
         if path is None:
@@ -299,31 +314,29 @@ class ForwardRouter(Router):
 
     # -- the forwarding data path ------------------------------------------------
 
-    def emit(self, stage: ForwardStage, msg: Msg, header: IpHeader,
+    def emit(self, stage: ForwardStage, msg: Msg, fields: IpFields,
              payload: bytes, route: Route) -> bool:
-        """Transmit *header*+*payload* out *route*'s port, fragmenting
-        for the egress MTU unless DF forbids it."""
+        """Transmit the IP packet *fields* (:func:`read_ip`'s tuple,
+        rewritten as it leaves) + *payload* out *route*'s port,
+        fragmenting for the egress MTU unless DF forbids it."""
         port = self.ports[route.port]
         egress_mtu = port.eth.payload_mtu()
-        if IpHeader.SIZE + len(payload) <= egress_mtu:
-            return self._transmit(stage, msg, port, route, header, payload)
-        if header.dont_fragment:
+        size = len(payload)
+        if IP_SIZE + size <= egress_mtu:
+            return self._transmit(stage, msg, port, route, fields[6],
+                                  pack_ip(*fields) + payload)
+        _len, ident, flags_frag, ttl, proto, src, dst = fields
+        if flags_frag & IP_DF:
             # The PMTUD signal: refuse, and tell the sender how big a
             # packet this hop would have carried.
             stage.note_drop(msg, f"DF datagram exceeds {route.port} "
                                  f"MTU {egress_mtu}", "df_mtu")
             self.frag_needed_sent += 1
-            self.send_error(stage, msg, header, payload,
+            self.send_error(stage, msg, fields, payload,
                             IcmpHeader.DEST_UNREACH,
                             IcmpHeader.CODE_FRAG_NEEDED, egress_mtu)
             return False
-        return self._emit_fragments(stage, msg, port, route, header,
-                                    payload, egress_mtu)
-
-    def _emit_fragments(self, stage: ForwardStage, msg: Msg,
-                        port: ForwardPort, route: Route, header: IpHeader,
-                        payload: bytes, egress_mtu: int) -> bool:
-        chunk = (egress_mtu - IpHeader.SIZE) & ~7
+        chunk = (egress_mtu - IP_SIZE) & ~7
         if chunk <= 0:
             stage.note_drop(msg, f"egress MTU {egress_mtu} too small to "
                                  "fragment", "mtu_too_small")
@@ -331,37 +344,34 @@ class ForwardRouter(Router):
         # The arriving packet may itself be a fragment: offsets stay
         # relative to the original datagram and only the last piece of
         # the *last* incoming fragment clears MF.
-        base = header.frag_offset * 8
+        base = (flags_frag & IP_OFFSET_MASK) * 8
+        last = flags_frag & IP_MF
         sent = False
-        offset = 0
-        while offset < len(payload):
-            take = min(chunk, len(payload) - offset)
-            more = (offset + take < len(payload)) or header.more_fragments
-            piece = IpHeader(
-                IpHeader.SIZE + take, header.ident, header.proto,
-                header.src, header.dst, ttl=header.ttl,
-                flags=IP_FLAG_MORE_FRAGMENTS if more else 0,
-                frag_offset=(base + offset) // 8)
+        for offset in range(0, size, chunk):
+            end = min(offset + chunk, size)
+            flags = IP_MF if end < size else last
+            header = pack_ip(IP_SIZE + end - offset, ident,
+                             flags | ((base + offset) // 8 & IP_OFFSET_MASK),
+                             ttl, proto, src, dst)
             charge(msg, params.FWD_FRAG_PER_FRAG_US)
             self.fragments_created += 1
-            sent = self._transmit(stage, msg, port, route, piece,
-                                  payload[offset:offset + take]) or sent
-            offset += take
+            sent = self._transmit(stage, msg, port, route, dst,
+                                  header + payload[offset:end]) or sent
         return sent
 
     def _transmit(self, stage: ForwardStage, msg: Msg, port: ForwardPort,
-                  route: Route, header: IpHeader, payload: bytes) -> bool:
-        next_hop = route.gateway if route.gateway is not None else header.dst
+                  route: Route, dst: int, packet: bytes) -> bool:
+        next_hop = route.next_hop if route.next_hop is not None else dst
         mac = port.arp.get(next_hop)
         if mac is None:
             self.arp_miss_drops += 1
-            stage.note_drop(msg, f"no ARP entry for {next_hop} on "
+            stage.note_drop(msg, f"no ARP entry for {IpAddr(next_hop)} on "
                                  f"{port.name}", "arp_miss")
             return False
-        frame = Msg(header.pack() + payload)
-        frame.push(EthHeader(mac, port.eth.mac, ETHERTYPE_IP).pack())
+        eth = port.eth
+        frame = Msg(mac + eth.mac_bytes + _ETHERTYPE_IP + packet)
         charge(msg, params.ETH_PROC_US)
-        if not port.eth.transmit(frame):
+        if not eth.transmit(frame):
             stage.note_drop(msg, f"frame exceeds {port.name} MTU",
                             "oversize_frame")
             return False
@@ -369,21 +379,22 @@ class ForwardRouter(Router):
 
     # -- self-originated packets (ICMP errors, echo replies) ---------------------
 
-    def send_ip(self, stage: ForwardStage, msg: Msg, src, dst, proto: int,
-                payload: bytes) -> bool:
-        """Originate one IP packet from this router and route it."""
+    def send_ip(self, stage: ForwardStage, msg: Msg, src: int, dst: int,
+                proto: int, payload: bytes) -> bool:
+        """Originate one IP packet from this router (addresses as ints)
+        and route it."""
         route = self.routes.lookup(dst)
         if route is None:
             self.no_route_drops += 1
             return False
-        header = IpHeader(IpHeader.SIZE + len(payload), 0, proto,
-                          IpAddr(src), IpAddr(dst))
-        return self.emit(stage, msg, header, payload, route)
+        return self.emit(stage, msg, (IP_SIZE + len(payload), 0, 0, 64,
+                                      proto, src, dst), payload, route)
 
     def send_error(self, stage: ForwardStage, msg: Msg,
-                   offender: IpHeader, payload: bytes,
+                   offender: IpFields, payload: bytes,
                    icmp_type: int, code: int, mtu: int) -> bool:
-        """Send an ICMP error about *offender* back to its source.
+        """Send an ICMP error about the packet *offender* (its
+        :func:`read_ip` fields) back to its source.
 
         RFC 1122 suppression: never about a non-first fragment, and
         never about an ICMP error (no error storms about errors).  The
@@ -391,10 +402,11 @@ class ForwardRouter(Router):
         field; the error quotes the offending IP header plus its first
         8 payload bytes.
         """
-        if offender.frag_offset != 0:
+        _len, _ident, flags_frag, _ttl, proto, src, _dst = offender
+        if flags_frag & IP_OFFSET_MASK:
             self.errors_suppressed += 1
             return False
-        if offender.proto == IPPROTO_ICMP and len(payload) >= 1 \
+        if proto == IPPROTO_ICMP and len(payload) >= 1 \
                 and payload[0] in (IcmpHeader.DEST_UNREACH,
                                    IcmpHeader.TIME_EXCEEDED):
             self.errors_suppressed += 1
@@ -405,14 +417,13 @@ class ForwardRouter(Router):
         elif icmp_type == IcmpHeader.DEST_UNREACH \
                 and code != IcmpHeader.CODE_FRAG_NEEDED:
             self.unreachable_sent += 1
-        quote = offender.pack() \
-            + payload[:IcmpHeader.ERROR_QUOTE_BYTES]
+        quote = pack_ip(*offender) + payload[:IcmpHeader.ERROR_QUOTE_BYTES]
         body = IcmpHeader(icmp_type, 0, mtu, code=code).pack() + quote
         # The error originates at the ingress port's address — the hop
         # that refused the packet identifies itself.
-        src = self.ports[stage.ingress].ip
-        return self.send_ip(stage, msg, src=src, dst=offender.src,
-                            proto=IPPROTO_ICMP, payload=body)
+        return self.send_ip(stage, msg,
+                            src=self.ports[stage.ingress].ip.to_int(),
+                            dst=src, proto=IPPROTO_ICMP, payload=body)
 
     # -- introspection ----------------------------------------------------------
 

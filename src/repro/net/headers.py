@@ -1,18 +1,26 @@
 """Wire formats for the demonstration protocols.
 
-Each header is a small value class with ``pack()`` / ``unpack()`` over
-``struct``.  The MFLOW header is our rendering of the paper's flow-control
-protocol: a sequence number for ordered-but-unreliable delivery, a
-timestamp for RTT measurement ("MFLOW can measure the round-trip latency
-by putting a timestamp in its header"), and the advertised window
-("MFLOW advertises the maximum sequence number that it is willing to
-receive").
+Ethernet, IPv4 and UDP each have one wire implementation, a prebound
+``struct.Struct`` with a packer and a field reader (``pack_ip``/
+``read_ip`` and the ETH and UDP pairs).  Every per-frame route reads and
+writes these headers through them, as ints and ``bytes``.  The value
+classes over them (``EthHeader``, ``IpHeader``, ``UdpHeader``) are built
+only where a person or an ICMP error reads a header: ``repr``,
+``parse_frame``, ICMP error quotes and echo replies.
+
+The other headers are value classes with ``pack()`` / ``unpack()`` over
+``struct``.  The MFLOW header is our rendering of the paper's
+flow-control protocol: a sequence number for ordered-but-unreliable
+delivery, a timestamp for RTT measurement ("MFLOW can measure the
+round-trip latency by putting a timestamp in its header"), and the
+advertised window ("MFLOW advertises the maximum sequence number that it
+is willing to receive").
 """
 
 from __future__ import annotations
 
 import struct
-from typing import ClassVar
+from typing import ClassVar, Tuple
 
 from .addresses import EthAddr, IpAddr
 from .checksum import internet_checksum
@@ -28,12 +36,60 @@ IPPROTO_UDP = 17
 IP_FLAG_MORE_FRAGMENTS = 0x1
 IP_FLAG_DONT_FRAGMENT = 0x2
 
+#: The flags in place in the flags/fragment-offset word, and the offset.
+IP_MF = IP_FLAG_MORE_FRAGMENTS << 13
+IP_DF = IP_FLAG_DONT_FRAGMENT << 13
+IP_OFFSET_MASK = 0x1FFF
+
+_ETH = struct.Struct("!6s6sH")
+_IP = struct.Struct("!BBHHHBBHII")
+_UDP = struct.Struct("!HHHH")
+
+ETH_SIZE = _ETH.size
+IP_SIZE = _IP.size
+UDP_SIZE = _UDP.size
+
+#: ``pack_eth(dst, src, ethertype)`` and ``read_eth(data, offset=0)``,
+#: the MACs as 6-byte ``bytes``.
+pack_eth, read_eth = _ETH.pack, _ETH.unpack_from
+#: ``pack_udp(sport, dport, length, checksum)`` and its reader.
+pack_udp, read_udp = _UDP.pack, _UDP.unpack_from
+
+IpFields = Tuple[int, int, int, int, int, int, int]
+
+
+def pack_ip(total_length: int, ident: int, flags_frag: int, ttl: int,
+            proto: int, src: int, dst: int) -> bytes:
+    """The 20-byte IPv4 header (no options) with its checksum.
+
+    *flags_frag* is the flags/fragment-offset word (:data:`IP_MF`,
+    :data:`IP_DF`, :data:`IP_OFFSET_MASK`); *src* and *dst* are the
+    addresses as ints.  The arguments are :func:`read_ip`'s fields in
+    its order, so ``pack_ip(*read_ip(header))`` re-packs a header.
+    """
+    head = _IP.pack(0x45, 0, total_length, ident, flags_frag, ttl, proto,
+                    0, src, dst)
+    return head[:10] + internet_checksum(head).to_bytes(2, "big") \
+        + head[12:]
+
+
+def read_ip(data: bytes, offset: int = 0) -> IpFields:
+    """``(total_length, ident, flags_frag, ttl, proto, src, dst)`` of
+    the IPv4 header at *offset*, the addresses as ints.
+
+    Raises ``ValueError`` when the version nibble is not 4.
+    """
+    (ver_ihl, _tos, total_length, ident, flags_frag, ttl, proto, _cksum,
+     src, dst) = _IP.unpack_from(data, offset)
+    if ver_ihl >> 4 != 4:
+        raise ValueError(f"not an IPv4 header (version {ver_ihl >> 4})")
+    return total_length, ident, flags_frag, ttl, proto, src, dst
+
 
 class EthHeader:
     """Ethernet II: dst(6) src(6) ethertype(2)."""
 
-    FORMAT: ClassVar[str] = "!6s6sH"
-    SIZE: ClassVar[int] = struct.calcsize(FORMAT)
+    SIZE: ClassVar[int] = ETH_SIZE
 
     __slots__ = ("dst", "src", "ethertype")
 
@@ -43,12 +99,12 @@ class EthHeader:
         self.ethertype = ethertype
 
     def pack(self) -> bytes:
-        return struct.pack(self.FORMAT, self.dst.to_bytes(),
-                           self.src.to_bytes(), self.ethertype)
+        return pack_eth(self.dst.to_bytes(), self.src.to_bytes(),
+                        self.ethertype)
 
     @classmethod
     def unpack(cls, data: bytes) -> "EthHeader":
-        dst, src, ethertype = struct.unpack(cls.FORMAT, data[:cls.SIZE])
+        dst, src, ethertype = read_eth(data)
         return cls(EthAddr(dst), EthAddr(src), ethertype)
 
     def __repr__(self) -> str:
@@ -58,8 +114,7 @@ class EthHeader:
 class IpHeader:
     """IPv4 without options: 20 bytes."""
 
-    FORMAT: ClassVar[str] = "!BBHHHBBH4s4s"
-    SIZE: ClassVar[int] = struct.calcsize(FORMAT)
+    SIZE: ClassVar[int] = IP_SIZE
 
     __slots__ = ("total_length", "ident", "flags", "frag_offset", "ttl",
                  "proto", "src", "dst")
@@ -92,25 +147,19 @@ class IpHeader:
         return self.more_fragments or self.frag_offset != 0
 
     def pack(self) -> bytes:
-        ver_ihl = (4 << 4) | 5
-        flags_frag = (self.flags << 13) | (self.frag_offset & 0x1FFF)
-        without_cksum = struct.pack(
-            self.FORMAT, ver_ihl, 0, self.total_length, self.ident,
-            flags_frag, self.ttl, self.proto, 0,
-            self.src.to_bytes(), self.dst.to_bytes())
-        cksum = internet_checksum(without_cksum)
-        return without_cksum[:10] + struct.pack("!H", cksum) + without_cksum[12:]
+        return pack_ip(self.total_length, self.ident,
+                       (self.flags << 13) | (self.frag_offset
+                                             & IP_OFFSET_MASK),
+                       self.ttl, self.proto, self.src.to_int(),
+                       self.dst.to_int())
 
     @classmethod
     def unpack(cls, data: bytes) -> "IpHeader":
-        (ver_ihl, _tos, total_length, ident, flags_frag, ttl, proto,
-         _cksum, src, dst) = struct.unpack(cls.FORMAT, data[:cls.SIZE])
-        if ver_ihl >> 4 != 4:
-            raise ValueError(f"not an IPv4 header (version {ver_ihl >> 4})")
-        header = cls(total_length, ident, proto, IpAddr(src), IpAddr(dst),
-                     ttl=ttl, flags=flags_frag >> 13,
-                     frag_offset=flags_frag & 0x1FFF)
-        return header
+        total_length, ident, flags_frag, ttl, proto, src, dst = \
+            read_ip(data)
+        return cls(total_length, ident, proto, IpAddr(src), IpAddr(dst),
+                   ttl=ttl, flags=flags_frag >> 13,
+                   frag_offset=flags_frag & IP_OFFSET_MASK)
 
     def __repr__(self) -> str:
         frag = f" frag@{self.frag_offset * 8}{'+' if self.more_fragments else ''}" \
@@ -121,8 +170,7 @@ class IpHeader:
 class UdpHeader:
     """UDP: sport(2) dport(2) length(2) checksum(2)."""
 
-    FORMAT: ClassVar[str] = "!HHHH"
-    SIZE: ClassVar[int] = struct.calcsize(FORMAT)
+    SIZE: ClassVar[int] = UDP_SIZE
 
     __slots__ = ("sport", "dport", "length", "checksum")
 
@@ -133,12 +181,11 @@ class UdpHeader:
         self.checksum = checksum
 
     def pack(self) -> bytes:
-        return struct.pack(self.FORMAT, self.sport, self.dport,
-                           self.length, self.checksum)
+        return pack_udp(self.sport, self.dport, self.length, self.checksum)
 
     @classmethod
     def unpack(cls, data: bytes) -> "UdpHeader":
-        return cls(*struct.unpack(cls.FORMAT, data[:cls.SIZE]))
+        return cls(*read_udp(data))
 
     def __repr__(self) -> str:
         return f"Udp({self.sport}->{self.dport} len={self.length})"

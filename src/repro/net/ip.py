@@ -29,9 +29,13 @@ from .addresses import IpAddr
 from .common import PA_ETH_DST, PA_ETHERTYPE, charge, forward_or_deposit
 from .headers import (
     ETHERTYPE_IP,
-    IP_FLAG_DONT_FRAGMENT,
-    IP_FLAG_MORE_FRAGMENTS,
+    IP_DF,
+    IP_MF,
+    IP_OFFSET_MASK,
+    IP_SIZE,
     IpHeader,
+    pack_ip,
+    read_ip,
 )
 
 #: Attribute marking the wide catch-all path that accepts any datagram
@@ -44,7 +48,7 @@ def _next_ident16(counter=itertools.count(1)) -> int:
 
 class _ReassemblyBuffer:
     """Fragments of one datagram, keyed by the RFC 791 reassembly id
-    ``(src, dst, proto, ident)`` at the stage."""
+    ``(src, dst, proto, ident)`` at the stage (the addresses as ints)."""
 
     __slots__ = ("pieces", "total_end", "expiry")
 
@@ -117,7 +121,7 @@ class IpStage(Stage):
         self.next_hop_ip = next_hop_ip if next_hop_ip is not None \
             else remote_ip
         self.catchall = catchall
-        self._buffers: Dict[Tuple[IpAddr, IpAddr, int, int],
+        self._buffers: Dict[Tuple[int, int, int, int],
                             _ReassemblyBuffer] = {}
         self.fragments_sent = 0
         self.datagrams_reassembled = 0
@@ -153,11 +157,10 @@ class IpStage(Stage):
         # datagram to *dst*, so steady-state traffic is sized so that no
         # downstream hop has to fragment it.
         payload_mtu = router.payload_capacity(dst)
-        df_flag = IP_FLAG_DONT_FRAGMENT if router.pmtud_enabled else 0
+        df_flag = IP_DF if router.pmtud_enabled else 0
         if len(msg) <= payload_mtu:
-            header = IpHeader(IpHeader.SIZE + len(msg), _next_ident16(),
-                              proto, router.addr, dst, flags=df_flag)
-            msg.push(header.pack())
+            msg.push(pack_ip(IP_SIZE + len(msg), _next_ident16(), df_flag,
+                             64, proto, router.addr_int, dst.to_int()))
             return forward(iface, msg, direction, **kwargs)
         return self._send_fragments(iface, msg, direction, payload_mtu,
                                     dst=dst, proto=proto, df_flag=df_flag,
@@ -178,18 +181,16 @@ class IpStage(Stage):
             router.mtu_too_small_drops += 1
             return None
         ident = _next_ident16()
+        src, dst = router.addr_int, dst.to_int()
         offset = 0
         result = None
         while len(msg) > 0:
             take = min(chunk, len(msg))
             piece = msg.split(take)
-            more = len(msg) > 0
-            header = IpHeader(
-                IpHeader.SIZE + take, ident, proto,
-                router.addr, dst,
-                flags=(IP_FLAG_MORE_FRAGMENTS if more else 0) | df_flag,
-                frag_offset=offset // 8)
-            piece.push(header.pack())
+            flags = (IP_MF if len(msg) > 0 else 0) | df_flag
+            piece.push(pack_ip(IP_SIZE + take, ident,
+                               flags | ((offset // 8) & IP_OFFSET_MASK),
+                               64, proto, src, dst))
             charge(piece, params.IP_FRAG_PER_FRAG_US)
             self.fragments_sent += 1
             offset += take
@@ -201,43 +202,45 @@ class IpStage(Stage):
     def _receive(self, iface, msg: Msg, direction: int, **kwargs):
         router: IpRouter = self.router  # type: ignore[assignment]
         charge(msg, params.IP_PROC_US)
-        if len(msg) < IpHeader.SIZE:
+        if len(msg) < IP_SIZE:
             self.note_drop(msg, "short IP packet", "malformed")
             router.rx_dropped += 1
             return None
-        header = IpHeader.unpack(msg.peek(IpHeader.SIZE))
-        if header.dst != router.addr:
-            self.note_drop(msg, f"IP dst {header.dst} is not {router.addr}",
+        total_length, ident, flags_frag, _ttl, proto, src, dst = \
+            read_ip(msg.peek(IP_SIZE))
+        if dst != router.addr_int:
+            self.note_drop(msg, f"IP dst {IpAddr(dst)} is not {router.addr}",
                            "misaddressed")
             router.rx_dropped += 1
             return None
-        payload_len = header.total_length - IpHeader.SIZE
+        payload_len = total_length - IP_SIZE
         if payload_len < 0:
             self.note_drop(msg, "IP total length below header length",
                            "malformed")
             router.rx_dropped += 1
             return None
-        msg.pop(IpHeader.SIZE)
+        msg.strip(IP_SIZE)
         # Trim link-layer padding beyond the IP total length.
         if len(msg) > payload_len:
             tail = msg.to_bytes()[:payload_len]
             trimmed = Msg(tail, meta=msg.meta)
             msg = trimmed
         if "ip_src" not in msg.meta:  # injected past the classifier
-            msg.meta["ip_src"] = header.src
-        if header.is_fragment:
+            msg.meta["ip_src"] = IpAddr(src)
+        if flags_frag & (IP_MF | IP_OFFSET_MASK):
             charge(msg, params.IP_FRAG_PER_FRAG_US)
-            return self._receive_fragment(iface, header, msg, direction,
+            return self._receive_fragment(iface, (src, dst, proto, ident),
+                                          flags_frag, msg, direction,
                                           **kwargs)
         return forward_or_deposit(iface, msg, direction, **kwargs)
 
-    def _receive_fragment(self, iface, header: IpHeader, msg: Msg,
-                          direction: int, **kwargs):
+    def _receive_fragment(self, iface, key: Tuple[int, int, int, int],
+                          flags_frag: int, msg: Msg, direction: int,
+                          **kwargs):
         router: IpRouter = self.router  # type: ignore[assignment]
-        # RFC 791 reassembly id: fragment trains from one peer to
-        # different destinations or protocols with colliding 16-bit
-        # idents must land in distinct buffers.
-        key = (header.src, header.dst, header.proto, header.ident)
+        # *key* is the RFC 791 reassembly id: fragment trains from one
+        # peer to different destinations or protocols with colliding
+        # 16-bit idents must land in distinct buffers.
         buffer = self._buffers.get(key)
         if buffer is None:
             if len(self._buffers) >= self.MAX_REASSEMBLY:
@@ -250,10 +253,10 @@ class IpStage(Stage):
                 # LRU eviction above remains only as a memory backstop.
                 buffer.expiry = router.engine.schedule(
                     self.REASSEMBLY_TIMEOUT_US, self._expire_buffer, key)
-        if not buffer.add(header.frag_offset * 8, msg.to_bytes(),
-                          header.more_fragments):
+        if not buffer.add((flags_frag & IP_OFFSET_MASK) * 8, msg.to_bytes(),
+                          flags_frag & IP_MF):
             self.note_drop(msg, "conflicting final fragment for "
-                                f"datagram {header.ident}", "malformed")
+                                f"datagram {key[3]}", "malformed")
             router.rx_dropped += 1
             return None
         if not buffer.complete():
@@ -266,8 +269,9 @@ class IpStage(Stage):
         if self.catchall:
             # Short/fat path's job ends here: rerun the classifier on the
             # assembled datagram so it reaches the path that wants it.
-            rebuilt = IpHeader(IpHeader.SIZE + len(whole), header.ident,
-                               header.proto, header.src, header.dst)
+            src, dst, proto, ident = key
+            rebuilt = IpHeader(IP_SIZE + len(whole), ident, proto,
+                               IpAddr(src), IpAddr(dst))
             return router.reclassify(whole, rebuilt)
         return forward_or_deposit(iface, whole, direction, **kwargs)
 
@@ -290,7 +294,7 @@ class IpStage(Stage):
             self.path.note_drop(
                 placeholder,
                 f"reassembly buffer evicted for datagram {key[3]} "
-                f"from {key[0]}",
+                f"from {IpAddr(key[0])}",
                 "reassembly_eviction")
 
     def _expire_buffer(self, key) -> None:
@@ -307,7 +311,8 @@ class IpStage(Stage):
             placeholder = Msg(b"", meta={})
             self.path.note_drop(
                 placeholder,
-                f"reassembly timeout for datagram {key[3]} from {key[0]}",
+                f"reassembly timeout for datagram {key[3]} from "
+                f"{IpAddr(key[0])}",
                 "reassembly_timeout")
 
     def destroy(self) -> None:
@@ -344,12 +349,12 @@ def _specialize_ip(stage: "IpStage", iface, direction: int,
         unpack = ctx.bind(_IP_TOTAL_LENGTH.unpack_from, "ip_len")
         raw = ctx.need_raw()
         lines = ["_plen = %s(%s, %d)[0] - %d"
-                 % (unpack, raw, ctx.offset + 2, IpHeader.SIZE),
-                 "if len(m) - %d > _plen:" % (ctx.offset + IpHeader.SIZE)]
+                 % (unpack, raw, ctx.offset + 2, IP_SIZE),
+                 "if len(m) - %d > _plen:" % (ctx.offset + IP_SIZE)]
         lines += ["    " + line for line in ctx.bail_action()]
         return lines
 
-    return StageFragment(pop=IpHeader.SIZE, cost_expr=cost_expr, bail=bail)
+    return StageFragment(pop=IP_SIZE, cost_expr=cost_expr, bail=bail)
 
 
 register_specializer(IpStage, _specialize_ip)
@@ -365,6 +370,9 @@ class IpRouter(Router):
                  prefix_len: int = 24):
         super().__init__(name)
         self.addr = IpAddr(addr)
+        #: ``addr`` as an int, for the per-frame compares and the send-side
+        #: header (the router's address is fixed at construction).
+        self.addr_int = self.addr.to_int()
         self.prefix_len = prefix_len
         self._proto_peers: Dict[int, Tuple[Router, Service]] = {}
         #: The wide reassembly path fragments are classified to.
@@ -465,8 +473,8 @@ class IpRouter(Router):
         """Bytes of transport payload one unfragmented datagram to *dst*
         can carry (``None``: first-hop capacity, no PMTU clamp)."""
         if dst is None:
-            return self.frame_payload_mtu() - IpHeader.SIZE
-        return self.path_mtu(dst) - IpHeader.SIZE
+            return self.frame_payload_mtu() - IP_SIZE
+        return self.path_mtu(dst) - IP_SIZE
 
     # -- path creation ------------------------------------------------------------------
 
@@ -508,27 +516,28 @@ class IpRouter(Router):
 
     def demux(self, msg: Msg, service: Optional[Service],
               offset: int = 0) -> DemuxResult:
-        if len(msg) < offset + IpHeader.SIZE:
+        if len(msg) < offset + IP_SIZE:
             return DemuxResult.drop(f"{self.name}: short IP packet")
         try:
-            header = IpHeader.unpack(msg.peek(IpHeader.SIZE, at=offset))
+            _len, _ident, flags_frag, _ttl, proto, src, dst = \
+                read_ip(msg.peek(IP_SIZE, at=offset))
         except ValueError as exc:
             return DemuxResult.drop(f"{self.name}: {exc}")
-        if header.dst != self.addr:
+        if dst != self.addr_int:
             return DemuxResult.drop(f"{self.name}: not our address "
-                                    f"({header.dst})")
-        msg.meta["ip_src"] = header.src
-        msg.meta["ip_proto"] = header.proto
-        if header.is_fragment:
+                                    f"({IpAddr(dst)})")
+        msg.meta["ip_src"] = IpAddr(src)
+        msg.meta["ip_proto"] = proto
+        if flags_frag & (IP_MF | IP_OFFSET_MASK):
             if self.frag_path is not None:
                 return DemuxResult.found(self.frag_path)
             return DemuxResult.drop(
                 f"{self.name}: fragment but no reassembly path configured")
-        peer = self._proto_peers.get(header.proto)
+        peer = self._proto_peers.get(proto)
         if peer is None:
             return DemuxResult.drop(
-                f"{self.name}: no transport for proto {header.proto}")
-        return DemuxResult.refine(peer[0], peer[1], consumed=IpHeader.SIZE)
+                f"{self.name}: no transport for proto {proto}")
+        return DemuxResult.refine(peer[0], peer[1], consumed=IP_SIZE)
 
     # -- reassembled-datagram handoff ----------------------------------------------------------
 

@@ -16,18 +16,27 @@ from .headers import (
     ETHERTYPE_IP,
     EthHeader,
     IcmpHeader,
-    IP_FLAG_DONT_FRAGMENT,
+    IP_DF,
+    IP_SIZE,
     IpHeader,
     IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
     MflowHeader,
     TcpHeader,
+    UDP_SIZE,
     UdpHeader,
+    pack_eth,
+    pack_ip,
+    pack_udp,
 )
 
 def _next_ident(counter=itertools.count(1)) -> int:
     return next(counter) & 0xFFFF
+
+
+def _eth(dst_mac: EthAddr, src_mac: EthAddr) -> bytes:
+    return pack_eth(dst_mac.to_bytes(), src_mac.to_bytes(), ETHERTYPE_IP)
 
 
 def build_udp_frame(src_mac: EthAddr, dst_mac: EthAddr,
@@ -35,13 +44,11 @@ def build_udp_frame(src_mac: EthAddr, dst_mac: EthAddr,
                     sport: int, dport: int, payload: bytes,
                     ttl: int = 64, df: bool = False) -> bytes:
     """Build a complete ETH/IP/UDP frame."""
-    udp = UdpHeader(sport, dport, UdpHeader.SIZE + len(payload)).pack()
-    total = IpHeader.SIZE + len(udp) + len(payload)
-    ip = IpHeader(total, _next_ident(), IPPROTO_UDP, src_ip, dst_ip,
-                  ttl=ttl,
-                  flags=IP_FLAG_DONT_FRAGMENT if df else 0).pack()
-    eth = EthHeader(dst_mac, src_mac, ETHERTYPE_IP).pack()
-    return eth + ip + udp + payload
+    udp = pack_udp(sport, dport, UDP_SIZE + len(payload), 0)
+    ip = pack_ip(IP_SIZE + UDP_SIZE + len(payload), _next_ident(),
+                 IP_DF if df else 0, ttl, IPPROTO_UDP, src_ip.to_int(),
+                 dst_ip.to_int())
+    return _eth(dst_mac, src_mac) + ip + udp + payload
 
 
 def build_mflow_frame(src_mac: EthAddr, dst_mac: EthAddr,
@@ -63,10 +70,9 @@ def build_tcp_frame(src_mac: EthAddr, dst_mac: EthAddr,
                     flags: int = TcpHeader.FLAG_ACK) -> bytes:
     """Build a complete ETH/IP/TCP frame."""
     tcp = TcpHeader(sport, dport, seq=seq, ack=ack, flags=flags).pack(payload)
-    total = IpHeader.SIZE + len(tcp) + len(payload)
-    ip = IpHeader(total, _next_ident(), IPPROTO_TCP, src_ip, dst_ip).pack()
-    eth = EthHeader(dst_mac, src_mac, ETHERTYPE_IP).pack()
-    return eth + ip + tcp + payload
+    ip = pack_ip(IP_SIZE + len(tcp) + len(payload), _next_ident(), 0, 64,
+                 IPPROTO_TCP, src_ip.to_int(), dst_ip.to_int())
+    return _eth(dst_mac, src_mac) + ip + tcp + payload
 
 
 def build_icmp_echo(src_mac: EthAddr, dst_mac: EthAddr,
@@ -81,12 +87,9 @@ def build_icmp_echo(src_mac: EthAddr, dst_mac: EthAddr,
     """
     icmp_type = IcmpHeader.ECHO_REPLY if reply else IcmpHeader.ECHO_REQUEST
     icmp = IcmpHeader(icmp_type, ident, seq).pack() + payload
-    total = IpHeader.SIZE + len(icmp)
-    ip = IpHeader(total, _next_ident(), IPPROTO_ICMP, src_ip, dst_ip,
-                  ttl=ttl,
-                  flags=IP_FLAG_DONT_FRAGMENT if df else 0).pack()
-    eth = EthHeader(dst_mac, src_mac, ETHERTYPE_IP).pack()
-    return eth + ip + icmp
+    ip = pack_ip(IP_SIZE + len(icmp), _next_ident(), IP_DF if df else 0,
+                 ttl, IPPROTO_ICMP, src_ip.to_int(), dst_ip.to_int())
+    return _eth(dst_mac, src_mac) + ip + icmp
 
 
 class ParsedPacket(NamedTuple):

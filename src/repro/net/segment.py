@@ -187,8 +187,8 @@ class HostAgent(Endpoint):
         self.frames_seen = 0
 
     def receive(self, frame: bytes) -> None:
-        dst = EthAddr(frame[:6])
-        if dst != self.mac and not dst.is_broadcast:
+        dst = frame[:6]
+        if dst != self.mac.to_bytes() and dst != _BROADCAST:
             return
         self.frames_seen += 1
         self.engine.schedule(self.service_us, self.handle_frame, frame)

@@ -26,7 +26,7 @@ from ..core.specialize import StageFragment, register_specializer
 from ..core.stage import BWD, FWD, Stage, forward
 from .common import PA_LOCAL_PORT, PA_UDP_CHECKSUM, charge, forward_or_deposit
 from .checksum import internet_checksum
-from .headers import IPPROTO_UDP, UdpHeader
+from .headers import IPPROTO_UDP, UDP_SIZE, pack_udp, read_udp
 
 _ephemeral_ports = itertools.count(49152)
 
@@ -76,33 +76,31 @@ class UdpStage(Stage):
         if dport is None:
             self.note_drop(msg, "UDP path has no remote port", "misaddressed")
             return None
-        header = UdpHeader(self.local_port, dport,
-                           UdpHeader.SIZE + len(msg), checksum)
-        msg.push(header.pack())
+        msg.push(pack_udp(self.local_port, dport, UDP_SIZE + len(msg),
+                          checksum))
         return forward(iface, msg, direction, **kwargs)
 
     def _receive(self, iface, msg: Msg, direction: int, **kwargs):
         router: UdpRouter = self.router  # type: ignore[assignment]
         charge(msg, params.UDP_PROC_US)
-        if len(msg) < UdpHeader.SIZE:
+        if len(msg) < UDP_SIZE:
             self.note_drop(msg, "short UDP packet", "malformed")
             router.rx_dropped += 1
             return None
-        header = UdpHeader.unpack(msg.peek(UdpHeader.SIZE))
-        if header.dport != self.local_port:
+        _sport, dport, _length, checksum = read_udp(msg.peek(UDP_SIZE))
+        if dport != self.local_port:
             self.note_drop(
                 msg,
-                f"UDP port {header.dport} does not match path port "
+                f"UDP port {dport} does not match path port "
                 f"{self.local_port}", "misaddressed")
             router.rx_dropped += 1
             return None
-        msg.strip(UdpHeader.SIZE)
+        msg.strip(UDP_SIZE)
         # Separate-pass checksum verification, unless a path transformation
         # fused it into the consumer's data read (Section 4.1's ILP case).
         if self.use_checksum and not msg.meta.get("checksum_fused"):
             charge(msg, len(msg) * params.CHECKSUM_US_PER_BYTE)
-            if header.checksum and \
-                    internet_checksum(msg.to_bytes()) != header.checksum:
+            if checksum and internet_checksum(msg.to_bytes()) != checksum:
                 self.checksum_failures += 1
                 self.note_drop(msg, "UDP checksum mismatch", "corrupt")
                 return None
@@ -125,7 +123,7 @@ def _specialize_udp(stage: UdpStage, iface, direction: int,
     def cost_expr(ctx):
         return "%s.UDP_PROC_US" % ctx.bind(params, "params")
 
-    return StageFragment(pop=UdpHeader.SIZE, cost_expr=cost_expr)
+    return StageFragment(pop=UDP_SIZE, cost_expr=cost_expr)
 
 
 register_specializer(UdpStage, _specialize_udp)
@@ -210,15 +208,16 @@ class UdpRouter(Router):
 
     def demux(self, msg: Msg, service: Optional[Service],
               offset: int = 0) -> DemuxResult:
-        if len(msg) < offset + UdpHeader.SIZE:
+        if len(msg) < offset + UDP_SIZE:
             return DemuxResult.drop(f"{self.name}: short UDP packet")
-        header = UdpHeader.unpack(msg.peek(UdpHeader.SIZE, at=offset))
-        msg.meta["udp_ports"] = (header.sport, header.dport)
-        path = self._port_paths.get(header.dport)
+        sport, dport, _length, _checksum = \
+            read_udp(msg.peek(UDP_SIZE, at=offset))
+        msg.meta["udp_ports"] = (sport, dport)
+        path = self._port_paths.get(dport)
         if path is not None:
             return DemuxResult.found(path)
-        peer = self._port_peers.get(header.dport)
+        peer = self._port_peers.get(dport)
         if peer is None:
             return DemuxResult.drop(
-                f"{self.name}: no listener on port {header.dport}")
-        return DemuxResult.refine(peer[0], peer[1], consumed=UdpHeader.SIZE)
+                f"{self.name}: no listener on port {dport}")
+        return DemuxResult.refine(peer[0], peer[1], consumed=UDP_SIZE)

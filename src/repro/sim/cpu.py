@@ -57,7 +57,6 @@ class CPU:
         self._end: Optional[float] = None
         self._on_done: Optional[Callable[..., None]] = None
         self._done_args: Tuple[Any, ...] = ()
-        self._arm_seq = 0
         # accounting
         self.compute_us = 0.0
         self.interrupt_us = 0.0
@@ -120,18 +119,16 @@ class CPU:
         self._on_done = on_done
         self._done_args = args
         self.compute_us += cost_us
-        self._arm_seq += 1
-        engine.call_at(end, self._completion_check, self._arm_seq)
+        engine.call_at(end, self._completion_check)
 
-    def _completion_check(self, seq: int) -> None:
+    def _completion_check(self) -> None:
+        # At most one check is pending, and only while a compute is in
+        # flight: the one armed at its start, or its re-arm below.
         end = self._end
-        if seq != self._arm_seq or end is None:
-            return  # stale arm: the slice was extended and re-armed
         engine = self.engine
         if engine.now + _EPS < end:
             # Interrupts pushed the end back: check again then.
-            self._arm_seq += 1
-            engine.call_at(end, self._completion_check, self._arm_seq)
+            engine.call_at(end, self._completion_check)
             return
         on_done, args = self._on_done, self._done_args
         self._end = self._on_done = None

@@ -73,11 +73,26 @@ class TestRouteTable:
         assert table.lookup("10.0.2.77").port == "net"
         assert table.lookup("10.9.9.9").port == "coarse"
         assert table.lookup("192.168.0.1").port == "default"
+        # The forward route looks up the int its header reader returns.
+        assert table.lookup(IpAddr("10.0.2.9").to_int()).port == "host"
+        assert table.lookup(0xC0A80001).port == "default"
 
     def test_no_match_returns_none(self):
         table = RouteTable()
         table.add("10.0.2.0", 24, "net")
         assert table.lookup("10.0.3.1") is None
+
+    @pytest.mark.parametrize("prefix_len", [33, -1])
+    def test_a_bad_prefix_length_is_refused_at_add(self, prefix_len):
+        """Refused where the route is built, not raised later out of a
+        lookup on a forwarding thread."""
+        table = RouteTable()
+        table.add("10.0.2.0", 24, "net")
+        with pytest.raises(ValueError, match="bad prefix length"):
+            table.add("10.0.0.0", prefix_len, "x")
+        assert len(table) == 1
+        assert table.lookup("10.0.0.1") is None
+        assert table.lookup("10.0.2.9").port == "net"
 
 
 class TestForwarding:
